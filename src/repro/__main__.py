@@ -26,8 +26,8 @@ Subcommands:
   latency (``--replay-check`` runs the record/replay self-check);
 * ``ablation`` — the domain-grouping / crossing-cost / early-drop sweeps;
 * ``bench`` — the wall-clock benchmark suite; writes ``BENCH_sim.json``;
-  ``--baseline`` diffs against a committed report and fails on event-loop
-  regression;
+  ``--baseline`` diffs against a committed report and fails on end-to-end
+  events/sec regression;
 * ``record`` / ``replay`` — deterministic-replay tooling: record a run's
   event-level fingerprint journal, then re-execute and pinpoint the first
   divergent event (exit 1 on divergence);
@@ -654,8 +654,8 @@ def bench_main(argv) -> int:
     """The wall-clock benchmark suite; writes BENCH_sim.json."""
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
-        description="Benchmark event-loop throughput, end-to-end run "
-                    "wall-clock, and sweep scaling at 1/2/4 workers.")
+        description="Benchmark end-to-end run wall-clock, demux "
+                    "dispatch, and sweep scaling at 1/2/4 workers.")
     parser.add_argument("--quick", action="store_true",
                         help="smaller workloads (CI smoke run)")
     parser.add_argument("--output", "-o", default="BENCH_sim.json",
@@ -723,13 +723,13 @@ def bench_main(argv) -> int:
 
 
 def _bench_guard(report, baseline_path: str, max_regression: float) -> int:
-    """Fail when an events/sec headline regressed past the allowance.
+    """Fail when the end-to-end events/sec headline regressed past the
+    allowance.
 
     Wall-clock benchmarks are noisy across machines, so the guard only
-    compares the events/sec headlines (event loop, and end-to-end when
-    the baseline carries one) and only in the slower direction; the
-    committed baseline stays put until someone deliberately re-bases it
-    with ``python -m repro bench -o BENCH_sim.json``.
+    compares the headline and only in the slower direction; the committed
+    baseline stays put until someone deliberately re-bases it with
+    ``python -m repro bench -o BENCH_sim.json``.
     """
     import json
     import os
@@ -752,38 +752,33 @@ def _bench_guard(report, baseline_path: str, max_regression: float) -> int:
               f"({exc}) — it may be truncated or hand-edited.\n"
               f"{rebase_hint}", file=sys.stderr)
         return 2
-    headline = (baseline.get("event_loop")
+    headline = (baseline.get("end_to_end")
                 if isinstance(baseline, dict) else None)
     if not isinstance(headline, dict) or "events_per_sec" not in headline:
         shape = (", ".join(sorted(baseline)) or "(empty)") \
             if isinstance(baseline, dict) else type(baseline).__name__
         print(f"error: baseline {baseline_path} is valid JSON but does "
-              f"not look like a bench report (no event_loop."
+              f"not look like a bench report (no end_to_end."
               f"events_per_sec; top level: {shape}).  It may predate "
               f"the current report schema.\n{rebase_hint}",
               file=sys.stderr)
         return 2
-    failed = False
-    for section, label in (("event_loop", "event loop"),
-                           ("end_to_end", "end-to-end")):
-        base = baseline.get(section, {}).get("events_per_sec")
-        if base is None:
-            continue
-        cur = report.get(section, {}).get("events_per_sec")
-        if cur is None:
-            print(f"bench guard: baseline has a {label} headline but "
-                  f"this run skipped that section; not compared")
-            continue
-        floor = base * (1.0 - max_regression)
-        verdict = "OK" if cur >= floor else "REGRESSION"
-        print(f"bench guard: {label} {cur:,.0f} events/s vs baseline "
-              f"{base:,.0f} (floor {floor:,.0f} at "
-              f"-{max_regression:.0%}): {verdict}")
-        if cur < floor:
-            failed = True
-            print(f"FAIL: {label} slowed more than {max_regression:.0%} "
-                  f"vs {baseline_path}", file=sys.stderr)
-    return 1 if failed else 0
+    base = headline["events_per_sec"]
+    cur = report.get("end_to_end", {}).get("events_per_sec")
+    if cur is None:
+        print("bench guard: baseline has an end-to-end headline but this "
+              "run skipped that section; not compared")
+        return 0
+    floor = base * (1.0 - max_regression)
+    verdict = "OK" if cur >= floor else "REGRESSION"
+    print(f"bench guard: end-to-end {cur:,.0f} events/s vs baseline "
+          f"{base:,.0f} (floor {floor:,.0f} at "
+          f"-{max_regression:.0%}): {verdict}")
+    if cur < floor:
+        print(f"FAIL: end-to-end slowed more than {max_regression:.0%} "
+              f"vs {baseline_path}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def record_main(argv) -> int:

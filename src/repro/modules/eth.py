@@ -79,11 +79,6 @@ class EthModule(Module):
             self.kernel.cpu.post_interrupt(Interrupt(
                 [(self.pd, costs.eth_rx_interrupt + demux_cycles)],
                 label=f"eth-drop:{result.reason}"))
-            # A dropped frame is dead the instant demux rejects it: hand
-            # pooled flood frames straight back to their free list.
-            pool = frame.pool
-            if pool is not None:
-                pool.release(frame)
             return
         path = result.path
 

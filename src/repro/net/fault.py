@@ -140,11 +140,6 @@ class FaultInjector(Medium):
     def _process(self, frame: EthFrame,
                  emit: Callable[[EthFrame], None]) -> None:
         """Run one frame through the fault model; ``emit`` outputs a copy."""
-        # The fault model forks frame lifetimes (duplicates, held copies,
-        # delayed copies all alias this object past its normal drop
-        # point), so any frame entering it loses free-list poolability.
-        if frame.pool is not None:
-            frame.pool = None
         self.offered += 1
         if not self.link_up:
             self.dropped += 1

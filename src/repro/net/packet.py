@@ -130,7 +130,7 @@ class EthFrame:
     """
 
     __slots__ = ("src_mac", "dst_mac", "ethertype", "payload", "corrupted",
-                 "wire_size", "pool")
+                 "wire_size")
 
     def __init__(self, src_mac, dst_mac, ethertype: int, payload: Any,
                  corrupted: bool = False):
@@ -141,9 +141,6 @@ class EthFrame:
         self.corrupted = corrupted
         inner = getattr(payload, "size", 0)
         self.wire_size = max(64, ETH_HEADER + inner)  # minimum Ethernet frame
-        #: Owning free list, when the producer drew this frame from one
-        #: (see :mod:`repro.net.freelist`); None for ordinary frames.
-        self.pool = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Eth {self.src_mac!r}->{self.dst_mac!r} {self.payload!r}>"

@@ -385,11 +385,6 @@ class ObsSession:
         reg = self.registry
         for key, value in self.sim.queue_health().items():
             reg.gauge(metric_key("sim", key), value)
-        attacker = getattr(self.bed, "syn_attacker", None)
-        pool = getattr(attacker, "pool", None)
-        if pool is not None:
-            for key, value in pool.stats().items():
-                reg.gauge(metric_key("net", f"frame_pool_{key}"), value)
 
     def _sample_kernel(self, kernel, labels: Dict) -> None:
         reg = self.registry

@@ -1,187 +1,37 @@
 """Wall-clock benchmark suite — ``python -m repro bench``.
 
-Three measurements, written to ``BENCH_sim.json`` in a stable schema
-(``escort-bench/1``) so the perf trajectory is tracked across PRs:
+Measurements written to ``BENCH_sim.json`` in a stable schema
+(``escort-bench/1``) so the perf trajectory is tracked across changes:
 
-1. **Event-loop throughput** (events/sec): a synthetic event mix — future
-   timers, timer churn with cancellation, zero-delay hand-off chains — run
-   on the current :class:`repro.sim.engine.Simulator` and on
-   :class:`_LegacySimulator`, a faithful copy of the engine as it stood
-   before the hot-path work (object heap, helper-per-pop, no fast lane).
-   The ratio is the engine speedup, measured on the same machine in the
-   same process.
-2. **End-to-end run wall-clock**: one representative Figure-9-style cell
-   (accounting config, SYN flood) through the full snapshot driver.
+1. **End-to-end run wall-clock**: one representative Figure-9-style cell
+   (accounting config, SYN flood) through the full snapshot driver.  Its
+   events/sec is the headline the CI bench gate guards.
+2. **Demux dispatch** (:mod:`repro.perf.microbench`; ``--skip-micro``
+   leaves it out).
 3. **Sweep wall-clock** at 1/2/4 workers on a small Figure-9 grid, giving
-   the parallel-efficiency numbers for this host.
+   the parallel-efficiency numbers for this host (``--skip-sweep``).
+4. **Observability overhead**, on request (``--obs-overhead``).
 
 Timings use the best of N repetitions (minimum is the standard estimator
 for noisy wall-clock measurement); simulated results are deterministic, so
-repetitions only de-noise the clock, never the workload.
+repetitions only de-noise the clock, never the workload.  The repository
+benchmark proper — host time per simulated second on attack workloads,
+with median and spread — is ``perfbench/run.py``.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import platform
 import time
-from typing import Callable, Dict, List, Optional
-
-from repro.sim.engine import Simulator
+from typing import Callable, Dict
 
 SCHEMA = "escort-bench/1"
 
 
-# ----------------------------------------------------------------------
-# The pre-optimization engine, kept verbatim as the comparison baseline
-# ----------------------------------------------------------------------
-class _LegacyEvent:
-    __slots__ = ("time", "seq", "fn", "cancelled", "sim")
-
-    def __init__(self, time, seq, fn, sim=None):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.cancelled = False
-        self.sim = sim
-
-    def cancel(self):
-        if self.cancelled:
-            return
-        self.cancelled = True
-        self.fn = None
-        if self.sim is not None:
-            self.sim._note_cancel()
-
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
-
-
-class _LegacySimulator:
-    """The event loop as shipped before this PR (baseline for speedup)."""
-
-    COMPACT_MIN_QUEUE = 64
-
-    def __init__(self):
-        self.now = 0
-        self._queue: List[_LegacyEvent] = []
-        self._seq = 0
-        self._events_processed = 0
-        self._cancelled_pending = 0
-        self.compactions = 0
-
-    def schedule(self, delay, fn):
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        return self.at(self.now + delay, fn)
-
-    def at(self, time_, fn):
-        if time_ < self.now:
-            raise ValueError(f"cannot schedule in the past: {time_} < {self.now}")
-        self._seq += 1
-        ev = _LegacyEvent(time_, self._seq, fn, sim=self)
-        heapq.heappush(self._queue, ev)
-        return ev
-
-    def _note_cancel(self):
-        self._cancelled_pending += 1
-        if (self._cancelled_pending * 2 > len(self._queue)
-                and len(self._queue) >= self.COMPACT_MIN_QUEUE):
-            self._compact()
-
-    def _compact(self):
-        self._queue = [ev for ev in self._queue if not ev.cancelled]
-        heapq.heapify(self._queue)
-        self._cancelled_pending = 0
-        self.compactions += 1
-
-    def _pop_cancelled(self):
-        heapq.heappop(self._queue)
-        if self._cancelled_pending > 0:
-            self._cancelled_pending -= 1
-
-    def step(self):
-        while self._queue:
-            if self._queue[0].cancelled:
-                self._pop_cancelled()
-                continue
-            ev = heapq.heappop(self._queue)
-            self.now = ev.time
-            self._events_processed += 1
-            ev.fn()
-            return True
-        return False
-
-    def run(self):
-        while self.step():
-            pass
-
-    @property
-    def events_processed(self):
-        return self._events_processed
-
-
-# ----------------------------------------------------------------------
-# Microbench: the synthetic event mix
-# ----------------------------------------------------------------------
-def _drive_event_mix(sim, n_rounds: int) -> int:
-    """Schedule and run a representative mix; returns events executed.
-
-    Per round: a burst of future timers (the CPU-chunk pattern), a timer
-    that is cancelled before firing (the TCP-retransmit pattern), and a
-    zero-delay hand-off chain (the module-graph pattern).
-    """
-    counter = [0]
-
-    def tick():
-        counter[0] += 1
-
-    def chain(depth):
-        counter[0] += 1
-        if depth:
-            sim.schedule(0, lambda: chain(depth - 1))
-
-    for i in range(n_rounds):
-        base = 10 + (i % 97)
-        for j in range(8):
-            sim.schedule(base + j * 3, tick)
-        victim = sim.schedule(base + 1000, tick)
-        sim.schedule(base, lambda v=victim: v.cancel())
-        sim.schedule(base + 2, lambda: chain(4))
-    sim.run()
-    return sim.events_processed
-
-
 def _best_of(fn: Callable[[], float], reps: int) -> float:
     return min(fn() for _ in range(max(1, reps)))
-
-
-def bench_event_loop(n_rounds: int = 20_000, reps: int = 3) -> Dict:
-    """Current vs legacy engine on the same synthetic mix."""
-    def time_engine(make_sim):
-        def once() -> float:
-            sim = make_sim()
-            t0 = time.perf_counter()
-            _drive_event_mix(sim, n_rounds)
-            return time.perf_counter() - t0
-        return once
-
-    current_s = _best_of(time_engine(Simulator), reps)
-    legacy_s = _best_of(time_engine(_LegacySimulator), reps)
-    # Event counts are identical by construction; take one for the rate.
-    events = _drive_event_mix(Simulator(), n_rounds)
-    current_eps = events / current_s
-    legacy_eps = events / legacy_s
-    return {
-        "events": events,
-        "wall_s": round(current_s, 4),
-        "events_per_sec": round(current_eps),
-        "legacy_wall_s": round(legacy_s, 4),
-        "legacy_events_per_sec": round(legacy_eps),
-        "speedup_vs_legacy": round(current_eps / legacy_eps, 3),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -207,10 +57,6 @@ def bench_end_to_end(clients: int = 8, syn_rate: int = 1000,
         dt = time.perf_counter() - t0
         stats["events"] = driver.sim.events_processed
         stats["queue_health"] = driver.sim.queue_health()
-        attacker = getattr(run.bed, "syn_attacker", None)
-        pool = getattr(attacker, "pool", None)
-        if pool is not None:
-            stats["freelist"] = pool.stats()
         return dt
 
     wall = _best_of(once, reps)
@@ -222,7 +68,6 @@ def bench_end_to_end(clients: int = 8, syn_rate: int = 1000,
         "events": stats["events"],
         "events_per_sec": round(stats["events"] / wall),
         "queue_health": stats["queue_health"],
-        "freelist": stats.get("freelist"),
     }
 
 
@@ -239,7 +84,12 @@ def bench_obs_overhead(clients: int = 8, reps: int = 2,
     lost and whether the two legs' state digests matched (they must: the
     session is a pure observer).  ``python -m repro bench --obs-overhead
     --obs-budget 0.05`` gates on the fraction.
+
+    The legs alternate and each repetition starts from a fresh collection,
+    so a slow phase of the host or garbage left by earlier work in the
+    process lands on both legs alike instead of on whichever ran second.
     """
+    import gc
     import shutil
     import tempfile
 
@@ -263,6 +113,7 @@ def bench_obs_overhead(clients: int = 8, reps: int = 2,
         if obs:
             obs_dir = tempfile.mkdtemp(prefix="bench-obs-")
             session = ObsSession(obs_dir).attach(driver)
+        gc.collect()
         t0 = time.perf_counter()
         driver.run_all()
         dt = time.perf_counter() - t0
@@ -274,8 +125,11 @@ def bench_obs_overhead(clients: int = 8, reps: int = 2,
             shutil.rmtree(obs_dir, ignore_errors=True)
         return dt
 
-    wall_off = _best_of(lambda: once(False), reps)
-    wall_on = _best_of(lambda: once(True), reps)
+    walls: Dict[bool, list] = {False: [], True: []}
+    for _ in range(max(1, reps)):
+        for obs in (False, True):
+            walls[obs].append(once(obs))
+    wall_off, wall_on = min(walls[False]), min(walls[True])
     eps_off = stats["events_off"] / wall_off
     eps_on = stats["events_on"] / wall_on
     return {
@@ -340,9 +194,6 @@ def run_bench(quick: bool = False, output: str = "BENCH_sim.json",
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
         },
-        "event_loop": bench_event_loop(
-            n_rounds=4_000 if quick else 20_000,
-            reps=2 if quick else 3),
         "end_to_end": bench_end_to_end(
             clients=4 if quick else 8,
             warmup_s=0.2 if quick else 0.3,
@@ -426,10 +277,6 @@ def format_report(report: Dict) -> str:
     lines = [f"bench ({report['schema']}, "
              f"{report['host']['cpu_count']} cpus, "
              f"python {report['host']['python']})"]
-    ev = report["event_loop"]
-    lines.append(f"  event loop    {ev['events_per_sec']:>12,} ev/s   "
-                 f"({ev['speedup_vs_legacy']:.2f}x vs pre-PR engine at "
-                 f"{ev['legacy_events_per_sec']:,} ev/s)")
     e2e = report["end_to_end"]
     lines.append(f"  end-to-end    {e2e['wall_s']:>10.3f} s     "
                  f"({e2e['events']:,} events, "
@@ -443,18 +290,9 @@ def format_report(report: Dict) -> str:
                      f"digests {match})")
     micro = report.get("microbench")
     if micro:
-        churn = micro["timer_churn"]
-        lines.append(f"  timer churn   {churn['wheel_ops_per_sec']:>12,} op/s  "
-                     f"({churn['wheel_speedup']:.2f}x vs heap at "
-                     f"{churn['heap_ops_per_sec']:,} op/s, "
-                     f"{churn['cancelled_fraction']:.0%} cancelled)")
         demux = micro["demux"]
         lines.append(f"  demux         {demux['classifications_per_sec']:>12,} cls/s  "
                      f"({demux['modules_consulted']} modules per packet)")
-        alloc = micro["alloc_rate"]
-        lines.append(f"  alloc rate    {alloc['bytes_per_event']:>12,.0f} B/ev   "
-                     f"(peak {alloc['peak_kib']:,.0f} KiB over "
-                     f"{alloc['events']:,} events)")
     sweep = report.get("sweep")
     if sweep:
         per_w = ", ".join(f"{w}w={s:.2f}s"

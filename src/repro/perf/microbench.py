@@ -1,86 +1,21 @@
-"""Targeted microbenchmarks for the simulator hot paths.
+"""Targeted microbenchmark for the simulator's early-drop hot path.
 
-Three measurements, each isolating one layer the end-to-end benchmark
-mixes together, reported as a ``microbench`` section of ``BENCH_sim.json``:
-
-* **Timer churn** — the schedule-then-cancel pattern of TCP retransmit
-  and health-probe timers, run A/B on the hierarchical timing wheel and
-  on the plain binary heap.  This is the number to watch when tuning
-  ``MIN_WHEEL_DELAY``: cancelled wheel entries never touch the heap, but
-  wheel placement is Python-level arithmetic while ``heapq`` is C, so
-  the wheel trades raw churn throughput for its O(1) worst-case cancel
-  (no compaction pauses).  The A/B keeps that trade measured instead of
-  assumed.
-* **Demux dispatch** — repeated incremental demultiplexing of one spoofed
-  SYN frame through the eth -> ip -> tcp module chain of a freshly booted
-  server.  ``classify`` is side-effect free, so one frame can be
-  classified arbitrarily often; this is the per-packet cost the paper's
-  early-drop defense story rides on.
-* **Allocation rate** — the synthetic event mix under :mod:`tracemalloc`,
-  reporting bytes allocated per simulated event and the top allocation
-  sites.  This is the regression guard for the free-list/pooling work:
-  pooling wins show up here before they show up in wall-clock.
+**Demux dispatch** — repeated incremental demultiplexing of one spoofed SYN
+frame through the eth -> ip -> tcp module chain of a freshly booted server.
+``classify`` is side-effect free, so one frame can be classified
+arbitrarily often; this is the per-packet cost the paper's early-drop
+defense story rides on.  Reported as the ``microbench`` section of
+``BENCH_sim.json``.
 """
 
 from __future__ import annotations
 
 import time
-import tracemalloc
-from typing import Callable, Dict, List
-
-from repro.sim.engine import Simulator
-from repro.sim.wheel import MIN_WHEEL_DELAY
+from typing import Callable, Dict
 
 
 def _best_of(fn: Callable[[], float], reps: int) -> float:
     return min(fn() for _ in range(max(1, reps)))
-
-
-# ----------------------------------------------------------------------
-# Timer churn: the wheel's cancel-heavy band
-# ----------------------------------------------------------------------
-def bench_timer_churn(n_timers: int = 50_000, cancel_every: int = 10,
-                      reps: int = 3) -> Dict:
-    """Schedule long-delay timers, cancel most, fire the rest — A/B on
-    the timing wheel vs the plain heap.
-
-    Nine of every ten timers are cancelled before firing (the retransmit
-    pattern: almost every armed RTO is disarmed by the ACK).  A speedup
-    below 1.0 means the C-implemented lazy-deletion heap is out-running
-    the Python-level wheel on this host — expected on CPython; the wheel
-    buys bounded worst-case cancel cost, not mean throughput.
-    """
-    spread = 1 << 12  # one wheel slot
-
-    def once(use_wheel: bool) -> float:
-        sim = Simulator(timer_wheel=use_wheel)
-        fired = [0]
-
-        def tick() -> None:
-            fired[0] += 1
-
-        t0 = time.perf_counter()
-        events = [sim.schedule(MIN_WHEEL_DELAY + (i % 1024) * spread, tick)
-                  for i in range(n_timers)]
-        for i, ev in enumerate(events):
-            if i % cancel_every:
-                ev.cancel()
-        sim.run(sim.now + MIN_WHEEL_DELAY + 1024 * spread + 1)
-        return time.perf_counter() - t0
-
-    wheel_s = _best_of(lambda: once(True), reps)
-    heap_s = _best_of(lambda: once(False), reps)
-    # One schedule plus one cancel-or-fire per timer.
-    ops = n_timers * 2
-    return {
-        "timers": n_timers,
-        "cancelled_fraction": round(1 - 1 / cancel_every, 3),
-        "wheel_wall_s": round(wheel_s, 4),
-        "heap_wall_s": round(heap_s, 4),
-        "wheel_ops_per_sec": round(ops / wheel_s),
-        "heap_ops_per_sec": round(ops / heap_s),
-        "wheel_speedup": round(heap_s / wheel_s, 3),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -125,54 +60,12 @@ def bench_demux(n_classifications: int = 30_000, reps: int = 3) -> Dict:
 
 
 # ----------------------------------------------------------------------
-# Allocation rate: tracemalloc over the synthetic event mix
-# ----------------------------------------------------------------------
-def bench_alloc_rate(n_rounds: int = 2_000, top: int = 5) -> Dict:
-    """Bytes allocated per simulated event, plus the top allocation sites.
-
-    Runs under :mod:`tracemalloc` (several times slower than native), so
-    the wall-clock here is *not* comparable to the other benches — only
-    the allocation counts matter.
-    """
-    from repro.perf.bench import _drive_event_mix
-
-    tracemalloc.start()
-    base_current, _ = tracemalloc.get_traced_memory()
-    before = tracemalloc.take_snapshot()
-    sim = Simulator()
-    events = _drive_event_mix(sim, n_rounds)
-    after = tracemalloc.take_snapshot()
-    current, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-
-    stats = after.compare_to(before, "lineno")
-    sites: List[Dict] = []
-    for stat in stats[:top]:
-        frame = stat.traceback[0]
-        sites.append({
-            "site": f"{frame.filename.rsplit('/', 1)[-1]}:{frame.lineno}",
-            "size_kib": round(stat.size_diff / 1024, 1),
-            "count": stat.count_diff,
-        })
-    return {
-        "events": events,
-        "peak_kib": round((peak - base_current) / 1024, 1),
-        "retained_kib": round((current - base_current) / 1024, 1),
-        "bytes_per_event": round((peak - base_current) / max(1, events), 1),
-        "top_sites": sites,
-    }
-
-
-# ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
 def run_microbench(quick: bool = False) -> Dict:
     """The full microbench section (see module docstring)."""
     scale = 5 if quick else 1
     return {
-        "timer_churn": bench_timer_churn(
-            n_timers=50_000 // scale, reps=2 if quick else 3),
         "demux": bench_demux(
             n_classifications=30_000 // scale, reps=2 if quick else 3),
-        "alloc_rate": bench_alloc_rate(n_rounds=2_000 // scale),
     }

@@ -5,57 +5,29 @@ A :class:`Simulator` owns the virtual clock and a priority queue of pending
 CPU burst completions, softclock ticks, TCP retransmission timers — is an
 event scheduled here.
 
-Events are cancellable: cancelling marks the event dead and the main loop
-skips it when popped (lazy deletion, the standard trick for heap-backed
-simulators).  When cancelled events outnumber live ones the queue is
+The queue is one binary heap of ``(time, seq, event)`` entries: ``seq`` is
+the global scheduling counter, so ties in time break by insertion order and
+sift comparisons stay on C-level int tuples (the entries' keys are unique,
+so the heap never compares the events themselves).  Execution order is
+exactly ``(time, seq)`` order, which keeps runs deterministic; the
+snapshot/replay subsystem (:mod:`repro.snapshot`) verifies that guarantee
+by digest comparison.
+
+One loop body, :meth:`Simulator._drain`, pops and fires events;
+:meth:`~Simulator.step`, :meth:`~Simulator.step_until` and
+:meth:`~Simulator.run` are thin calls into it.
+
+Events are cancellable: cancelling marks the event dead and the loop skips
+it when popped (lazy deletion, the standard trick for heap-backed
+simulators).  When cancelled events outnumber live ones the heap is
 compacted in place, so long runs that cancel many timers (TCP retransmits
 are the classic case) neither grow the heap nor pin the cancelled
-callbacks' closures.  Ties in time are broken by insertion order, which
-keeps runs deterministic; the snapshot/replay subsystem
-(:mod:`repro.snapshot`) verifies that guarantee by digest comparison.
-
-Performance notes (this is the hottest loop in the repository — every
-simulated run funnels through the engine millions of times):
-
-* The heap stores ``(time, seq, event)`` tuples, not Event objects, so
-  sift comparisons happen on C-level int tuples instead of calling a
-  Python ``__lt__`` half a million times per simulated second.
-* Zero-delay scheduling — an event scheduled *at the current tick* — is
-  the module-graph hand-off pattern, and it never needs the heap at all:
-  such events land on a same-tick FIFO *fast lane* (a deque) and are
-  popped in O(1).  Ordering is unchanged: every event already in the heap
-  for the current tick carries a smaller ``seq`` than any fast-lane entry
-  (it was scheduled earlier), so the loop drains due heap entries first
-  and then the lane in FIFO order — exactly the global ``(time, seq)``
-  order.  The lane is provably empty whenever the clock advances.
-* Timer-class events — delays of at least :data:`~repro.sim.wheel.
-  MIN_WHEEL_DELAY`, the retransmit/softclock/health-probe band — go to a
-  hierarchical timing wheel (:mod:`repro.sim.wheel`) instead of the heap:
-  O(1) to schedule, and O(1) to cancel because a cancelled timer's slot is
-  simply dropped when the clock sweeps past, with no heap sift and no
-  compaction debt.  The wheel *pours* due slots into the heap before the
-  loop trusts the heap's head, so execution order stays exactly global
-  ``(time, seq)`` order.
-* ``step``/``step_until`` fuse the old ``_pop_cancelled`` helper into the
-  loop body and bind the queue/lane to locals; ``run(until)`` carries its
-  own fused copy of the loop so steady-state runs do not pay a Python
-  call per event.
-* Fast-lane events fire and die within one tick, and nothing may retain a
-  handle to one past its firing (their only use is the hand-off pattern),
-  so their Event shells are recycled through a small free list.  Heap and
-  wheel events are never recycled: user code holds those handles to
-  cancel retransmit timers, sometimes after they fired.
-
-None of this is observable: ``seq``, ``events_processed``, ``now`` and
-``live_events()`` — everything the replay fingerprints and state digests
-read — are byte-identical with the fast lane, the timer wheel, and the
-event pool on or off (the ``fast_lane`` / ``timer_wheel`` / ``event_pool``
-constructor flags exist so tests can prove that).
+callbacks' closures.
 
 The ledger is exact: every scheduled event is, at any instant, in exactly
-one of four states — executed (``events_processed``), stored live, stored
-cancelled (``cancelled_pending`` + the wheel's share), or cancelled and
-discarded (``cancelled_removed``) — so
+one of three states — executed (``events_processed``), stored in the heap
+(``pending()``, live or cancelled), or cancelled and discarded
+(``cancelled_removed``) — so
 ``seq == events_processed + pending() + cancelled_removed`` always holds;
 :meth:`Simulator.check_invariant` asserts it and the tier-1 suite calls it
 after full runs.
@@ -63,11 +35,9 @@ after full runs.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
-
-from repro.sim.wheel import MIN_WHEEL_DELAY, TimerWheel
+import math
+from heapq import heapify, heappop, heappush
+from typing import Callable, List, Optional, Tuple
 
 #: Compaction is considered once the queue is at least this large; below
 #: it the lazy-deletion garbage is too small to matter.
@@ -76,34 +46,9 @@ COMPACT_MIN_QUEUE = 64
 #: Compact once cancelled events exceed this fraction of the queue.
 COMPACT_RATIO = 0.5
 
-#: Module-wide default for the same-tick fast lane; ``Simulator`` instances
-#: constructed without an explicit ``fast_lane`` argument follow this, so a
-#: test (or an emergency) can A/B the whole system with one assignment.
-FAST_LANE_DEFAULT = True
-
-#: Module-wide default for the hierarchical timer wheel (same A/B pattern).
-TIMER_WHEEL_DEFAULT = True
-
-#: Module-wide default for fast-lane Event recycling (same A/B pattern).
-EVENT_POOL_DEFAULT = True
-
-#: Retained free-list size; beyond this, fired lane events are left to the
-#: garbage collector like any other object.
-EVENT_POOL_CAP = 512
-
-#: ``poured_until`` stand-in when the wheel is disabled: no event time ever
-#: reaches it, so the pour check in the loops stays a single comparison.
+#: ``_progress_at`` when no progress hook is installed: no event count ever
+#: reaches it, so the per-event check stays a single false comparison.
 _NEVER = 1 << 62
-
-#: Pour-ahead margin: every pour sweeps this far beyond the strictly
-#: needed target so the run loops touch the wheel once per ~margin of
-#: simulated time instead of once per pop.  Pouring early is harmless —
-#: entries keep their ``(time, seq)`` heap keys, so order is unchanged —
-#: but the margin must stay *below* ``MIN_WHEEL_DELAY``: a freshly
-#: scheduled wheel-band timer lands at ``now + MIN_WHEEL_DELAY`` at the
-#: earliest, which this bound keeps ahead of ``poured_until`` so new
-#: timers are never demoted to the heap by their own routing check.
-POUR_AHEAD = MIN_WHEEL_DELAY >> 1
 
 
 class Event:
@@ -113,8 +58,7 @@ class Event:
     code only ever needs :meth:`cancel` and :attr:`time`.
     """
 
-    __slots__ = ("time", "seq", "fn", "cancelled", "fired", "in_wheel",
-                 "sim")
+    __slots__ = ("time", "seq", "fn", "cancelled", "fired", "sim")
 
     def __init__(self, time: int, seq: int, fn: Callable[[], None],
                  sim: Optional["Simulator"] = None):
@@ -123,7 +67,6 @@ class Event:
         self.fn = fn
         self.cancelled = False
         self.fired = False
-        self.in_wheel = False
         self.sim = sim
 
     def cancel(self) -> None:
@@ -143,11 +86,11 @@ class Event:
         self.cancelled = True
         self.fn = None
         if self.sim is not None:
-            self.sim._note_cancel(self)
+            self.sim._note_cancel()
 
     def __lt__(self, other: "Event") -> bool:
-        # The heap itself compares (time, seq, event) tuples and never
-        # reaches the event (keys are unique); kept for user-code sorting.
+        # The heap compares (time, seq, event) tuples and never reaches the
+        # event (keys are unique); kept for user-code sorting.
         return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -171,25 +114,10 @@ class Simulator:
         Queue size below which lazy-deletion debt is never compacted.
     compact_ratio:
         Cancelled-to-queued fraction above which the heap is rebuilt.
-    fast_lane:
-        Enable the same-tick FIFO bypass (default: the module-level
-        :data:`FAST_LANE_DEFAULT`).  Execution order is identical either
-        way; the flag exists so determinism tests can prove it.
-    timer_wheel:
-        Enable the hierarchical timing wheel for timer-class delays
-        (default :data:`TIMER_WHEEL_DEFAULT`).  Same opacity contract.
-    event_pool:
-        Recycle fired fast-lane Event shells through a free list (default
-        :data:`EVENT_POOL_DEFAULT`).  Contract: a handle to a zero-delay
-        event must not be used after its firing tick — nothing in the
-        tree does, zero-delay events being pure hand-offs.
     """
 
     def __init__(self, *, compact_min_queue: int = COMPACT_MIN_QUEUE,
-                 compact_ratio: float = COMPACT_RATIO,
-                 fast_lane: Optional[bool] = None,
-                 timer_wheel: Optional[bool] = None,
-                 event_pool: Optional[bool] = None) -> None:
+                 compact_ratio: float = COMPACT_RATIO) -> None:
         if compact_min_queue < 1:
             raise ValueError(
                 f"compact_min_queue must be positive: {compact_min_queue}")
@@ -197,42 +125,21 @@ class Simulator:
             raise ValueError(
                 f"compact_ratio must be in (0, 1]: {compact_ratio}")
         self.now: int = 0
-        #: Heap of ``(time, seq, event)`` entries (C-level comparisons).
+        #: Heap of ``(time, seq, event)`` entries.
         self._queue: List[Tuple[int, int, Event]] = []
-        #: Same-tick FIFO: every entry's time == ``now`` while non-empty.
-        self._lane: Deque[Event] = deque()
-        self._fast_lane = (FAST_LANE_DEFAULT if fast_lane is None
-                           else bool(fast_lane))
-        use_wheel = (TIMER_WHEEL_DEFAULT if timer_wheel is None
-                     else bool(timer_wheel))
-        #: Timer-class backend; ``None`` when disabled.
-        self._wheel: Optional[TimerWheel] = TimerWheel() if use_wheel \
-            else None
-        self._event_pool = (EVENT_POOL_DEFAULT if event_pool is None
-                            else bool(event_pool))
-        self._free_events: List[Event] = []
         self._seq: int = 0
         self._events_processed: int = 0
-        # Cancelled events still sitting in the heap or lane (lazy debt).
+        # Cancelled events still sitting in the heap (lazy-deletion debt).
         self._cancelled_pending: int = 0
-        # Cancelled events still sitting in wheel slots (separate ledger:
-        # wheel debt is slot-dropped for free and must not trigger heap
-        # compactions).
-        self._cancelled_wheel: int = 0
-        # Cancelled events already discarded (popped, poured away, or
-        # compacted out) — the closing entry of the exact ledger.
+        # Cancelled events already discarded (popped or compacted out) —
+        # the closing entry of the exact ledger.
         self._cancelled_removed: int = 0
         self.compactions: int = 0
         self.compact_min_queue = compact_min_queue
         self.compact_ratio = compact_ratio
-        #: Events that bypassed the heap via the fast lane (diagnostics).
-        self.fast_lane_events: int = 0
-        #: Fired lane events whose shells were reused (diagnostics).
-        self.events_recycled: int = 0
         # Progress hook: an out-of-band callback fired every N executed
         # events (see set_progress_hook).  ``_progress_at`` is the next
-        # events_processed threshold; _NEVER keeps the per-event check a
-        # single false comparison when no hook is installed.
+        # events_processed threshold.
         self._progress_hook: Optional[Callable[[], None]] = None
         self._progress_every: int = 0
         self._progress_at: int = _NEVER
@@ -277,76 +184,31 @@ class Simulator:
         ``delay`` must be non-negative; zero-delay events run after all
         events already scheduled for the current instant.
         """
-        # Body duplicated with ``at`` on purpose: together these are the
-        # single hottest call pair in the repository, and the extra frame
-        # of ``return self.at(...)`` was measurable.
+        # Not ``return self.at(...)``: these two are the hottest calls in
+        # the repository, and wrappers that count scheduled events patch
+        # both, so neither may go through the other.
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         time = self.now + delay
         self._seq = seq = self._seq + 1
-        if delay == 0 and self._fast_lane:
-            # Same-tick hand-off: FIFO order IS (time, seq) order here,
-            # because every lane entry shares ``time`` and ``seq`` is
-            # monotonic.  No heap traffic.
-            free = self._free_events
-            if free:
-                ev = free.pop()
-                ev.time = time
-                ev.seq = seq
-                ev.fn = fn
-                ev.cancelled = False
-                ev.fired = False
-                self.events_recycled += 1
-            else:
-                ev = Event(time, seq, fn, sim=self)
-            self._lane.append(ev)
-            return ev
-        ev = Event(time, seq, fn, sim=self)
-        wheel = self._wheel
-        if (wheel is not None and delay >= MIN_WHEEL_DELAY
-                and time >= wheel.poured_until and wheel.add(time, seq, ev)):
-            return ev
-        heapq.heappush(self._queue, (time, seq, ev))
+        ev = Event(time, seq, fn, self)
+        heappush(self._queue, (time, seq, ev))
         return ev
 
     def at(self, time: int, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` at an absolute tick ``time`` (>= now)."""
-        now = self.now
-        if time < now:
-            raise ValueError(f"cannot schedule in the past: {time} < {now}")
+        if time < self.now:
+            raise ValueError(
+                f"cannot schedule in the past: {time} < {self.now}")
         self._seq = seq = self._seq + 1
-        if time == now and self._fast_lane:
-            free = self._free_events
-            if free:
-                ev = free.pop()
-                ev.time = time
-                ev.seq = seq
-                ev.fn = fn
-                ev.cancelled = False
-                ev.fired = False
-                self.events_recycled += 1
-            else:
-                ev = Event(time, seq, fn, sim=self)
-            self._lane.append(ev)
-            return ev
-        ev = Event(time, seq, fn, sim=self)
-        wheel = self._wheel
-        if (wheel is not None and time - now >= MIN_WHEEL_DELAY
-                and time >= wheel.poured_until and wheel.add(time, seq, ev)):
-            return ev
-        heapq.heappush(self._queue, (time, seq, ev))
+        ev = Event(time, seq, fn, self)
+        heappush(self._queue, (time, seq, ev))
         return ev
 
     # ------------------------------------------------------------------
     # Lazy-deletion bookkeeping
     # ------------------------------------------------------------------
-    def _note_cancel(self, ev: Event) -> None:
-        if ev.in_wheel:
-            # Wheel residents cost nothing to discard (their slot is
-            # dropped wholesale at pour time), so they neither count
-            # toward nor trigger heap compaction.
-            self._cancelled_wheel += 1
-            return
+    def _note_cancel(self) -> None:
         self._cancelled_pending += 1
         queued = len(self._queue)
         if (self._cancelled_pending > queued * self.compact_ratio
@@ -358,158 +220,68 @@ class Simulator:
 
         Execution order is unaffected: live events keep their unique
         ``(time, seq)`` keys, so replays are bit-identical whether or not
-        a compaction happened.  In-place (slice assignment) so the fused
-        run loops' local binding of the queue list stays valid.
+        a compaction happened.  In place (slice assignment), so the run
+        loop's local binding of the queue list stays valid when a callback
+        cancels enough events to trigger a compaction mid-run.
         """
         queue = self._queue
         before = len(queue)
         queue[:] = [entry for entry in queue if not entry[2].cancelled]
-        heapq.heapify(queue)
+        heapify(queue)
         removed = before - len(queue)
         self._cancelled_pending -= removed
         self._cancelled_removed += removed
         self.compactions += 1
 
-    def _pour(self, to_time: int) -> None:
-        """Move due wheel slots into the heap (and settle their debt)."""
-        dropped = self._wheel.advance(to_time + POUR_AHEAD, self._queue)
-        if dropped:
-            self._cancelled_wheel -= dropped
-            self._cancelled_removed += dropped
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _drain(self, until: float, single: bool) -> bool:
+        """The event loop: fire events due at or before ``until`` (a tick,
+        or ``math.inf`` for no horizon).
+
+        Events fire in ``(time, seq)`` order; cancelled entries met at the
+        head are discarded on the way.  With ``single`` the loop returns
+        True right after the first event it fires.  Returns False once no
+        live event is due.
+        """
+        queue = self._queue
+        while queue:
+            time, _seq, ev = queue[0]
+            if ev.cancelled:
+                heappop(queue)
+                self._cancelled_pending -= 1
+                self._cancelled_removed += 1
+                continue
+            if time > until:
+                break
+            heappop(queue)
+            self.now = time
+            ev.fired = True
+            self._events_processed += 1
+            ev.fn()
+            if self._events_processed >= self._progress_at:
+                self._fire_progress()
+            if single:
+                return True
+        return False
+
     def step(self) -> bool:
         """Run the next pending event.  Returns False when queue is empty."""
-        queue = self._queue
-        lane = self._lane
-        pop = heapq.heappop
-        wheel = self._wheel
-        horizon = wheel.poured_until if wheel is not None else _NEVER
-        while True:
-            if lane and not (queue and queue[0][0] <= self.now):
-                # Every due heap entry was scheduled before any lane entry
-                # (smaller seq), so the lane only pops once the heap holds
-                # nothing for the current tick.
-                ev = lane.popleft()
-                if ev.cancelled:
-                    self._cancelled_pending -= 1
-                    self._cancelled_removed += 1
-                    continue
-                ev.fired = True
-                self._events_processed += 1
-                self.fast_lane_events += 1
-                fn = ev.fn
-                ev.fn = None
-                free = self._free_events
-                if self._event_pool and len(free) < EVENT_POOL_CAP:
-                    free.append(ev)
-                fn()
-                if self._events_processed >= self._progress_at:
-                    self._fire_progress()
-                return True
-            if queue:
-                time, _seq, ev = queue[0]
-                if time >= horizon and wheel.count:
-                    # The wheel may hold earlier entries: pour everything
-                    # due up to the candidate, then re-examine the head.
-                    self._pour(time)
-                    horizon = wheel.poured_until
-                    continue
-                if ev.cancelled:
-                    pop(queue)
-                    self._cancelled_pending -= 1
-                    self._cancelled_removed += 1
-                    continue
-                pop(queue)
-                self.now = time
-                ev.fired = True
-                self._events_processed += 1
-                ev.fn()
-                if self._events_processed >= self._progress_at:
-                    self._fire_progress()
-                return True
-            if wheel is not None and wheel.count:
-                self._pour(wheel.min_bound())
-                horizon = wheel.poured_until
-                continue
-            return False
+        return self._drain(math.inf, True)
 
     def step_until(self, until: int) -> bool:
         """Run the next event if it is due at or before ``until``.
 
-        Returns True when an event executed, False when the next live event
-        (if any) lies beyond ``until``.  Unlike :meth:`run`, the clock is
-        *not* advanced to ``until`` on False — call :meth:`finish_until`
-        for that.  ``run(until=X)`` is exactly
+        Returns True when exactly one event executed, False when the next
+        live event (if any) lies beyond ``until``.  Unlike :meth:`run`, the
+        clock is *not* advanced to ``until`` on False — call
+        :meth:`finish_until` for that.  ``run(until=X)`` is exactly
         ``while step_until(X): pass`` followed by ``finish_until(X)``; the
         replay driver uses this decomposition to observe the machine
         between events.
         """
-        queue = self._queue
-        lane = self._lane
-        pop = heapq.heappop
-        wheel = self._wheel
-        horizon = wheel.poured_until if wheel is not None else _NEVER
-        while True:
-            if lane and not (queue and queue[0][0] <= self.now):
-                if self.now > until:
-                    return False
-                ev = lane.popleft()
-                if ev.cancelled:
-                    self._cancelled_pending -= 1
-                    self._cancelled_removed += 1
-                    continue
-                ev.fired = True
-                self._events_processed += 1
-                self.fast_lane_events += 1
-                fn = ev.fn
-                ev.fn = None
-                free = self._free_events
-                if self._event_pool and len(free) < EVENT_POOL_CAP:
-                    free.append(ev)
-                fn()
-                if self._events_processed >= self._progress_at:
-                    self._fire_progress()
-                return True
-            if queue:
-                time, _seq, ev = queue[0]
-                if ev.cancelled:
-                    pop(queue)
-                    self._cancelled_pending -= 1
-                    self._cancelled_removed += 1
-                    continue
-                if time > until:
-                    if (wheel is not None and wheel.count
-                            and horizon <= until
-                            and wheel.min_bound() <= until):
-                        self._pour(wheel.min_bound())
-                        horizon = wheel.poured_until
-                        continue
-                    return False
-                if time >= horizon and wheel.count:
-                    self._pour(time)
-                    horizon = wheel.poured_until
-                    continue
-                pop(queue)
-                self.now = time
-                ev.fired = True
-                self._events_processed += 1
-                ev.fn()
-                if self._events_processed >= self._progress_at:
-                    self._fire_progress()
-                return True
-            if (wheel is not None and wheel.count and horizon <= until
-                    and wheel.min_bound() <= until):
-                # Advance only to the wheel's own earliest bound, never
-                # blindly to ``until``: a premature sweep far past ``now``
-                # would push ``poured_until`` ahead of future timer
-                # placements and demote them all to the heap.
-                self._pour(wheel.min_bound())
-                horizon = wheel.poured_until
-                continue
-            return False
+        return self._drain(until, True)
 
     def finish_until(self, until: int) -> None:
         """Advance the clock to exactly ``until`` (if it is not there yet)."""
@@ -524,70 +296,9 @@ class Simulator:
         well-defined end time.
         """
         if until is None:
-            while self.step():
-                pass
+            self._drain(math.inf, False)
             return
-        # Fused copy of the step_until loop: steady-state runs execute
-        # every event here, and the per-event Python call into step_until
-        # (plus its local re-binds) was the single largest engine cost.
-        queue = self._queue
-        lane = self._lane
-        pop = heapq.heappop
-        push_free = self._free_events.append
-        pool = self._event_pool
-        wheel = self._wheel
-        horizon = wheel.poured_until if wheel is not None else _NEVER
-        while True:
-            if lane and not (queue and queue[0][0] <= self.now):
-                ev = lane.popleft()
-                if ev.cancelled:
-                    self._cancelled_pending -= 1
-                    self._cancelled_removed += 1
-                    continue
-                ev.fired = True
-                self._events_processed += 1
-                self.fast_lane_events += 1
-                fn = ev.fn
-                ev.fn = None
-                if pool and len(self._free_events) < EVENT_POOL_CAP:
-                    push_free(ev)
-                fn()
-                if self._events_processed >= self._progress_at:
-                    self._fire_progress()
-                continue
-            if queue:
-                time, _seq, ev = queue[0]
-                if ev.cancelled:
-                    pop(queue)
-                    self._cancelled_pending -= 1
-                    self._cancelled_removed += 1
-                    continue
-                if time > until:
-                    if (wheel is not None and wheel.count
-                            and horizon <= until
-                            and wheel.min_bound() <= until):
-                        self._pour(wheel.min_bound())
-                        horizon = wheel.poured_until
-                        continue
-                    break
-                if time >= horizon and wheel.count:
-                    self._pour(time)
-                    horizon = wheel.poured_until
-                    continue
-                pop(queue)
-                self.now = time
-                ev.fired = True
-                self._events_processed += 1
-                ev.fn()
-                if self._events_processed >= self._progress_at:
-                    self._fire_progress()
-                continue
-            if (wheel is not None and wheel.count and horizon <= until
-                    and wheel.min_bound() <= until):
-                self._pour(wheel.min_bound())
-                horizon = wheel.poured_until
-                continue
-            break
+        self._drain(until, False)
         self.finish_until(until)
 
     def run_for(self, duration: int) -> None:
@@ -605,36 +316,25 @@ class Simulator:
         return self._seq
 
     def pending(self) -> int:
-        """Number of queued (possibly cancelled) events, wheel included."""
-        n = len(self._queue) + len(self._lane)
-        if self._wheel is not None:
-            n += self._wheel.count
-        return n
+        """Number of queued (possibly cancelled) events."""
+        return len(self._queue)
 
     def cancelled_pending(self) -> int:
-        """Cancelled events still occupying heap or fast-lane slots."""
+        """Cancelled events still occupying heap slots."""
         return self._cancelled_pending
 
     def cancelled_removed(self) -> int:
-        """Cancelled events already discarded from storage."""
+        """Cancelled events already discarded from the heap."""
         return self._cancelled_removed
 
     def live_events(self) -> List[Tuple[int, int]]:
         """Sorted ``(time, seq)`` keys of every live queued event.
 
-        This is the queue's *shape* independent of its internal layout
-        (and of whether an event sits in the heap, the lane, or a wheel
-        slot), so digests built from it are stable across compactions,
-        fast-lane routing, and wheel residency.
+        This is the queue's *shape* independent of the heap's internal
+        layout, so digests built from it are stable across compactions.
         """
-        keys = [(time, seq) for time, seq, ev in self._queue
-                if not ev.cancelled]
-        keys.extend((ev.time, ev.seq) for ev in self._lane
-                    if not ev.cancelled)
-        if self._wheel is not None:
-            keys.extend(self._wheel.live_keys())
-        keys.sort()
-        return keys
+        return sorted((time, seq) for time, seq, ev in self._queue
+                      if not ev.cancelled)
 
     def check_invariant(self) -> None:
         """Assert the exact scheduling ledger (cheap; O(1)).
@@ -653,21 +353,22 @@ class Simulator:
                 f"(= {total}); health={self.queue_health()}")
 
     def queue_health(self) -> dict:
-        """Engine-health counters for perf runs (see :mod:`repro.sim.trace`)."""
-        wheel = self._wheel
+        """Engine-health counters for perf runs (see :mod:`repro.sim.trace`).
+
+        ``wheel_scheduled``, ``fast_lane_events`` and ``cancelled_wheel``
+        are always 0: the engine has one queue, and the keys stay so that
+        readers of the earlier report shape (``perfbench/run.py``) keep
+        working.
+        """
         return {
             "now": self.now,
             "events_processed": self._events_processed,
             "scheduled": self._seq,
             "pending": self.pending(),
             "cancelled_pending": self._cancelled_pending,
-            "cancelled_wheel": self._cancelled_wheel,
             "cancelled_removed": self._cancelled_removed,
             "compactions": self.compactions,
-            "fast_lane_events": self.fast_lane_events,
-            "events_recycled": self.events_recycled,
-            "wheel_pending": wheel.count if wheel is not None else 0,
-            "wheel_scheduled": wheel.scheduled if wheel is not None else 0,
-            "wheel_poured": wheel.poured if wheel is not None else 0,
-            "wheel_cascades": wheel.cascades if wheel is not None else 0,
+            "wheel_scheduled": 0,
+            "fast_lane_events": 0,
+            "cancelled_wheel": 0,
         }

@@ -105,8 +105,8 @@ class Tracer:
         """The engine's queue-health counters at the current instant.
 
         Mirrors :meth:`repro.sim.engine.Simulator.queue_health` — events
-        processed, scheduled, still pending, lazy-cancellation debt,
-        compaction count, and fast-lane pops — so perf runs can report
+        processed, scheduled, still pending, lazy-cancellation debt and
+        compaction count — so perf runs can report
         event-queue behaviour alongside the trace (see
         :func:`queue_health_line` for a printable form).
         """
@@ -186,14 +186,7 @@ class Tracer:
 def queue_health_line(sim: Simulator) -> str:
     """One-line engine-health summary for perf reports and benchmarks."""
     h = sim.queue_health()
-    line = (f"events={h['events_processed']} scheduled={h['scheduled']} "
+    return (f"events={h['events_processed']} scheduled={h['scheduled']} "
             f"pending={h['pending']} cancelled={h['cancelled_pending']} "
-            f"compactions={h['compactions']} "
-            f"fast_lane={h['fast_lane_events']}")
-    if "wheel_scheduled" in h:
-        line += (f" wheel={h['wheel_pending']}/{h['wheel_scheduled']} "
-                 f"poured={h['wheel_poured']} "
-                 f"cascades={h['wheel_cascades']}")
-    if "events_recycled" in h:
-        line += f" recycled={h['events_recycled']}"
-    return line
+            f"removed={h['cancelled_removed']} "
+            f"compactions={h['compactions']}")

@@ -16,8 +16,6 @@ from repro.sim.clock import TICKS_PER_SECOND
 from repro.sim.costs import CostModel
 from repro.sim.engine import Simulator
 from repro.net.addressing import MacAddr, Subnet
-import repro.net.freelist as freelist
-from repro.net.freelist import SynFramePool
 from repro.net.link import NIC
 from repro.net.packet import (
     ETHERTYPE_IP,
@@ -38,10 +36,13 @@ class SynAttacker:
                  costs: Optional[CostModel] = None,
                  ramp_to: Optional[int] = None,
                  ramp_seconds: float = 0.0,
-                 spoof_hosts: int = 4094,
-                 frame_pool: Optional[bool] = None):
+                 spoof_hosts: int = 4094):
         if rate_per_second <= 0:
             raise ValueError("rate must be positive")
+        if ramp_to is not None and ramp_to <= 0:
+            raise ValueError(f"ramp_to must be positive: {ramp_to}")
+        if spoof_hosts <= 0:
+            raise ValueError(f"spoof_hosts must be positive: {spoof_hosts}")
         self.sim = sim
         self.server_ip = server_ip
         self.server_mac = server_mac
@@ -61,15 +62,6 @@ class SynAttacker:
         self.ramp_to = ramp_to
         self._ramp_ticks = int(ramp_seconds * TICKS_PER_SECOND)
         self._start_tick: Optional[int] = None
-        #: Frame free list (see :mod:`repro.net.freelist`): the flood's
-        #: frames live only from NIC to demux drop, so the driver hands
-        #: them back and the attacker resprays them.
-        if frame_pool is None:
-            # Read at call time so A/B tests can flip the module default.
-            frame_pool = freelist.FRAME_POOL_DEFAULT
-        self.pool: Optional[SynFramePool] = (
-            SynFramePool(self.nic.mac, server_mac, server_ip, target_port)
-            if frame_pool else None)
 
     def current_rate(self) -> int:
         """The instantaneous send rate, including any ramp."""
@@ -104,15 +96,11 @@ class SynAttacker:
         src_ip = next(self.spoof_subnet.hosts(
             1, start=1 + (self._spoof_index % self.spoof_hosts)))
         src_port = 1024 + (self._spoof_index % 60_000)
-        if self.pool is not None:
-            frame = self.pool.acquire(src_ip, src_port)
-        else:
-            seg = TCPSegment(src_port, self.target_port, seq=0, ack=0,
-                             flags=FLAG_SYN)
-            dgram = IPDatagram(src_ip, self.server_ip, IPPROTO_TCP, seg)
-            frame = EthFrame(self.nic.mac, self.server_mac,
-                             ETHERTYPE_IP, dgram)
-        self.nic.send(frame)
+        seg = TCPSegment(src_port, self.target_port, seq=0, ack=0,
+                         flags=FLAG_SYN)
+        dgram = IPDatagram(src_ip, self.server_ip, IPPROTO_TCP, seg)
+        self.nic.send(EthFrame(self.nic.mac, self.server_mac,
+                               ETHERTYPE_IP, dgram))
         self.sent += 1
         interval = TICKS_PER_SECOND // self.current_rate()
         self.sim.schedule(max(1, interval), self._fire)

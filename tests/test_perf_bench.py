@@ -1,7 +1,7 @@
-"""The benchmark suite: report schema, legacy-engine fidelity, timing.
+"""The benchmark suite: report schema, the baseline guard, timing.
 
 The wall-clock measurements themselves are marked ``bench`` (deselect with
-``-m 'not bench'``); the schema and fidelity checks run in tier 1.
+``-m 'not bench'``); the schema and guard checks run in tier 1.
 """
 
 from __future__ import annotations
@@ -10,32 +10,19 @@ import json
 
 import pytest
 
-from repro.perf.bench import (SCHEMA, _LegacySimulator, _drive_event_mix,
-                              format_report, run_bench)
-from repro.sim.engine import Simulator
-
-
-def test_legacy_engine_executes_the_same_mix_as_the_current_engine():
-    """The baseline engine is only an honest baseline if it does the
-    same work — identical event counts on the identical mix."""
-    current = _drive_event_mix(Simulator(), n_rounds=200)
-    legacy = _drive_event_mix(_LegacySimulator(), n_rounds=200)
-    assert current == legacy
-    assert current > 200  # the mix really schedules work per round
+from repro.perf.bench import SCHEMA, format_report, run_bench
 
 
 def test_format_report_handles_sweepless_reports():
     report = {
         "schema": SCHEMA,
         "host": {"cpu_count": 4, "python": "3.12.0"},
-        "event_loop": {"events_per_sec": 1_000_000, "legacy_events_per_sec":
-                       500_000, "speedup_vs_legacy": 2.0},
         "end_to_end": {"wall_s": 1.5, "events": 100_000,
                        "events_per_sec": 66_667},
     }
     text = format_report(report)
-    assert "event loop" in text
-    assert "2.00x" in text
+    assert "end-to-end" in text
+    assert "66,667 ev/s" in text
     assert "sweep" not in text
 
 
@@ -49,19 +36,12 @@ def test_quick_bench_emits_stable_schema(tmp_path):
     assert report["schema"] == SCHEMA
     assert report["quick"] is True
 
-    ev = report["event_loop"]
-    assert set(ev) == {"events", "wall_s", "events_per_sec",
-                       "legacy_wall_s", "legacy_events_per_sec",
-                       "speedup_vs_legacy"}
-    assert ev["events"] > 0 and ev["wall_s"] > 0
-
+    assert set(report) == {"schema", "quick", "host", "end_to_end",
+                           "microbench"}
     e2e = report["end_to_end"]
     assert e2e["events"] > 0 and e2e["wall_s"] > 0
     assert e2e["queue_health"]["events_processed"] == e2e["events"]
-    # The SYN-frame freelist stats ride along (the bench cell floods).
-    freelist = e2e["freelist"]
-    assert freelist["acquired"] > 0
-    assert freelist["recycled"] + freelist["released"] > 0
+    assert set(report["microbench"]) == {"demux"}
 
     # The human summary renders without a sweep section.
     assert "end-to-end" in format_report(report)
@@ -80,8 +60,7 @@ def test_quick_sweep_bench_verifies_cross_worker_identity():
 # The --baseline guard: every way a baseline file can be wrong should
 # produce an actionable message and exit code 2, never a traceback.
 # ----------------------------------------------------------------------
-GUARD_REPORT = {"event_loop": {"events_per_sec": 100.0},
-                "end_to_end": {"events_per_sec": 50.0}}
+GUARD_REPORT = {"end_to_end": {"events_per_sec": 50.0}}
 
 
 def _guard(report, baseline_path, capsys, max_regression=0.3):
@@ -101,7 +80,7 @@ def test_bench_guard_missing_baseline_says_how_to_create_one(
 def test_bench_guard_invalid_json_is_diagnosed_not_raised(
         tmp_path, capsys):
     path = tmp_path / "torn.json"
-    path.write_text('{"event_loop": {"events_per_s')
+    path.write_text('{"end_to_end": {"events_per_s')
     rc, out = _guard(GUARD_REPORT, path, capsys)
     assert rc == 2
     assert "not valid JSON" in out.err
@@ -112,7 +91,7 @@ def test_bench_guard_schema_skew_names_what_is_missing(tmp_path, capsys):
     path.write_text(json.dumps({"version": 1, "micro": {"alloc": 3}}))
     rc, out = _guard(GUARD_REPORT, path, capsys)
     assert rc == 2
-    assert "event_loop" in out.err and "micro" in out.err
+    assert "end_to_end" in out.err and "micro" in out.err
     assert "python -m repro bench -o" in out.err
 
     path.write_text(json.dumps([1, 2, 3]))  # not even a mapping
@@ -122,14 +101,11 @@ def test_bench_guard_schema_skew_names_what_is_missing(tmp_path, capsys):
 
 def test_bench_guard_passes_and_fails_on_the_headline(tmp_path, capsys):
     path = tmp_path / "base.json"
-    path.write_text(json.dumps(
-        {"event_loop": {"events_per_sec": 90.0},
-         "end_to_end": {"events_per_sec": 45.0}}))
+    path.write_text(json.dumps({"end_to_end": {"events_per_sec": 45.0}}))
     rc, out = _guard(GUARD_REPORT, path, capsys)
     assert rc == 0 and "OK" in out.out
 
-    slow = {"event_loop": {"events_per_sec": 10.0},
-            "end_to_end": {"events_per_sec": 45.0}}
+    slow = {"end_to_end": {"events_per_sec": 30.0}}
     rc, out = _guard(slow, path, capsys)
     assert rc == 1 and "REGRESSION" in out.out
 
@@ -137,11 +113,8 @@ def test_bench_guard_passes_and_fails_on_the_headline(tmp_path, capsys):
 def test_bench_guard_skips_sections_this_run_did_not_measure(
         tmp_path, capsys):
     path = tmp_path / "base.json"
-    path.write_text(json.dumps(
-        {"event_loop": {"events_per_sec": 90.0},
-         "end_to_end": {"events_per_sec": 45.0}}))
-    rc, out = _guard({"event_loop": {"events_per_sec": 100.0}},
-                     path, capsys)
+    path.write_text(json.dumps({"end_to_end": {"events_per_sec": 45.0}}))
+    rc, out = _guard({}, path, capsys)
     assert rc == 0
     assert "skipped that section" in out.out
 

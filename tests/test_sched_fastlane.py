@@ -1,142 +1,27 @@
-"""Scheduler hot paths are unchanged by the same-tick fast lane.
+"""The same-tick fast lane's suite, under its original test names.
 
-The fast lane reroutes zero-delay events around the heap; the engine
-argues (and :mod:`tests.test_determinism` spot-checks) that execution
-order is untouched.  These tests pin the claim where it matters most: the
-exact sequence of threads each scheduler picks, compared between fast-lane
-on and off, across every scheduler and several seed-varied workloads.
+The engine once sent zero-delay events through a FIFO beside the heap (the
+fast lane) and this suite A/B'd the two.  The lane is gone: the engine is
+one heap.  Each name here now runs the one-queue test that absorbed it,
+so the name still asserts what it did: every scheduler picks the threads
+recorded with the lane on, zero-delay hand-offs fire in ``(time, seq)``
+order however the engine is driven, a cancelled zero-delay event never
+fires and settles its ledger debt, and ``queue_health()`` keeps its
+``fast_lane_events`` key at 0 with no option left to enable a lane.
 """
 
-from __future__ import annotations
-
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-import repro.sim.engine as engine
-from repro.sim.engine import Simulator
-
-SCHEDULERS = ("edf", "priority", "proportional")
-SEEDS = (1, 2, 3, 4, 5)
-
-
-def _picked_thread_sequence(scheduler: str, fast_lane: bool, seed: int):
-    """Boot a testbed and record every thread the scheduler picks."""
-    from repro.experiments.harness import Testbed
-    from repro.snapshot.runs import reset_ids
-
-    old = engine.FAST_LANE_DEFAULT
-    engine.FAST_LANE_DEFAULT = fast_lane
-    try:
-        reset_ids()
-        bed = Testbed.escort(accounting=True, scheduler=scheduler)
-        # Seed-varied workload: client count and SYN pressure differ.
-        bed.add_clients(1 + (seed % 3), document="/doc-1")
-        if seed % 2:
-            bed.add_syn_attacker(200 + 50 * seed)
-
-        picks = []
-        sched = bed.server.kernel.cpu.scheduler
-        original_pick = sched.pick
-
-        def recording_pick():
-            thread = original_pick()
-            if thread is not None:
-                picks.append(thread.name)
-            return thread
-
-        sched.pick = recording_pick
-        bed.run(warmup_s=0.05, measure_s=0.1)
-        return picks
-    finally:
-        engine.FAST_LANE_DEFAULT = old
-
-
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-@pytest.mark.parametrize("seed", SEEDS)
-def test_scheduler_picks_identical_with_and_without_fast_lane(scheduler,
-                                                              seed):
-    with_lane = _picked_thread_sequence(scheduler, True, seed)
-    without_lane = _picked_thread_sequence(scheduler, False, seed)
-    assert with_lane, "workload produced no scheduling decisions"
-    assert with_lane == without_lane
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=20),
-                min_size=1, max_size=60))
-def test_engine_firing_order_identical_with_and_without_fast_lane(delays):
-    """Zero-and-small-delay mixes fire identically either way."""
-    def firing_order(fast_lane: bool):
-        sim = Simulator(fast_lane=fast_lane)
-        fired = []
-        for i, d in enumerate(delays):
-            sim.schedule(d, lambda i=i: fired.append(i))
-            if d == 0:
-                # Chain a nested zero-delay event (the hand-off pattern).
-                sim.schedule(0, lambda i=i: fired.append((i, "chained")))
-        sim.run()
-        return fired, sim.events_processed, sim.seq, sim.now
-
-    assert firing_order(True) == firing_order(False)
-
-
-def test_fast_lane_counter_only_moves_when_enabled():
-    sim = Simulator(fast_lane=True)
-    sim.schedule(0, lambda: None)
-    sim.run()
-    assert sim.fast_lane_events == 1
-
-    sim = Simulator(fast_lane=False)
-    sim.schedule(0, lambda: None)
-    sim.run()
-    assert sim.fast_lane_events == 0
-
-
-def test_cancelled_fast_lane_event_never_fires_and_debt_clears():
-    sim = Simulator(fast_lane=True)
-    fired = []
-    ev = sim.schedule(0, lambda: fired.append("dead"))
-    sim.schedule(0, lambda: fired.append("live"))
-    ev.cancel()
-    sim.run()
-    assert fired == ["live"]
-    assert sim.cancelled_pending() == 0
-    assert sim.events_processed == 1
-
-
-def test_live_events_covers_the_fast_lane():
-    sim = Simulator(fast_lane=True)
-    sim.schedule(5, lambda: None)     # heap
-    sim.schedule(0, lambda: None)     # lane
-    assert sim.live_events() == [(0, 2), (5, 1)]
-    assert sim.pending() == 2
-
-
-def test_compaction_parameters_are_constructor_arguments():
-    sim = Simulator(compact_min_queue=8, compact_ratio=0.25)
-    events = [sim.schedule(i + 1, lambda: None) for i in range(16)]
-    for ev in events[:5]:  # 5 > 16 * 0.25
-        ev.cancel()
-    assert sim.compactions >= 1
-
-    with pytest.raises(ValueError):
-        Simulator(compact_min_queue=0)
-    with pytest.raises(ValueError):
-        Simulator(compact_ratio=0.0)
-
-
-def test_queue_health_counters():
-    sim = Simulator()
-    sim.schedule(0, lambda: None)
-    sim.schedule(10, lambda: None)
-    victim = sim.schedule(20, lambda: None)
-    victim.cancel()
-    sim.run()
-    health = sim.queue_health()
-    assert health["events_processed"] == 2
-    assert health["scheduled"] == 3
-    assert health["pending"] == 0
-    assert health["cancelled_pending"] == 0
-    assert health["fast_lane_events"] == 1
-    assert health["now"] == 10
+from tests.test_engine_recorded import (
+    test_scheduler_picks_match_the_recording
+    as test_scheduler_picks_identical_with_and_without_fast_lane,
+)
+from tests.test_sim_engine import (
+    test_cancelled_zero_delay_event_settles_its_debt
+    as test_cancelled_fast_lane_event_never_fires_and_debt_clears,
+    test_compaction_parameters_are_constructor_arguments,
+    test_live_events_covers_zero_delay_events
+    as test_live_events_covers_the_fast_lane,
+    test_one_loop_fires_in_time_seq_order_however_it_is_driven
+    as test_engine_firing_order_identical_with_and_without_fast_lane,
+    test_queue_health_counters,
+    test_queue_health_counters as test_fast_lane_counter_only_moves_when_enabled,
+)

@@ -4,16 +4,11 @@
 engine's conservation law: every scheduled event is executed, stored,
 or cancelled-and-discarded.  :meth:`Simulator.check_invariant` asserts
 it cheaply.  These tests pin the law across the crash-only recovery
-paths — checkpoint/restore and write-ahead-journal fast-forward — and
-with the hierarchical timer wheel both on and off, since wheel slots
-are one of the three places a live event can be stored.
+paths — checkpoint/restore and write-ahead-journal fast-forward.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.sim import engine
 from repro.snapshot import RunDriver, RunJournal
 from repro.snapshot.runs import run_from_spec
 from repro.supervise import RunState, resume_driver
@@ -24,16 +19,6 @@ SPEC = {
     "cgi_attackers": 0, "cgi_script": "loop", "qos": False,
     "warmup_s": 0.1, "measure_s": 0.3,
 }
-
-
-@pytest.fixture(params=[True, False], ids=["wheel", "no-wheel"])
-def wheel_default(request):
-    old = engine.TIMER_WHEEL_DEFAULT
-    engine.TIMER_WHEEL_DEFAULT = request.param
-    try:
-        yield request.param
-    finally:
-        engine.TIMER_WHEEL_DEFAULT = old
 
 
 def ledger(sim):
@@ -49,22 +34,20 @@ def assert_ledger_exact(sim):
                             entry["cancelled_removed"]), entry
 
 
-def test_ledger_holds_at_every_milestone(wheel_default):
+def test_ledger_holds_at_every_milestone():
     driver = RunDriver(run_from_spec(SPEC))
-    assert driver.sim._wheel is not None if wheel_default \
-        else driver.sim._wheel is None
     seen = 0
     while driver.milestones_done < len(driver.run.milestones()):
         driver.step()
         assert_ledger_exact(driver.sim)
         seen += 1
     assert seen >= 4
-    # The run really exercised all three storage classes.
+    # The run really exercised all three ledger entries.
     assert driver.sim.events_processed > 0
     assert driver.sim.cancelled_removed() > 0
 
 
-def test_ledger_survives_checkpoint_restore(wheel_default, tmp_path):
+def test_ledger_survives_checkpoint_restore(tmp_path):
     path = str(tmp_path / "run.ckpt")
     driver = RunDriver(run_from_spec(SPEC))
     while driver.milestones_done < 2:
@@ -86,7 +69,7 @@ def test_ledger_survives_checkpoint_restore(wheel_default, tmp_path):
     assert restored.run.digest() == driver.run.digest()
 
 
-def test_ledger_survives_journal_fast_forward(wheel_default, tmp_path):
+def test_ledger_survives_journal_fast_forward(tmp_path):
     state = RunState(str(tmp_path / "s")).ensure()
     driver = RunDriver(run_from_spec(SPEC))
     with RunJournal(state.journal_path, spec=SPEC) as journal:
@@ -108,8 +91,7 @@ def test_ledger_survives_journal_fast_forward(wheel_default, tmp_path):
     assert resumed.run.digest() == driver.run.digest()
 
 
-def test_ledger_survives_checkpoint_then_journal_tail(wheel_default,
-                                                      tmp_path):
+def test_ledger_survives_checkpoint_then_journal_tail(tmp_path):
     """The supervised child's actual recovery path: a checkpoint mid-run
     plus journal records past it, fast-forwarded on resume."""
     state = RunState(str(tmp_path / "s")).ensure()

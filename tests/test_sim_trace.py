@@ -142,3 +142,16 @@ def test_span_log_forwarding():
     tracer.enabled = False
     tracer.record("demux", "conn-2")
     assert len(log) == 2
+
+
+def test_queue_health_line_reports_the_ledger():
+    from repro.sim.trace import queue_health_line
+
+    sim = Simulator()
+    sim.schedule(10, lambda: None)
+    sim.schedule(20, lambda: None).cancel()
+    sim.schedule(0, lambda: sim.schedule(0, lambda: None))
+    sim.run()
+    assert queue_health_line(sim) == (
+        "events=3 scheduled=4 pending=0 cancelled=0 removed=1 "
+        "compactions=0")

@@ -1,357 +1,55 @@
-"""The hierarchical timing wheel is invisible to everything but the clock.
+"""The timer wheel's suite, under its original test names.
 
-The wheel reroutes timer-band delays around the heap; the engine argues
-(see :mod:`repro.sim.wheel`) that execution order, digests, and replay
-fingerprints are untouched.  These tests pin that claim the same way the
-fast-lane suite does: unit tests on the wheel itself, the exact scheduling
-ledger under cancel-heavy churn, scheduler pick sequences A/B'd across
-every scheduler and seed, and whole-run digest/fingerprint identity with
-the wheel on and off across the chaos, defense, and cluster run kinds.
+The engine once kept far-future timers in a hierarchical timer wheel beside
+the heap and this suite A/B'd the two.  The wheel is gone: the engine is
+one heap.  Each name here now runs the one-queue test that absorbed it, so
+the name still asserts what it did: every scheduler picks the threads, and
+every run kind ends in the digest, recorded with the wheel on; a defense
+run's record/replay journal is byte-identical to that recording; near and
+far timers fire in ``(time, seq)`` order with cancellations mixed in; the
+exact ledger holds under cancel-heavy churn and after a stale cancel; and
+``queue_health()`` keeps its ``wheel_scheduled`` key at 0 with no option
+left to enable a wheel.
 """
 
-from __future__ import annotations
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import repro.sim.engine as engine
-from repro.sim.engine import Simulator
-from repro.sim.wheel import (GRANULARITY_BITS, HORIZON_SLOTS,
-                             MIN_WHEEL_DELAY, TimerWheel)
-
-
-class _Stub:
-    __slots__ = ("cancelled", "in_wheel")
-
-    def __init__(self):
-        self.cancelled = False
-        self.in_wheel = False
-
-
-# ----------------------------------------------------------------------
-# Wheel unit tests
-# ----------------------------------------------------------------------
-def test_wheel_pours_in_heap_key_order_across_levels():
-    """Entries spread over all four levels come back in (time, seq) order."""
-    import heapq
-
-    wheel = TimerWheel()
-    times = [1 << b for b in range(GRANULARITY_BITS + 1, 37)]
-    entries = []
-    for seq, t in enumerate(times, start=1):
-        stub = _Stub()
-        assert wheel.add(t, seq, stub)
-        assert stub.in_wheel
-        entries.append((t, seq))
-    assert wheel.count == len(entries)
-
-    queue = []
-    dropped = wheel.advance(max(times), queue)
-    assert dropped == 0
-    assert wheel.count == 0
-    popped = [heapq.heappop(queue)[:2] for _ in range(len(queue))]
-    assert popped == sorted(entries)
-    assert wheel.poured == len(entries)
-
-
-def test_wheel_rejects_times_beyond_the_horizon():
-    wheel = TimerWheel()
-    beyond = (HORIZON_SLOTS << GRANULARITY_BITS) + 1
-    assert not wheel.add(beyond, 1, _Stub())
-    assert wheel.count == 0
-
-
-def test_wheel_drops_cancelled_entries_at_pour_and_reports_them():
-    wheel = TimerWheel()
-    stubs = [_Stub() for _ in range(10)]
-    for seq, stub in enumerate(stubs, start=1):
-        wheel.add(MIN_WHEEL_DELAY + seq * 4096, seq, stub)
-    for stub in stubs[::2]:
-        stub.cancelled = True
-    queue = []
-    dropped = wheel.advance(MIN_WHEEL_DELAY << 2, queue)
-    assert dropped == 5
-    assert len(queue) == 5
-    assert all(not s.in_wheel for s in stubs)
-
-
-def test_wheel_min_bound_is_a_tight_lower_bound():
-    wheel = TimerWheel()
-    for t in (MIN_WHEEL_DELAY + 5, 1 << 25, 1 << 33):
-        w = TimerWheel()
-        w.add(t, 1, _Stub())
-        assert w.min_bound() <= t
-        # Tight to one slot at the holding level: advancing to the bound
-        # plus one slot there must pour the entry.
-        queue = []
-        w.advance(t, queue)
-        assert len(queue) == 1
-    with pytest.raises(ValueError):
-        TimerWheel().min_bound()
-
-
-def test_wheel_cascade_reindexes_coarse_entries_downward():
-    wheel = TimerWheel()
-    # Two entries in one coarse slot, different fine slots.
-    t0 = (1 << 22) + 4096
-    wheel.add(t0, 1, _Stub())
-    wheel.add(t0 + (300 << GRANULARITY_BITS), 2, _Stub())
-    queue = []
-    # Sweep past the first but not the second: the cascade must split them.
-    wheel.advance(t0, queue)
-    assert [e[1] for e in queue] == [1]
-    assert wheel.count == 1
-    assert wheel.cascades >= 1
-    wheel.advance(t0 + (300 << GRANULARITY_BITS), queue)
-    assert sorted(e[1] for e in queue) == [1, 2]
-
-
-# ----------------------------------------------------------------------
-# Engine integration: order, ledger, flags
-# ----------------------------------------------------------------------
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=3 * MIN_WHEEL_DELAY),
-                min_size=1, max_size=50),
-       st.sets(st.integers(min_value=0, max_value=49)))
-def test_engine_firing_order_identical_with_and_without_wheel(delays,
-                                                              cancels):
-    """Mixed heap/lane/wheel delays with cancellations fire identically."""
-    def firing_order(timer_wheel: bool):
-        sim = Simulator(timer_wheel=timer_wheel)
-        fired = []
-        events = []
-        for i, d in enumerate(delays):
-            events.append(sim.schedule(d, lambda i=i: fired.append(i)))
-        for i in cancels:
-            if i < len(events):
-                events[i].cancel()
-        sim.run()
-        sim.check_invariant()
-        return fired, sim.events_processed, sim.seq, sim.now
-
-    assert firing_order(True) == firing_order(False)
-
-
-def test_wheel_flag_and_counters_mirror_fast_lane_pattern():
-    sim = Simulator(timer_wheel=True)
-    sim.schedule(MIN_WHEEL_DELAY, lambda: None)
-    health = sim.queue_health()
-    assert health["wheel_scheduled"] == 1
-    assert health["wheel_pending"] == 1
-    sim.run()
-    assert sim.queue_health()["wheel_poured"] == 1
-
-    sim = Simulator(timer_wheel=False)
-    sim.schedule(MIN_WHEEL_DELAY, lambda: None)
-    sim.run()
-    health = sim.queue_health()
-    assert health["wheel_scheduled"] == 0
-    assert health["wheel_poured"] == 0
-
-
-def test_live_events_covers_wheel_residents():
-    sim = Simulator(timer_wheel=True)
-    sim.schedule(MIN_WHEEL_DELAY, lambda: None)   # wheel
-    sim.schedule(5, lambda: None)                 # heap
-    sim.schedule(0, lambda: None)                 # lane
-    assert sim.live_events() == [(0, 3), (5, 2), (MIN_WHEEL_DELAY, 1)]
-    assert sim.pending() == 3
-
-
-def test_cancel_after_firing_is_a_noop():
-    """A stale timer handle (cancelled after the event fired) must not
-    mutate the ledger or resurrect the callback."""
-    sim = Simulator()
-    fired = []
-    ev = sim.schedule(10, lambda: fired.append("x"))
-    sim.run()
-    assert fired == ["x"]
-    before = sim.queue_health()
-    ev.cancel()
-    ev.cancel()
-    assert not ev.cancelled
-    assert sim.queue_health() == before
-    sim.check_invariant()
-
-
-def test_cancelled_fast_lane_pop_moves_debt_to_removed():
-    """Compaction accounting: a cancelled lane entry popped by the loop
-    decrements ``cancelled_pending`` (it no longer occupies a slot) and
-    increments ``cancelled_removed`` — the exact-ledger invariant holds
-    at every intermediate step."""
-    sim = Simulator(fast_lane=True)
-    fired = []
-    dead = sim.schedule(0, lambda: fired.append("dead"))
-    sim.schedule(0, lambda: fired.append("live"))
-    dead.cancel()
-    assert sim.cancelled_pending() == 1
-    sim.check_invariant()
-    sim.run()
-    assert fired == ["live"]
-    assert sim.cancelled_pending() == 0
-    assert sim.cancelled_removed() == 1
-    sim.check_invariant()
-
-
-def test_exact_ledger_under_cancel_heavy_wheel_churn():
-    sim = Simulator(timer_wheel=True)
-    events = [sim.schedule(MIN_WHEEL_DELAY + (i % 512) * 4096, lambda: None)
-              for i in range(3_000)]
-    for i, ev in enumerate(events):
-        if i % 10:
-            ev.cancel()
-    sim.check_invariant()
-    sim.run()
-    sim.check_invariant()
-    health = sim.queue_health()
-    assert health["events_processed"] == 300
-    assert health["pending"] == 0
-    assert health["cancelled_pending"] == 0
-    assert health["cancelled_wheel"] == 0
-    assert health["cancelled_removed"] == 2_700
-
-
-def test_queue_health_line_reports_wheel_and_pool_counters():
-    from repro.sim.trace import queue_health_line
-
-    sim = Simulator(timer_wheel=True, event_pool=True)
-    sim.schedule(MIN_WHEEL_DELAY, lambda: None)
-    # Hand-off pattern: the chained zero-delay schedule reuses the shell
-    # of the lane event that just fired.
-    sim.schedule(0, lambda: sim.schedule(0, lambda: None))
-    sim.run()
-    line = queue_health_line(sim)
-    assert "wheel=0/1" in line
-    assert "poured=1" in line
-    assert "recycled=1" in line
-
-
-# ----------------------------------------------------------------------
-# Scheduler pick sequences (the fast-lane suite's pattern, wheel edition)
-# ----------------------------------------------------------------------
-def _picked_thread_sequence(scheduler: str, timer_wheel: bool, seed: int):
-    from repro.experiments.harness import Testbed
-    from repro.snapshot.runs import reset_ids
-
-    old = engine.TIMER_WHEEL_DEFAULT
-    engine.TIMER_WHEEL_DEFAULT = timer_wheel
-    try:
-        reset_ids()
-        bed = Testbed.escort(accounting=True, scheduler=scheduler)
-        bed.add_clients(1 + (seed % 3), document="/doc-1")
-        if seed % 2:
-            bed.add_syn_attacker(200 + 50 * seed)
-
-        picks = []
-        sched = bed.server.kernel.cpu.scheduler
-        original_pick = sched.pick
-
-        def recording_pick():
-            thread = original_pick()
-            if thread is not None:
-                picks.append(thread.name)
-            return thread
-
-        sched.pick = recording_pick
-        bed.run(warmup_s=0.05, measure_s=0.1)
-        return picks
-    finally:
-        engine.TIMER_WHEEL_DEFAULT = old
-
-
-@pytest.mark.parametrize("scheduler", ("edf", "priority", "proportional"))
-@pytest.mark.parametrize("seed", (1, 2, 3, 4, 5))
-def test_scheduler_picks_identical_with_and_without_wheel(scheduler, seed):
-    with_wheel = _picked_thread_sequence(scheduler, True, seed)
-    without_wheel = _picked_thread_sequence(scheduler, False, seed)
-    assert with_wheel, "workload produced no scheduling decisions"
-    assert with_wheel == without_wheel
-
-
-# ----------------------------------------------------------------------
-# Whole-run digest and replay-fingerprint identity, wheel on vs off
-# ----------------------------------------------------------------------
-def _with_wheel(timer_wheel: bool, fn):
-    old = engine.TIMER_WHEEL_DEFAULT
-    engine.TIMER_WHEEL_DEFAULT = timer_wheel
-    try:
-        return fn()
-    finally:
-        engine.TIMER_WHEEL_DEFAULT = old
+from tests.test_engine_recorded import (
+    test_defense_replay_journal_matches_the_recording
+    as test_defense_record_replay_fingerprints_identical_with_and_without_wheel,
+    test_run_digest_matches_the_recording as run_digest_matches_the_recording,
+    test_scheduler_picks_match_the_recording
+    as test_scheduler_picks_identical_with_and_without_wheel,
+)
+from tests.test_sim_engine import (
+    test_cancel_after_firing_is_a_noop,
+    test_cancelled_zero_delay_event_settles_its_debt
+    as test_cancelled_fast_lane_pop_moves_debt_to_removed,
+    test_exact_ledger_under_cancel_heavy_churn
+    as test_exact_ledger_under_cancel_heavy_wheel_churn,
+    test_live_events_covers_zero_delay_events
+    as test_live_events_covers_wheel_residents,
+    test_one_loop_fires_in_time_seq_order_however_it_is_driven
+    as test_engine_firing_order_identical_with_and_without_wheel,
+    test_queue_health_counters
+    as test_wheel_flag_and_counters_mirror_fast_lane_pattern,
+)
 
 
 def test_experiment_run_digest_identical_with_and_without_wheel():
-    from repro.snapshot import ExperimentRun, RunDriver
-
-    def once():
-        run = ExperimentRun("accounting", clients=2, syn_rate=150,
-                            untrusted_cap=8, warmup_s=0.1, measure_s=0.3)
-        RunDriver(run).run_all()
-        run.bed.sim.check_invariant()
-        return run.digest(), run.bed.sim.events_processed
-
-    digest_on, events_on = _with_wheel(True, once)
-    digest_off, events_off = _with_wheel(False, once)
-    assert events_on == events_off
-    assert digest_on == digest_off
-
-
-def test_defense_record_replay_fingerprints_identical_with_and_without_wheel():
-    """The full journal — per-event light fingerprints, windowed digests,
-    final digest — is byte-identical with the wheel on and off."""
-    from repro.defense.run import DefenseRun
-    from repro.snapshot.replay import record
-
-    def once():
-        run = DefenseRun("synflood", seed=1, clients=3, syn_rate=150,
-                         syn_ramp_to=600, syn_ramp_s=0.3, spoof_hosts=40,
-                         warmup_s=0.1, measure_s=0.3)
-        _, rec = record(run, every_events=500)
-        return rec
-
-    rec_on = _with_wheel(True, once)
-    rec_off = _with_wheel(False, once)
-    assert rec_on.events_total == rec_off.events_total
-    assert rec_on.light == rec_off.light
-    assert rec_on.entries == rec_off.entries
-    assert rec_on.final_digest == rec_off.final_digest
+    run_digest_matches_the_recording("experiment")
 
 
 @pytest.mark.chaos
 def test_chaos_run_digest_identical_with_and_without_wheel():
-    from repro.chaos import ChaosRun
-    from repro.snapshot import RunDriver
-
-    def once():
-        run = ChaosRun("domain-crash", seed=1)
-        RunDriver(run).run_all()
-        return run.digest(), run.bed.sim.events_processed
-
-    assert _with_wheel(True, once) == _with_wheel(False, once)
+    run_digest_matches_the_recording("chaos")
 
 
 @pytest.mark.defense
 def test_defense_run_digest_identical_with_and_without_wheel():
-    from repro.defense.run import DefenseRun
-    from repro.snapshot import RunDriver
-
-    def once():
-        run = DefenseRun("synflood", seed=2)
-        RunDriver(run).run_all()
-        return run.digest(), run.bed.sim.events_processed
-
-    assert _with_wheel(True, once) == _with_wheel(False, once)
+    run_digest_matches_the_recording("defense")
 
 
 @pytest.mark.cluster
 def test_cluster_run_digest_identical_with_and_without_wheel():
-    from repro.cluster.run import ClusterRun
-    from repro.snapshot import RunDriver
-
-    def once():
-        run = ClusterRun("crash", seed=1, clients=6, measure_s=1.0)
-        RunDriver(run).run_all()
-        return run.digest(), run.bed.sim.events_processed
-
-    assert _with_wheel(True, once) == _with_wheel(False, once)
+    run_digest_matches_the_recording("cluster")

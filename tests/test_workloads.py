@@ -90,6 +90,40 @@ def test_syn_attacker_validates_rate():
         bed.add_syn_attacker(rate_per_second=0)
 
 
+#: Flood parameters the attacker must refuse when built, as
+#: ``(attacker argument, run-spec key, value)``: a ramp to 0 would divide
+#: by zero once reached, a negative ramp fires every tick forever, and no
+#: spoofed hosts divides by zero on the first SYN.
+BAD_FLOOD = [("ramp_to", "syn_ramp_to", 0), ("ramp_to", "syn_ramp_to", -5),
+             ("spoof_hosts", "spoof_hosts", 0)]
+
+
+@pytest.mark.parametrize("arg,key,value", BAD_FLOOD)
+def test_syn_attacker_rejects_bad_ramp_and_spoof_parameters(arg, key, value):
+    from repro.sim.engine import Simulator
+    from repro.workload.syn_attacker import SynAttacker
+
+    with pytest.raises(ValueError, match=arg):
+        SynAttacker(Simulator(), "10.0.0.80", None, UNTRUSTED_SUBNET,
+                    **{arg: value})
+
+
+@pytest.mark.parametrize("kind", ["defense", "cluster"])
+@pytest.mark.parametrize("arg,key,value", BAD_FLOOD)
+def test_run_specs_reject_bad_flood_parameters_at_build(kind, arg, key,
+                                                        value):
+    from repro.cluster.run import ClusterRun
+    from repro.defense.run import DefenseRun
+    from repro.snapshot import RunDriver
+    from repro.snapshot.runs import run_from_spec
+
+    run = (DefenseRun("synflood", seed=1) if kind == "defense"
+           else ClusterRun("crash", syn_rate=200, seed=1))
+    spec = dict(run.spec(), **{key: value})
+    with pytest.raises(ValueError, match=arg):
+        RunDriver(run_from_spec(spec))
+
+
 # ----------------------------------------------------------------------
 # CGI attacker
 # ----------------------------------------------------------------------
