@@ -9,7 +9,7 @@ are **byte-identical** to a serial run; this script proves it by running
 the same small grid both ways and comparing.
 
 It then demonstrates crash-safe resume: a sweep pointed at a checkpoint
-directory persists every finished cell to ``figure9-cells.ckpt`` as it
+directory persists every finished cell to ``figure9-cells.jrnl`` as it
 completes.  We simulate an interruption by running only half the grid,
 then issue the full sweep against the same directory — the finished cells
 load from the cache without re-executing a single machine, and only the
@@ -59,7 +59,7 @@ def main() -> None:
         partial = dict(GRID, client_counts=GRID["client_counts"][:2])
         print(f"\ninterrupted run: only {2 * len(partial['client_counts'])} "
               f"of {n_cells} cells finish, each persisted to "
-              f"{ckpt_dir}/figure9-cells.ckpt")
+              f"{ckpt_dir}/figure9-cells.jrnl")
         run_figure9(workers=workers, checkpoint_dir=ckpt_dir, **partial)
 
         t0 = time.perf_counter()

@@ -6,9 +6,10 @@ quick sanity run, and points at the longer drivers.
 Subcommands:
 
 * ``chaos`` — run the seeded chaos scenarios (``--list``), optionally
-  writing whole-machine checkpoints (``--checkpoint-every``) and resuming
-  an interrupted run (``--resume``); ``--workers N`` fans the scenario
-  matrix over a process pool;
+  writing one run journal with a checkpoint record every S simulated
+  seconds (``--checkpoint-every``) and resuming an interrupted run from
+  it (``--resume``); ``--workers N`` fans the scenario matrix over a
+  process pool;
 * ``experiment`` — one parameterized figure-style measurement cell, with
   the same checkpoint/resume support;
 * ``figure8`` / ``figure9`` / ``figure10`` / ``figure11`` — the paper's
@@ -45,7 +46,7 @@ Subcommands:
   entry points all take ``--obs [--obs-dir DIR]`` to record it;
 * ``supervise`` — crash-only execution of any replayable run spec in a
   supervised child process: heartbeat-based hang detection, SIGKILL-
-  anywhere resume from checkpoint + write-ahead journal, bounded
+  anywhere resume from the write-ahead run journal, bounded
   backoff retries; ``--selftest`` runs the deterministic crash-injection
   matrix gating on byte-identical digests after resume.  ``figure9
   --supervised`` and ``resilience explore --supervised`` route their
@@ -58,7 +59,7 @@ import argparse
 import sys
 
 
-def _print_checkpoint_error(exc) -> int:
+def _print_journal_error(exc) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return 2
 
@@ -102,14 +103,16 @@ def chaos_main(argv) -> int:
                         help="arm the watchdog's snapshot/rollback rung")
     parser.add_argument("--checkpoint-every", type=float, default=None,
                         metavar="S",
-                        help="write a whole-machine checkpoint every S "
-                             "simulated seconds")
+                        help="journal the run to <checkpoint-dir>/"
+                             "<stem>.jrnl with a checkpoint record every "
+                             "S simulated seconds")
     parser.add_argument("--checkpoint-dir", default="checkpoints",
-                        help="directory for checkpoint files "
+                        help="directory for run journals "
                              "(default: ./checkpoints)")
-    parser.add_argument("--resume", default=None, metavar="CKPT",
-                        help="resume a previously checkpointed run "
-                             "(digest-verified) instead of starting fresh")
+    parser.add_argument("--resume", default=None, metavar="JOURNAL",
+                        help="resume a journaled run from its furthest "
+                             "record (digest-verified) instead of "
+                             "starting fresh")
     parser.add_argument("--workers", "-j", type=int, default=0,
                         help="run the scenario matrix on N worker "
                              "processes (ignored with --checkpoint-every "
@@ -118,7 +121,7 @@ def chaos_main(argv) -> int:
     args = parser.parse_args(argv)
 
     from repro.chaos import list_scenarios, run_scenario
-    from repro.snapshot import CheckpointError, RunDriver
+    from repro.snapshot import JournalError, RunDriver
 
     if args.list_them:
         for name, description in list_scenarios():
@@ -128,11 +131,11 @@ def chaos_main(argv) -> int:
 
     if args.resume:
         try:
-            driver, payload = RunDriver.resume(args.resume)
-        except CheckpointError as exc:
-            return _print_checkpoint_error(exc)
-        print(f"resumed {payload['spec']} at tick {payload['tick']} "
-              f"({payload['events']} events); continuing...")
+            driver, record = RunDriver.resume(args.resume)
+        except (JournalError, ValueError) as exc:
+            return _print_journal_error(exc)
+        print(f"resumed {driver.run.spec()} at tick {record['tick']} "
+              f"({record['events']} events); continuing...")
         if args.checkpoint_every:
             report, _ = driver.run_with_checkpoints(
                 args.checkpoint_every, args.checkpoint_dir, "chaos")
@@ -186,11 +189,10 @@ def chaos_main(argv) -> int:
                     raise KeyError(f"unknown scenario {name!r}")
                 driver = RunDriver(ChaosRun(name, args.seed,
                                             use_rollback=args.rollback))
-                report, written = driver.run_with_checkpoints(
+                report, journal = driver.run_with_checkpoints(
                     args.checkpoint_every, args.checkpoint_dir,
                     f"chaos-{name}-{args.seed}")
-                print(f"({len(written)} checkpoint(s) in "
-                      f"{args.checkpoint_dir})")
+                print(f"(journal: {journal})")
             else:
                 report = run_scenario(name, seed=args.seed,
                                       use_rollback=args.rollback)
@@ -209,7 +211,7 @@ def experiment_main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro experiment",
         description="Run one figure-style measurement (e.g. a Figure-9 "
-                    "SYN-flood cell) with whole-machine checkpoints.")
+                    "SYN-flood cell), optionally journaled for resume.")
     parser.add_argument("--config", default="accounting",
                         choices=["scout", "accounting", "accounting_pd"])
     parser.add_argument("--clients", type=int, default=16)
@@ -224,17 +226,17 @@ def experiment_main(argv) -> int:
     parser.add_argument("--checkpoint-every", type=float, default=None,
                         metavar="S")
     parser.add_argument("--checkpoint-dir", default="checkpoints")
-    parser.add_argument("--resume", default=None, metavar="CKPT")
+    parser.add_argument("--resume", default=None, metavar="JOURNAL")
     _add_obs_args(parser)
     args = parser.parse_args(argv)
 
-    from repro.snapshot import CheckpointError, ExperimentRun, RunDriver
+    from repro.snapshot import ExperimentRun, JournalError, RunDriver
 
     try:
         if args.resume:
-            driver, payload = RunDriver.resume(args.resume)
-            print(f"resumed at tick {payload['tick']} "
-                  f"({payload['events']} events, digest verified)")
+            driver, record = RunDriver.resume(args.resume)
+            print(f"resumed at tick {record['tick']} "
+                  f"({record['events']} events, digest verified)")
         else:
             run = ExperimentRun(
                 args.config, clients=args.clients, document=args.document,
@@ -247,16 +249,16 @@ def experiment_main(argv) -> int:
             from repro.obs import attach_obs
             session = attach_obs(driver, args.obs_dir)
         if args.checkpoint_every:
-            result, written = driver.run_with_checkpoints(
+            result, journal = driver.run_with_checkpoints(
                 args.checkpoint_every, args.checkpoint_dir, "experiment")
-            print(f"({len(written)} checkpoint(s) in {args.checkpoint_dir})")
+            print(f"(journal: {journal})")
         else:
             result = driver.run_all()
         if session is not None:
             session.finish()
             print(session.describe())
-    except CheckpointError as exc:
-        return _print_checkpoint_error(exc)
+    except (JournalError, ValueError) as exc:
+        return _print_journal_error(exc)
 
     print(f"{result.connections_per_second:.1f} conn/s "
           f"({result.client_completions} completed, "
@@ -286,8 +288,9 @@ def figure9_main(argv) -> int:
                              "interrupted sweep")
     parser.add_argument("--checkpoint-every", type=float, default=None,
                         metavar="S",
-                        help="also checkpoint in-flight cells every S "
-                             "simulated seconds")
+                        help="also journal in-flight cells with a "
+                             "checkpoint record every S simulated "
+                             "seconds")
     parser.add_argument("--supervised", action="store_true",
                         help="run each cell in a crash-only supervised "
                              "child process (hang detection, "
@@ -297,7 +300,7 @@ def figure9_main(argv) -> int:
 
     from repro.experiments.figure9 import run_figure9
     from repro.perf import maybe_profiled
-    from repro.snapshot import CheckpointError
+    from repro.snapshot import JournalError
 
     try:
         with maybe_profiled(args.profile):
@@ -310,8 +313,8 @@ def figure9_main(argv) -> int:
                 checkpoint_dir=args.checkpoint_dir,
                 checkpoint_every_s=args.checkpoint_every,
                 workers=args.workers, supervised=args.supervised)
-    except CheckpointError as exc:
-        return _print_checkpoint_error(exc)
+    except JournalError as exc:
+        return _print_journal_error(exc)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -825,7 +828,7 @@ def replay_main(argv) -> int:
     parser.add_argument("--every", type=int, default=2000)
     args = parser.parse_args(argv)
 
-    from repro.snapshot import CheckpointError, Recording, record, replay
+    from repro.snapshot import JournalError, Recording, record, replay
 
     try:
         if args.recording:
@@ -837,8 +840,8 @@ def replay_main(argv) -> int:
                                   every_events=args.every)
         else:
             parser.error("give a recording file or --scenario")
-    except CheckpointError as exc:
-        return _print_checkpoint_error(exc)
+    except JournalError as exc:
+        return _print_journal_error(exc)
 
     report = replay(recording)
     if report.ok:
@@ -899,7 +902,7 @@ def resilience_main(argv) -> int:
                                 "killing the campaign")
     p_explore.add_argument("--supervise-dir", default=None, metavar="DIR",
                            help="keep per-case supervision state "
-                                "(checkpoints, journals, attempt logs) "
+                                "(journals, attempt logs) "
                                 "here for post-mortem")
 
     p_min = sub.add_parser(
@@ -997,7 +1000,7 @@ def supervise_main(argv) -> int:
         prog="python -m repro supervise",
         description="Execute a replayable run spec in a supervised child "
                     "process: heartbeat hang detection, SIGKILL-anywhere "
-                    "resume from checkpoint + write-ahead journal, and "
+                    "resume from the write-ahead run journal, and "
                     "bounded backoff retries.")
     parser.add_argument("--spec-file", default=None, metavar="JSON",
                         help="file holding the run spec to execute "
@@ -1009,8 +1012,8 @@ def supervise_main(argv) -> int:
                         help="run the built-in small reference spec of "
                              "this kind instead of --spec-file")
     parser.add_argument("--state-dir", default=None,
-                        help="state directory for job/checkpoint/journal/"
-                             "result files (default: a fresh temp dir); "
+                        help="state directory for job/journal/result "
+                             "files (default: a fresh temp dir); "
                              "reusing one resumes its journal")
     parser.add_argument("--max-attempts", type=int, default=3)
     parser.add_argument("--heartbeat-timeout", type=float, default=10.0,
@@ -1020,8 +1023,8 @@ def supervise_main(argv) -> int:
                              "SIGKILLed (default 10)")
     parser.add_argument("--checkpoint-every", type=int, default=5000,
                         metavar="EVENTS",
-                        help="checkpoint cadence inside the child "
-                             "(default 5000 events)")
+                        help="checkpoint-record cadence inside the "
+                             "child (default 5000 events)")
     parser.add_argument("--grade", action="store_true",
                         help="grade the finished run with the campaign "
                              "oracle (exit 1 on a failing verdict)")

@@ -82,13 +82,14 @@ def run_figure9(client_counts: Sequence[int] = (16, 64),
     """Measure best-effort throughput with and without the SYN flood.
 
     With ``checkpoint_dir``, every finished (config, clients, attack) cell
-    is persisted to a versioned ``figure9-cells.ckpt`` file there, and a
-    re-run after a crash skips the cells already done; with
-    ``checkpoint_every_s`` each in-flight cell additionally writes
-    whole-machine checkpoints at that cadence, so even a single long cell
-    survives an interruption (resume it with ``python -m repro experiment
-    --resume``).  A cache written by a different checkpoint format version
-    raises :class:`~repro.snapshot.checkpoint.CheckpointVersionError`.
+    is persisted to a one-record ``figure9-cells.jrnl`` journal file there,
+    and a re-run after a crash skips the cells already done; with
+    ``checkpoint_every_s`` each in-flight cell additionally journals to
+    ``<cell>.jrnl`` with a checkpoint record at that cadence, so even a
+    single long cell survives an interruption (resume it with ``python -m
+    repro experiment --resume``).  A cache file that cannot be used — an
+    other format or format version, a corrupt record — raises
+    :class:`~repro.snapshot.journal.JournalError`.
 
     ``workers > 1`` fans the cells out over a process pool
     (:mod:`repro.perf.pool`); per-cell results are byte-identical to a
@@ -97,22 +98,20 @@ def run_figure9(client_counts: Sequence[int] = (16, 64),
 
     ``supervised`` executes each cell in a crash-only supervised child
     process (:mod:`repro.supervise`): a cell killed or hung mid-run is
-    retried with checkpoint+journal resume, finished cells persist to
+    retried with journal resume, finished cells persist to
     the same cache, and only after every recoverable cell has been
     persisted does a cell that exhausted its retries raise.
     """
     from repro.perf.pool import SweepCell, run_cells
+    from repro.snapshot.journal import load_record, write_journal
 
     cache: Dict[str, Dict] = {}
     cache_path = None
     if checkpoint_dir:
-        from repro.snapshot.checkpoint import load_checkpoint
         os.makedirs(checkpoint_dir, exist_ok=True)
-        cache_path = os.path.join(checkpoint_dir, "figure9-cells.ckpt")
+        cache_path = os.path.join(checkpoint_dir, "figure9-cells.jrnl")
         if os.path.exists(cache_path):
-            payload = load_checkpoint(cache_path)
-            if payload.get("kind") == "figure9-cells":
-                cache = payload["cells"]
+            cache = load_record(cache_path, "figure9-cells")["cells"]
 
     cells = []
     for config in configs:
@@ -133,9 +132,8 @@ def run_figure9(client_counts: Sequence[int] = (16, 64),
     def persist(cell: "SweepCell", value: Dict) -> None:
         cache[cell.key] = value
         if cache_path:
-            from repro.snapshot.checkpoint import save_checkpoint
-            save_checkpoint(cache_path, {"kind": "figure9-cells",
-                                         "cells": cache})
+            write_journal(cache_path, [{"kind": "figure9-cells",
+                                        "cells": cache}])
 
     if supervised:
         merged = _run_cells_supervised(cells, cache, persist,

@@ -1,10 +1,10 @@
 """The flight recorder: CRC-framed telemetry that survives SIGKILL.
 
-Telemetry streams into a journal *sidecar* (``obs.jrnl``) using the
-ESCJRNL framing from :mod:`repro.snapshot.journal` — the same header
-line, the same ``<crc32 hex8> <json>\\n`` records, the same crash-only
-scan where the first torn or corrupt line ends the trustworthy prefix.
-Record kinds::
+Telemetry streams into a journal *sidecar* (``obs.jrnl``) in the ESCJRNL
+format of :mod:`repro.snapshot.journal`, through its one reader and its
+one open-for-append: the first torn or corrupt line ends the trustworthy
+prefix, and a resumed writer cuts the file back to that prefix before
+appending.  Record kinds::
 
     obs-meta       run spec + attempt marker (one per writer attach)
     sample         {"tick": T, "metrics": {key: value, ...}}
@@ -25,8 +25,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.snapshot.journal import (JOURNAL_HEADER_LINE, JournalError,
-                                    decode_record, encode_record)
+from repro.snapshot.journal import (encode_record, open_for_append,
+                                    read_records)
 
 #: Default sidecar filename inside an obs directory.
 SIDECAR_NAME = "obs.jrnl"
@@ -75,33 +75,14 @@ class ObsScan:
 
 def scan_obs(path: str) -> ObsScan:
     """Read the trustworthy prefix of a telemetry sidecar."""
-    scan = ObsScan()
-    try:
-        with open(path, "rb") as fh:
-            lines = fh.readlines()
-    except OSError:
-        return scan
-    if not lines:
-        return scan
-    if lines[0] != JOURNAL_HEADER_LINE:
-        raise JournalError(
-            f"{path}: not a telemetry sidecar (bad header "
-            f"{lines[0][:24]!r})")
-    for line in lines[1:]:
-        record = decode_record(line)
-        if record is None:
-            scan.torn_tail = True
-            break
-        scan.records += 1
-        kind = record.get("kind")
-        if kind == "obs-meta":
-            scan.meta.append(record)
-        elif kind == "sample":
-            scan.samples.append(record)
-        elif kind == "span":
-            scan.span_records.append(record)
-        elif kind == "obs-final":
-            scan.finals.append(record)
+    records, _, torn = read_records(path, "telemetry sidecar")
+    scan = ObsScan(torn_tail=torn, records=len(records))
+    lists = {"obs-meta": scan.meta, "sample": scan.samples,
+             "span": scan.span_records, "obs-final": scan.finals}
+    for record in records:
+        target = lists.get(record.get("kind"))
+        if target is not None:
+            target.append(record)
     return scan
 
 
@@ -109,9 +90,10 @@ class FlightRecorder:
     """Append-only CRC-framed telemetry writer.
 
     ``append=False`` (the default) truncates and starts a fresh sidecar;
-    ``append=True`` extends an existing one (a supervised child resuming
-    after SIGKILL keeps the pre-crash telemetry and marks the new
-    attempt with its own ``obs-meta`` record).
+    ``append=True`` extends an existing one after its readable prefix (a
+    supervised child resuming after SIGKILL keeps the pre-crash
+    telemetry and marks the new attempt with its own ``obs-meta``
+    record).
     """
 
     def __init__(self, path: str, append: bool = False):
@@ -119,14 +101,9 @@ class FlightRecorder:
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        fresh = (not append or not os.path.exists(path)
-                 or os.path.getsize(path) == 0)
-        if not fresh:
-            scan_obs(path)  # validates the header; raises if alien
-        self._fh = open(path, "wb" if fresh or not append else "ab")
-        if fresh:
-            self._fh.write(JOURNAL_HEADER_LINE)
-            self._fh.flush()
+        self._fh, _ = open_for_append(path, what="telemetry sidecar",
+                                      fresh=not append)
+        self._fh.flush()
         self.records_written = 0
 
     def record(self, record: Dict) -> None:

@@ -18,7 +18,7 @@ Determinism contract:
   closures, no machine state — which keeps cells picklable and workers
   restartable.
 
-A pre-populated ``cache`` (e.g. the figure9 ``figure9-cells.ckpt`` cell
+A pre-populated ``cache`` (e.g. the figure9 ``figure9-cells.jrnl`` cell
 cache) short-circuits finished cells, so a resumed parallel sweep only
 runs what is missing; ``on_cell_done`` fires as cells finish (completion
 order) so callers can persist the cache crash-safely.

@@ -8,7 +8,7 @@ oracle, then serially minimizes every failure and optionally banks the
 reproducers into the regression corpus.
 
 Crash-safe resume: with a cache directory, every finished verdict is
-persisted to ``resilience-cells.ckpt`` as it lands (the figure9 cell-
+persisted to ``resilience-cells.jrnl`` as it lands (the figure9 cell-
 cache pattern); a restarted campaign re-runs only the missing cases.
 Case keys — ``{target}-s{seed}-{i:04d}`` — are pure functions of the
 campaign parameters, so the cache survives restarts byte-for-byte.
@@ -25,7 +25,7 @@ from repro.resilience.minimize import Minimizer, replay_fingerprint
 from repro.resilience.space import FaultSpace, case_to_spec
 
 _CACHE_KIND = "resilience-cells"
-_CACHE_FILE = "resilience-cells.ckpt"
+_CACHE_FILE = "resilience-cells.jrnl"
 
 
 def campaign_cases(target: str, seed: int, budget: int,
@@ -116,11 +116,8 @@ def _load_cache(cache_dir: Optional[str]) -> Dict[str, Dict]:
     path = os.path.join(cache_dir, _CACHE_FILE)
     if not os.path.exists(path):
         return {}
-    from repro.snapshot.checkpoint import load_checkpoint
-    payload = load_checkpoint(path)
-    if payload.get("kind") != _CACHE_KIND:
-        return {}
-    return payload["cells"]
+    from repro.snapshot.journal import load_record
+    return load_record(path, _CACHE_KIND)["cells"]
 
 
 #: Failure fingerprints the in-process oracle cannot reproduce — they
@@ -156,7 +153,7 @@ def explore(target: str = "chaos", seed: int = 7, budget: int = 50, *,
     crashes its process is retried with resume and — if it keeps dying —
     recorded as a ``supervision:<classification>`` verdict while the
     campaign continues.  ``supervise_dir`` keeps the per-case state
-    directories (checkpoints + journals) for post-mortem; by default
+    directories (journals + attempt logs) for post-mortem; by default
     they live under ``cache_dir`` or a temp directory.
     """
     from repro.perf.pool import CellFailure, SweepCell, run_cells
@@ -175,10 +172,10 @@ def explore(target: str = "chaos", seed: int = 7, budget: int = 50, *,
     def persist(cell, verdict):
         cache[cell.key] = verdict
         if cache_dir:
-            from repro.snapshot.checkpoint import save_checkpoint
+            from repro.snapshot.journal import write_journal
             os.makedirs(cache_dir, exist_ok=True)
-            save_checkpoint(os.path.join(cache_dir, _CACHE_FILE),
-                            {"kind": _CACHE_KIND, "cells": cache})
+            write_journal(os.path.join(cache_dir, _CACHE_FILE),
+                          [{"kind": _CACHE_KIND, "cells": cache}])
 
     if supervised:
         verdicts = _run_supervised(cells, by_key, cache, persist,
@@ -245,7 +242,7 @@ def _run_supervised(cells, by_key, cache, persist, state_root, say):
     """Execute campaign cells through supervised child processes.
 
     Serial by design: each child already is its own process, and the
-    per-case state directories (checkpoint + journal + attempt logs)
+    per-case state directories (journal + attempt logs)
     under ``state_root`` are the artifact a post-mortem wants.
     """
     import tempfile

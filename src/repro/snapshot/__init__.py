@@ -2,17 +2,15 @@
 
 The subsystem in one paragraph: a machine state is *named* by its run spec
 plus its position on the virtual clock, *summarized* canonically
-(:mod:`~repro.snapshot.digest`), *persisted* as a versioned checkpoint
-file (:mod:`~repro.snapshot.checkpoint`), *restored* by digest-verified
-deterministic re-execution (:mod:`~repro.snapshot.driver`), *verified* at
-per-event granularity by lockstep replay (:mod:`~repro.snapshot.replay`),
-and *partially rewound* at domain granularity for the chaos watchdog
+(:mod:`~repro.snapshot.digest`), *persisted* as records of the one
+durable run format, the ESCJRNL journal (:mod:`~repro.snapshot.journal`),
+*restored* by digest-verified deterministic re-execution from t=0 to the
+furthest record (:mod:`~repro.snapshot.driver`), *verified* at per-event
+granularity by lockstep replay (:mod:`~repro.snapshot.replay`), and
+*partially rewound* at domain granularity for the chaos watchdog
 (:mod:`~repro.snapshot.rollback`).
 """
 
-from repro.snapshot.checkpoint import (CheckpointError, CheckpointFormatError,
-                                       CheckpointVersionError, FORMAT_VERSION,
-                                       load_checkpoint, save_checkpoint)
 from repro.snapshot.digest import (canonical_json, light_state,
                                    machine_digest, machine_summary,
                                    summary_diff)
@@ -27,8 +25,6 @@ from repro.snapshot.runs import (ExperimentRun, ReplayableRun, reset_ids,
                                  run_from_spec)
 
 __all__ = [
-    "CheckpointError", "CheckpointFormatError", "CheckpointVersionError",
-    "FORMAT_VERSION", "load_checkpoint", "save_checkpoint",
     "canonical_json", "light_state", "machine_digest", "machine_summary",
     "summary_diff",
     "RestoreMismatchError", "RunDriver",

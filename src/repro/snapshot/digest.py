@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 __all__ = [
     "machine_summary",
     "machine_digest",
+    "summary_digest",
     "light_state",
     "summary_diff",
     "canonical_json",
@@ -47,8 +48,12 @@ def _fallback(obj):
 
 def machine_digest(bed) -> str:
     """SHA-256 digest of the canonical machine summary."""
-    return hashlib.sha256(
-        canonical_json(machine_summary(bed)).encode()).hexdigest()
+    return summary_digest(machine_summary(bed))
+
+
+def summary_digest(summary: Dict) -> str:
+    """SHA-256 digest of one canonical summary."""
+    return hashlib.sha256(canonical_json(summary).encode()).hexdigest()
 
 
 def light_state(sim, kernel=None) -> List[int]:

@@ -6,12 +6,14 @@ The driver owns the equivalence that makes lightweight checkpoints sound::
 
 so executing a run in any number of slices — including stopping to write a
 checkpoint after each slice, or stepping one event at a time for replay —
-produces the same machine as one uninterrupted run.  A checkpoint is the
-run's spec plus the position (tick, events, milestones done) plus the
-state digest; *restore* rebuilds the machine from the spec in a fresh
-process, fast-forwards to the recorded tick, and refuses to continue
-unless the digest matches bit for bit (:class:`RestoreMismatchError`
-carries the field-level diff when it does not).
+produces the same machine as one uninterrupted run.  A position record
+(:mod:`repro.snapshot.journal`) is the run's place on that trajectory
+(tick, events, milestones done) plus the state digest; *restore* rebuilds
+the machine from the spec in a fresh process, re-executes from t=0 to the
+recorded position (:meth:`RunDriver.fast_forward`), and refuses to
+continue unless the digest matches bit for bit
+(:class:`RestoreMismatchError` carries the field-level diff when a
+checkpoint record's summary allows one).
 """
 
 from __future__ import annotations
@@ -19,21 +21,22 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Tuple
 
-from repro.snapshot.checkpoint import (CheckpointFormatError, load_checkpoint,
-                                       save_checkpoint)
-from repro.snapshot.digest import summary_diff
+from repro.snapshot.digest import summary_diff, summary_digest
+from repro.snapshot.journal import (JournalError, RunJournal, scan_journal,
+                                    write_journal)
 from repro.snapshot.runs import ReplayableRun, reset_ids, run_from_spec
 
 __all__ = ["RunDriver", "RestoreMismatchError"]
 
 
 class RestoreMismatchError(Exception):
-    """Re-execution did not reproduce the checkpointed state.
+    """Re-execution did not reproduce a recorded state.
 
-    Raised by :meth:`RunDriver.resume` when the rebuilt machine's digest at
-    the checkpoint tick differs from the recorded one — meaning the code,
-    the spec handling, or the determinism guarantee changed since the
-    checkpoint was written.  ``diffs`` lists the divergent summary leaves.
+    Raised when the rebuilt machine's position or digest at a recorded
+    tick differs from the record — meaning the code, the spec handling,
+    or the determinism guarantee changed since the record was written —
+    or when a journal belongs to a different run spec.  ``diffs`` lists
+    the divergent fields.
     """
 
     def __init__(self, message: str, diffs: Optional[List[str]] = None):
@@ -134,106 +137,127 @@ class RunDriver:
     # ------------------------------------------------------------------
     # Checkpoint / restore
     # ------------------------------------------------------------------
-    def checkpoint_payload(self) -> Dict:
-        return {
-            "kind": "checkpoint",
-            "spec": self.run.spec(),
-            "tick": self.sim.now,
-            "seq": self.sim.seq,
-            "events": self.sim.events_processed,
-            "milestones_done": self._ms_done,
-            "digest": self.run.digest(),
-            "summary": self.run.summary(),
-        }
+    def position(self, kind: str = "milestone") -> Dict:
+        """The record pinning the current position and state digest.
+
+        ``kind`` is ``"milestone"`` or ``"checkpoint"``; a checkpoint
+        record also carries the canonical summary, for field-level diffs
+        when a restore does not reproduce it.
+        """
+        record = {"kind": kind, "tick": self.sim.now, "seq": self.sim.seq,
+                  "events": self.sim.events_processed,
+                  "milestones_done": self._ms_done}
+        if kind == "checkpoint":
+            record["summary"] = self.run.summary()
+            record["digest"] = summary_digest(record["summary"])
+        else:
+            record["digest"] = self.run.digest()
+        return record
 
     def checkpoint(self, path: str) -> Dict:
-        """Write the current position+digest as a checkpoint file."""
-        payload = self.checkpoint_payload()
-        save_checkpoint(path, payload)
-        return payload
+        """Atomically replace ``path`` with a journal holding the spec and
+        one checkpoint record of the current position; returns the record."""
+        record = self.position("checkpoint")
+        write_journal(path, [{"kind": "spec", "spec": self.run.spec()},
+                             record])
+        return record
 
     def run_with_checkpoints(self, every_s: float, directory: str,
                              stem: str = "run"):
-        """Run to completion, checkpointing every ``every_s`` sim-seconds.
+        """Run to completion, journaling to ``<directory>/<stem>.jrnl``.
 
-        Writes ``<stem>-t<tick>.ckpt`` files plus a ``<stem>-latest.ckpt``
-        alias (what ``--resume`` normally points at).  Returns
-        ``(result, written_paths)``.
+        The journal gets every milestone plus a checkpoint record every
+        ``every_s`` simulated seconds; ``--resume`` takes it.  A driver
+        that has not executed anything yet starts the file over, a
+        resumed one appends to it.  Returns ``(result, journal_path)``.
         """
         from repro.sim.clock import seconds_to_ticks
 
         os.makedirs(directory, exist_ok=True)
+        path = os.path.join(directory, f"{stem}.jrnl")
+        if not (self.sim.events_processed or self._ms_done) \
+                and os.path.exists(path):
+            os.unlink(path)
         every = max(1, seconds_to_ticks(every_s))
-        written: List[str] = []
-        tick = self.sim.now
-        while not self.done:
-            tick = min(tick + every, self.end_tick)
-            self.run_to(tick)
-            if self.done:
-                break
-            path = os.path.join(directory, f"{stem}-t{tick}.ckpt")
-            payload = self.checkpoint(path)
-            save_checkpoint(os.path.join(directory, f"{stem}-latest.ckpt"),
-                            payload)
-            written.append(path)
-        return self.run.result(), written
+        outer, self.journal = self.journal, RunJournal(path, self.run.spec())
+        try:
+            tick = self.sim.now
+            while not self.done:
+                tick = min(tick + every, self.end_tick)
+                self.run_to(tick)
+                if not self.done:
+                    self.journal.append(self.position("checkpoint"))
+        finally:
+            self.journal.close()
+            self.journal = outer
+        return self.run.result(), path
 
-    @classmethod
-    def resume(cls, ckpt_path: str,
-               progress=None) -> Tuple["RunDriver", Dict]:
-        """Restore a checkpoint into a fresh machine, digest-verified.
+    def fast_forward(self, target: Dict, progress=None,
+                     source: str = "journal") -> None:
+        """Re-execute to the recorded position ``target`` and verify it.
 
-        Rebuilds the machine from the recorded spec, fast-forwards to the
-        recorded tick, and checks events-processed, scheduler sequence and
-        the full state digest before handing the driver back.  Raises
-        :class:`RestoreMismatchError` if re-execution diverged.
+        Steps by *counts*, not by clock: event and milestone order is
+        deterministic, so matching both counters lands on the exact cut
+        point even when a milestone sits on the recorded tick; the
+        trailing ``finish_until`` restores the clock across any idle gap
+        before the cut.  Then events, seq and the digest must match the
+        record, or :class:`RestoreMismatchError` is raised.
 
         ``progress`` (optional, zero-argument) is invoked out-of-band
         every ~1000 re-executed events so a supervising parent can tell a
         long deterministic fast-forward from a hang; it must not touch
         simulated state.
         """
-        payload = load_checkpoint(ckpt_path)
-        if payload.get("kind") != "checkpoint":
-            raise CheckpointFormatError(
-                f"{ckpt_path}: file is a {payload.get('kind')!r}, "
-                f"not a checkpoint")
-        driver = cls(run_from_spec(payload["spec"]))
+        sim = self.sim
         if progress is not None:
-            driver.sim.set_progress_hook(progress, every_events=1000)
-        # Step to the recorded position by *counts*, not by clock: event
-        # and milestone order is deterministic, so matching both counters
-        # lands on the exact cut point even when a milestone sits on the
-        # checkpoint tick.  The trailing finish_until restores the clock
-        # across any idle gap before the cut.
-        target_events = payload["events"]
-        target_ms = payload["milestones_done"]
+            sim.set_progress_hook(progress, every_events=1000)
         try:
-            while (driver.sim.events_processed < target_events
-                   or driver._ms_done < target_ms):
-                if driver.sim.events_processed > target_events:
+            while (sim.events_processed < target["events"]
+                   or self._ms_done < target["milestones_done"]):
+                if sim.events_processed > target["events"]:
                     break  # diverged; let verification report it
-                if driver.step() is None:
+                if self.step() is None:
                     break
-            driver.sim.finish_until(payload["tick"])
+            sim.finish_until(target["tick"])
         finally:
             if progress is not None:
-                driver.sim.clear_progress_hook()
-        mismatches: List[str] = []
-        if driver.sim.events_processed != payload["events"]:
-            mismatches.append(
-                f"events_processed: expected {payload['events']} "
-                f"!= actual {driver.sim.events_processed}")
-        if driver.sim.seq != payload["seq"]:
-            mismatches.append(f"seq: expected {payload['seq']} "
-                              f"!= actual {driver.sim.seq}")
-        digest = driver.run.digest()
-        if digest != payload["digest"]:
-            mismatches += summary_diff(payload["summary"],
-                                       driver.run.summary())
+                sim.clear_progress_hook()
+        mismatches = [
+            f"{name}: recorded {target[key]} != replayed {actual}"
+            for name, key, actual in (
+                ("events_processed", "events", sim.events_processed),
+                ("seq", "seq", sim.seq))
+            if target[key] != actual]
+        digest = self.run.digest()
+        if digest != target["digest"]:
+            if "summary" in target:
+                mismatches += summary_diff(target["summary"],
+                                           self.run.summary())
+            else:
+                mismatches.append(f"digest: recorded {target['digest']} "
+                                  f"!= replayed {digest}")
         if mismatches:
             raise RestoreMismatchError(
-                f"{ckpt_path}: machine rebuilt from this checkpoint does "
-                f"not match the recorded state at tick {payload['tick']} "
+                f"{source}: machine rebuilt from this record does not "
+                f"match the recorded state at tick {target['tick']} "
                 f"(code drift or nondeterminism)", mismatches)
-        return driver, payload
+
+    @classmethod
+    def resume(cls, path: str, progress=None) -> Tuple["RunDriver", Dict]:
+        """Restore any journal file to its furthest record, digest-verified.
+
+        Rebuilds the machine from the recorded spec and fast-forwards to
+        the last readable milestone or checkpoint record; returns
+        ``(driver, record)``.  Raises :class:`JournalError` when the file
+        holds no spec or no position, and :class:`RestoreMismatchError`
+        when re-execution diverged.
+        """
+        scan = scan_journal(path)
+        if scan.spec is None or scan.last is None:
+            raise JournalError(
+                f"{path}: no run spec and position to resume from "
+                f"({scan.records} readable record(s)"
+                f"{', torn tail' if scan.torn_tail else ''})")
+        driver = cls(run_from_spec(scan.spec))
+        driver.fast_forward(scan.last, progress, path)
+        return driver, scan.last

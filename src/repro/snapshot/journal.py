@@ -1,31 +1,32 @@
-"""The write-ahead run journal (format ``ESCJRNL 1``).
+"""The durable run record (format ``ESCJRNL 1``).
 
-Checkpoints are coarse: a run killed between two checkpoint cuts loses
-everything since the last one.  The journal closes that gap with a much
-cheaper record — every time the run crosses a *milestone* (boot, start
-load, open/close the measurement window, a chaos action), the driver
-appends one fsync'd line pinning where execution stood (tick, scheduler
+Every file the snapshot layer writes is one of these — the write-ahead
+run journal, a checkpoint file, a replay recording, a sweep's cell cache
+— and so is the telemetry sidecar of :mod:`repro.obs.recorder`.  A run
+journal holds the run spec, then one fsync'd *milestone* record each time
+the run crosses a milestone (boot, start load, open/close the
+measurement window, a chaos action) and, on a coarser cadence,
+*checkpoint* records.  Both pin where execution stood (tick, scheduler
 sequence, events executed, milestones done) and what the machine hashed
-to (the full state digest).  A run SIGKILLed at *any* byte boundary then
-resumes from ``last checkpoint + journal fast-forward``: rebuild from the
-spec (or the checkpoint), deterministically re-execute to the furthest
-journaled position, verify the digest bit for bit, and continue.
+to; a checkpoint record also carries the canonical summary behind that
+digest, for field-level diffs.  Generator frames cannot be pickled, so a
+restore always re-executes from t=0; a record is a point where that
+re-execution is checked bit for bit.
 
-File layout — append-only, line-oriented, human-greppable::
+File layout — line-oriented, human-greppable::
 
     ESCJRNL 1\\n
     <crc32 hex8> {"kind":"spec","spec":{...}}\\n
     <crc32 hex8> {"kind":"milestone","tick":...,"seq":...,...}\\n
     ...
 
-Each record line carries the CRC-32 of its own JSON text, so the reader
-can tell a torn tail (the writer died mid-``write``) from corruption.
-The scan is crash-only: the first line that is incomplete, fails its CRC
-or fails to parse ends the readable prefix — everything before it is
-trusted, everything after it is ignored.  Appends are flushed and
-fsync'd before the writer moves on, which is what makes the journal
-*write-ahead*: a milestone is either durably journaled or it never
-happened.
+Each record line carries the CRC-32 of its own JSON text.  The scan is
+crash-only: the first line that is incomplete, fails its CRC or fails to
+parse ends the readable prefix — everything before it is trusted,
+everything after it is ignored, and an append first cuts the file back
+to that prefix.  Appends are flushed and fsync'd before the writer moves
+on, so a milestone is either durably journaled or it never happened;
+whole files are replaced atomically by :func:`write_journal`.
 """
 
 from __future__ import annotations
@@ -34,53 +35,59 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 JOURNAL_MAGIC = b"ESCJRNL"
 JOURNAL_VERSION = 1
-_HEADER_LINE = JOURNAL_MAGIC + b" " + str(JOURNAL_VERSION).encode() + b"\n"
+JOURNAL_HEADER_LINE = JOURNAL_MAGIC + b" " + str(JOURNAL_VERSION).encode() \
+    + b"\n"
 
 __all__ = ["JournalError", "JournalScan", "RunJournal", "scan_journal",
-           "JOURNAL_HEADER_LINE", "encode_record", "decode_record"]
+           "JOURNAL_HEADER_LINE", "encode_record", "decode_record",
+           "read_records", "open_for_append", "write_journal",
+           "load_record"]
 
 
 class JournalError(Exception):
-    """The journal file exists but cannot be used (wrong magic/version)."""
+    """The file exists but cannot be used (wrong magic or version, or
+    not the record it was expected to hold)."""
 
 
 @dataclass
 class JournalScan:
-    """Everything a reader recovered from a journal file."""
+    """Everything a reader recovered from a run journal."""
 
     #: The run spec recorded in the header record (None if absent).
     spec: Optional[Dict] = None
-    #: Milestone records, in append order (each a plain dict).
-    milestones: List[Dict] = field(default_factory=list)
+    #: Milestone and checkpoint records, in append order.
+    positions: List[Dict] = field(default_factory=list)
     #: True when the file ends in an unreadable record (torn write).
     torn_tail: bool = False
     #: Total records successfully read (spec record included).
     records: int = 0
 
     @property
+    def milestones(self) -> List[Dict]:
+        """The milestone records alone, in append order."""
+        return [r for r in self.positions if r["kind"] == "milestone"]
+
+    @property
     def last(self) -> Optional[Dict]:
-        """The furthest durably journaled milestone, if any."""
-        return self.milestones[-1] if self.milestones else None
+        """The furthest durably recorded position, if any."""
+        return self.positions[-1] if self.positions else None
 
 
-def _encode(record: Dict) -> bytes:
+def encode_record(record: Dict) -> bytes:
     """One dict -> CRC-framed record line (``<crc32 hex8> <json>\\n``)."""
     body = json.dumps(record, sort_keys=True,
                       separators=(",", ":")).encode()
     return format(zlib.crc32(body), "08x").encode() + b" " + body + b"\n"
 
 
-def _decode(line: bytes) -> Optional[Dict]:
+def decode_record(line: bytes) -> Optional[Dict]:
     """One record line -> dict, or None if torn/corrupt."""
-    if not line.endswith(b"\n"):
+    if not line.endswith(b"\n") or line.find(b" ") != 8:
         return None  # torn: the writer died mid-write
-    sep = line.find(b" ")
-    if sep != 8:
-        return None
     body = line[9:-1]
     try:
         if int(line[:8], 16) != zlib.crc32(body):
@@ -91,45 +98,120 @@ def _decode(line: bytes) -> Optional[Dict]:
     return record if isinstance(record, dict) else None
 
 
-#: The reusable ESCJRNL framing, also used by the observability flight
-#: recorder (:mod:`repro.obs.recorder`) for its telemetry sidecar: the
-#: same header line, the same per-line ``<crc32 hex8> <json>\n`` records,
-#: the same crash-only torn-tail semantics.
-JOURNAL_HEADER_LINE = _HEADER_LINE
-encode_record = _encode
-decode_record = _decode
+def read_records(path: str, what: str = "run journal"
+                 ) -> Tuple[List[Dict], int, bool]:
+    """The one reader of the format: ``(records, prefix_bytes, torn)``.
+
+    ``records`` are the readable prefix's records in file order,
+    ``prefix_bytes`` is that prefix's length (header included) and
+    ``torn`` says whether anything unreadable follows it.  A missing or
+    empty file, or one cut inside its header line, is normal crash
+    residue and reads as empty; :class:`JournalError` is raised only for
+    a file that is some other format or another version of this one.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return [], 0, False
+    if not data.startswith(JOURNAL_HEADER_LINE):
+        if JOURNAL_HEADER_LINE.startswith(data):
+            return [], 0, bool(data)
+        header = data.split(b"\n", 1)[0]
+        if header.startswith(JOURNAL_MAGIC + b" "):
+            version = header[len(JOURNAL_MAGIC) + 1:][:16]
+            raise JournalError(
+                f"{path}: {what} format version "
+                f"{version.decode('ascii', 'replace')} is not supported "
+                f"(expected {JOURNAL_VERSION})")
+        raise JournalError(
+            f"{path}: not a {what} (bad header {header[:24]!r})")
+    records: List[Dict] = []
+    pos = len(JOURNAL_HEADER_LINE)
+    while pos < len(data):
+        end = data.find(b"\n", pos) + 1 or len(data)
+        record = decode_record(data[pos:end])
+        if record is None:
+            return records, pos, True
+        records.append(record)
+        pos = end
+    return records, pos, False
 
 
 def scan_journal(path: str) -> JournalScan:
-    """Read the trustworthy prefix of a journal file.
-
-    Raises :class:`JournalError` only when the file exists but is not a
-    journal at all (bad magic or version) — a torn or empty file is a
-    normal crash residue and yields an empty scan instead.
-    """
-    scan = JournalScan()
-    try:
-        with open(path, "rb") as fh:
-            lines = fh.readlines()
-    except OSError:
-        return scan
-    if not lines:
-        return scan
-    if lines[0] != _HEADER_LINE:
-        raise JournalError(
-            f"{path}: not a run journal (bad header {lines[0][:24]!r})")
-    for line in lines[1:]:
-        record = _decode(line)
-        if record is None:
-            scan.torn_tail = True
-            break
-        scan.records += 1
+    """Read the trustworthy prefix of a run journal."""
+    records, _, torn = read_records(path)
+    scan = JournalScan(torn_tail=torn, records=len(records))
+    for record in records:
         kind = record.get("kind")
         if kind == "spec" and scan.spec is None:
             scan.spec = record.get("spec")
-        elif kind == "milestone":
-            scan.milestones.append(record)
+        elif kind in ("milestone", "checkpoint"):
+            scan.positions.append(record)
     return scan
+
+
+def _fsync_dir(path: str) -> None:
+    """fsync the directory holding ``path`` (makes a create or rename
+    durable)."""
+    try:
+        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+    except OSError:  # pragma: no cover - exotic filesystems
+        pass
+
+
+def open_for_append(path: str, head: Iterable[Dict] = (), *,
+                    what: str = "run journal", fresh: bool = False):
+    """The one open-for-append: returns ``(file, started_fresh)``.
+
+    Cuts the file back to its readable prefix first — a record torn by a
+    crashed writer would otherwise swallow the first record appended
+    after it — and starts the file over (header line plus ``head``
+    records) when that prefix holds no record or ``fresh`` is set.
+    """
+    records, end = [], 0
+    if not fresh:
+        records, end, _ = read_records(path, what)
+    if not records:
+        end = 0
+    fh = open(path, "ab")
+    fh.truncate(end)
+    if not end:
+        fh.write(JOURNAL_HEADER_LINE + b"".join(map(encode_record, head)))
+    return fh, not end
+
+
+def write_journal(path: str, records: Iterable[Dict]) -> None:
+    """Atomically replace ``path`` with a journal holding ``records``.
+
+    Crash-only: the bytes land in a temp file that is flushed, fsync'd
+    and renamed over ``path``, and the directory is fsync'd so the rename
+    survives a power cut.  A writer killed at any instant leaves either
+    the old file or the new one; the same records always write the same
+    bytes.
+    """
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(JOURNAL_HEADER_LINE + b"".join(map(encode_record, records)))
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    _fsync_dir(path)
+
+
+def load_record(path: str, kind: str) -> Dict:
+    """The one ``kind`` record of a file :func:`write_journal` wrote."""
+    records, _, torn = read_records(path, f"{kind} file")
+    if torn or len(records) != 1 or records[0].get("kind") != kind:
+        raise JournalError(
+            f"{path}: not a {kind} file (want one complete {kind!r} "
+            f"record, found {len(records)} record(s)"
+            f"{' and a torn tail' if torn else ''})")
+    return records[0]
 
 
 class RunJournal:
@@ -137,24 +219,11 @@ class RunJournal:
 
     def __init__(self, path: str, spec: Optional[Dict] = None):
         self.path = path
-        fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-        if not fresh:
-            scan_journal(path)  # validates magic/version; raises if alien
-        self._fh = open(path, "ab")
+        head = [{"kind": "spec", "spec": spec}] if spec is not None else []
+        self._fh, fresh = open_for_append(path, head)
+        self._sync()
         if fresh:
-            self._fh.write(_HEADER_LINE)
-            if spec is not None:
-                self._fh.write(_encode({"kind": "spec", "spec": spec}))
-            self._sync()
-            directory = os.path.dirname(path) or "."
-            try:
-                fd = os.open(directory, os.O_RDONLY)
-                try:
-                    os.fsync(fd)
-                finally:
-                    os.close(fd)
-            except OSError:  # pragma: no cover - exotic filesystems
-                pass
+            _fsync_dir(path)
 
     # ------------------------------------------------------------------
     def _sync(self) -> None:
@@ -163,7 +232,7 @@ class RunJournal:
 
     def append(self, record: Dict) -> None:
         """Durably append one record (write + flush + fsync)."""
-        self._fh.write(_encode(record))
+        self._fh.write(encode_record(record))
         self._sync()
 
     def milestone(self, driver) -> None:
@@ -172,14 +241,7 @@ class RunJournal:
         Called by the driver immediately after performing a milestone;
         the digest makes the record self-verifying at resume time.
         """
-        self.append({
-            "kind": "milestone",
-            "tick": driver.sim.now,
-            "seq": driver.sim.seq,
-            "events": driver.sim.events_processed,
-            "milestones_done": driver.milestones_done,
-            "digest": driver.run.digest(),
-        })
+        self.append(driver.position())
 
     def close(self) -> None:
         if not self._fh.closed:

@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.sim.clock import ticks_to_server_cycles
-from repro.snapshot.checkpoint import (CheckpointFormatError, load_checkpoint,
-                                       save_checkpoint)
 from repro.snapshot.digest import light_state, summary_diff
 from repro.snapshot.driver import RunDriver
+from repro.snapshot.journal import load_record, write_journal
 from repro.snapshot.runs import ReplayableRun, run_from_spec
 
 __all__ = ["Recording", "Divergence", "ReplayReport", "record", "replay"]
@@ -63,7 +62,8 @@ class Recording:
 
     # ------------------------------------------------------------------
     def save(self, path: str) -> None:
-        save_checkpoint(path, {
+        """Write a one-record journal file (atomic, CRC-framed)."""
+        write_journal(path, [{
             "kind": "recording",
             "spec": self.spec,
             "every_events": self.every_events,
@@ -74,14 +74,11 @@ class Recording:
             "final_summary": self.final_summary,
             "events_total": self.events_total,
             "end_tick": self.end_tick,
-        })
+        }])
 
     @classmethod
     def load(cls, path: str) -> "Recording":
-        payload = load_checkpoint(path)
-        if payload.get("kind") != "recording":
-            raise CheckpointFormatError(
-                f"{path}: file is a {payload.get('kind')!r}, not a recording")
+        payload = load_record(path, "recording")
         rec = cls(payload["spec"], payload["every_events"])
         rec.entries = payload["entries"]
         rec.summaries = payload["summaries"]

@@ -25,6 +25,7 @@ restore all depend on it.
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim.clock import seconds_to_ticks
@@ -104,9 +105,25 @@ class ReplayableRun:
         return out
 
     def digest(self) -> str:
-        from repro.snapshot.digest import canonical_json
-        return hashlib.sha256(
-            canonical_json(self.summary()).encode()).hexdigest()
+        from repro.snapshot.digest import summary_digest
+        return summary_digest(self.summary())
+
+
+def _count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+#: ``(field, requirement, check)`` rules every :class:`ExperimentRun`
+#: passes at construction (``type`` checks keep ``True`` and ``"8"`` out).
+_FIELD_RULES = (
+    ("clients", "a non-negative int", _count),
+    ("syn_rate", "a non-negative int", _count),
+    ("cgi_attackers", "a non-negative int", _count),
+    ("warmup_s", "a finite number >= 0",
+     lambda v: type(v) in (int, float) and 0 <= v < math.inf),
+    ("measure_s", "a finite number > 0",
+     lambda v: type(v) in (int, float) and 0 < v < math.inf),
+)
 
 
 class ExperimentRun(ReplayableRun):
@@ -140,6 +157,11 @@ class ExperimentRun(ReplayableRun):
         self.measure_s = measure_s
         self.run_result = None
         self._window_start = None
+        for name, want, ok in _FIELD_RULES:
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"experiment spec field {name!r} must be "
+                                 f"{want}, got {value!r}")
 
     # ------------------------------------------------------------------
     def spec(self) -> Dict:
@@ -159,8 +181,13 @@ class ExperimentRun(ReplayableRun):
 
     @classmethod
     def from_spec(cls, spec: Dict) -> "ExperimentRun":
+        """Rebuild from :meth:`spec` output; every field must be there."""
         fields = {k: v for k, v in spec.items() if k != "run"}
-        return cls(fields.pop("config"), **fields)
+        for name in sorted(set(fields) ^ (set(cls().spec()) - {"run"})):
+            raise ValueError(
+                f"experiment spec field {name!r} is "
+                f"{'unknown' if name in fields else 'missing'}")
+        return cls(**fields)
 
     # ------------------------------------------------------------------
     def build(self) -> None:
@@ -214,6 +241,8 @@ class ExperimentRun(ReplayableRun):
 
 def run_from_spec(spec: Dict) -> ReplayableRun:
     """Rebuild the run object a spec describes (fresh, unbuilt)."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"run spec must be a JSON object, got {spec!r}")
     kind = spec.get("run")
     if kind == ExperimentRun.KIND:
         return ExperimentRun.from_spec(spec)

@@ -9,10 +9,11 @@ supervised child process that:
 * heartbeats over a pipe as it executes events, so a hung child is
   detected by missed heartbeats within a wall-clock timeout, SIGKILLed,
   and classified as ``hang``;
-* checkpoints periodically and write-ahead-journals every milestone
-  (:mod:`repro.snapshot.journal`), so a child killed at *any* instant —
-  SIGKILL included — resumes from last-checkpoint + journal fast-forward
-  and still produces the byte-identical final digest;
+* write-ahead-journals every milestone plus a periodic checkpoint
+  record into one run journal (:mod:`repro.snapshot.journal`), so a
+  child killed at *any* instant — SIGKILL included — resumes by
+  fast-forwarding to the journal's furthest record and still produces
+  the byte-identical final digest;
 * classifies every exit (ok / signal / exception / hang / oracle
   fingerprint) and retries transient failures with exponential backoff
   plus deterministic jitter, bounded by a retry budget;
@@ -27,15 +28,14 @@ identity after resume.  ``python -m repro supervise`` is the CLI;
 through the same machinery.
 """
 
-from repro.supervise.state import (JournalMismatchError, RunState,
-                                   resume_driver)
+from repro.supervise.state import RunState, resume_driver
 from repro.supervise.supervisor import (AttemptReport, SupervisedResult,
                                         Supervisor, supervision_verdict)
 from repro.supervise.harness import (SelftestCase, SelftestReport,
                                      crash_injection_selftest)
 
 __all__ = [
-    "JournalMismatchError", "RunState", "resume_driver",
+    "RunState", "resume_driver",
     "AttemptReport", "SupervisedResult", "Supervisor",
     "supervision_verdict",
     "SelftestCase", "SelftestReport", "crash_injection_selftest",

@@ -13,11 +13,13 @@ digest.
 Execution shape:
 
 1. read ``job.json`` (spec + cadences + optional fault injection);
-2. resume: last checkpoint + journal fast-forward (digest-verified);
+2. resume: fast-forward to the journal's furthest record
+   (digest-verified);
 3. attach the write-ahead journal and an engine progress hook that —
    every ``heartbeat_every_events`` executed events — heartbeats the
    parent, honours the seeded crash/hang injection for the deterministic
-   selftest, and refreshes ``run.ckpt`` on its own coarser cadence;
+   selftest, and appends a checkpoint record to ``run.journal`` on its
+   own coarser ``checkpoint_every_events`` cadence;
 4. run to the final milestone; grade with the campaign oracle's rules
    when the kind has a grader; write ``result.json`` atomically.
 
@@ -184,7 +186,7 @@ def execute_job(state_dir: str, heartbeat_fd: Optional[int] = None) -> int:
             if _inject_due(inject, attempt, events):
                 _perform_injection(inject)
             if events >= ckpt_at[0]:
-                driver.checkpoint(state.checkpoint_path)
+                driver.journal.append(driver.position("checkpoint"))
                 ckpt_at[0] = events + ckpt_every
 
         driver.sim.set_progress_hook(on_progress, every_events=hb_every)

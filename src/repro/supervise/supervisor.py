@@ -17,8 +17,8 @@ paper demands of Escort itself — detect, contain, recover, degrade:
 * **recover** — every non-``ok`` classification is retried with
   exponential backoff plus deterministic jitter (seeded by the spec, so
   two supervisors never synchronize their retry storms); each retry
-  *resumes* from the last checkpoint + journal fast-forward rather than
-  restarting, so progress survives the kill.
+  *resumes* by fast-forwarding to the run journal's furthest record
+  rather than starting over, so progress survives the kill.
 * **degrade** — a run that exhausts ``max_attempts`` is *recorded* as
   failed (:func:`supervision_verdict` shapes it like an oracle verdict)
   and the caller's campaign continues.

@@ -167,6 +167,24 @@ def test_recorder_append_mode_extends(tmp_path):
     assert len(scan_obs(path).samples) == 1
 
 
+def test_recorder_append_after_torn_tail_keeps_the_new_attempt(tmp_path):
+    # A SIGKILL tore the last sample; the resumed attempt's obs-meta and
+    # samples must land after the readable prefix, not glued to the tear.
+    path = str(tmp_path / SIDECAR_NAME)
+    with FlightRecorder(path) as rec:
+        rec.record({"kind": "sample", "tick": 1, "metrics": {"a": 1}})
+        rec.record({"kind": "sample", "tick": 2, "metrics": {"a": 2}})
+    data = open(path, "rb").read()
+    open(path, "wb").write(data[:-5])
+    with FlightRecorder(path, append=True) as rec:
+        rec.record({"kind": "obs-meta", "attempt": 2})
+        rec.record({"kind": "sample", "tick": 5, "metrics": {"a": 9}})
+    scan = scan_obs(path)
+    assert not scan.torn_tail
+    assert [m["attempt"] for m in scan.meta] == [2]
+    assert scan.series("a") == [(1, 1), (5, 9)]
+
+
 def test_recorder_rejects_alien_file(tmp_path):
     path = str(tmp_path / "alien.jrnl")
     with open(path, "w") as fh:

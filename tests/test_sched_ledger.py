@@ -92,18 +92,19 @@ def test_ledger_survives_journal_fast_forward(tmp_path):
 
 
 def test_ledger_survives_checkpoint_then_journal_tail(tmp_path):
-    """The supervised child's actual recovery path: a checkpoint mid-run
-    plus journal records past it, fast-forwarded on resume."""
+    """The supervised child's actual recovery path: a checkpoint record
+    mid-run plus milestone records past it in one journal, fast-forwarded
+    on resume."""
     state = RunState(str(tmp_path / "s")).ensure()
     driver = RunDriver(run_from_spec(SPEC))
     with RunJournal(state.journal_path, spec=SPEC) as journal:
         driver.journal = journal
         while driver.milestones_done < 2:
             driver.step()
-        driver.checkpoint(state.checkpoint_path)
+        journal.append(driver.position("checkpoint"))
         while driver.milestones_done < 3:
             driver.step()
     resumed, info = resume_driver(state, SPEC)
-    assert info["from_checkpoint"]
+    assert info["resumed_milestones"] == 3
     assert_ledger_exact(resumed.sim)
     assert ledger(resumed.sim) == ledger(driver.sim)

@@ -101,6 +101,27 @@ def test_corrupt_record_ends_the_trustworthy_prefix(tmp_path):
     assert [m["digest"] for m in scan.milestones] == ["d0"]
 
 
+def test_reopen_after_a_torn_tail_appends_after_the_readable_prefix(tmp_path):
+    # A crash tore the last record; the reopened writer must cut it off,
+    # or the first record it appends joins the torn bytes, fails its CRC
+    # and hides every record written after it.
+    path = str(tmp_path / "run.journal")
+    with RunJournal(path, spec={"run": "x"}) as journal:
+        for i in range(3):
+            journal.append({"kind": "milestone", "tick": i, "seq": i,
+                            "events": i, "milestones_done": i,
+                            "digest": f"d{i}"})
+    data = open(path, "rb").read()
+    open(path, "wb").write(data[:-9])  # SIGKILL inside d2's append
+    with RunJournal(path, spec={"run": "x"}) as journal:
+        journal.append({"kind": "milestone", "tick": 3, "seq": 3,
+                        "events": 3, "milestones_done": 3, "digest": "d3"})
+    scan = scan_journal(path)
+    assert [m["digest"] for m in scan.milestones] == ["d0", "d1", "d3"]
+    assert not scan.torn_tail
+    assert scan.spec == {"run": "x"}
+
+
 def test_reopen_appends_without_rewriting_header(tmp_path):
     path = str(tmp_path / "run.journal")
     with RunJournal(path, spec={"run": "x"}) as journal:

@@ -1,8 +1,8 @@
 """Supervised execution: SIGKILL-anywhere resume, hang detection, degrade.
 
 The crash-only acceptance story, test-sized: a supervised child killed at
-a seeded event index resumes from last-checkpoint + journal fast-forward
-and produces the byte-identical digest and replay fingerprint of an
+a seeded event index resumes by fast-forwarding to its run journal's
+furthest record and produces the byte-identical digest and replay fingerprint of an
 uninterrupted in-process run; a hung child is detected by missed
 heartbeats within the wall-clock timeout; a run that dies on every
 attempt exhausts its bounded retry budget and is *recorded* as failed.
@@ -14,11 +14,12 @@ import os
 
 import pytest
 
-from repro.snapshot import RunDriver, RunJournal, save_checkpoint
+from repro.snapshot import (RestoreMismatchError, RunDriver, RunJournal,
+                            scan_journal)
 from repro.snapshot.runs import run_from_spec
-from repro.supervise import (JournalMismatchError, RunState, Supervisor,
-                             SupervisedResult, crash_injection_selftest,
-                             resume_driver, supervision_verdict)
+from repro.supervise import (RunState, Supervisor, SupervisedResult,
+                             crash_injection_selftest, resume_driver,
+                             supervision_verdict)
 from repro.supervise.harness import reference_outcome, selftest_spec
 from repro.supervise.state import read_json, write_json_atomic
 
@@ -55,7 +56,7 @@ def test_resume_driver_fresh_directory_starts_at_zero(tmp_path):
     state = RunState(str(tmp_path / "s")).ensure()
     driver, info = resume_driver(state, SMALL_SPEC)
     assert info["resumed_events"] == 0
-    assert not info["from_checkpoint"]
+    assert info["journal_records"] == 0
     assert driver.sim.now == 0
 
 
@@ -69,24 +70,37 @@ def test_resume_driver_fast_forwards_from_journal_alone(tmp_path):
     resumed, info = resume_driver(state, SMALL_SPEC)
     assert info["resumed_events"] == driver.sim.events_processed
     assert info["resumed_milestones"] == 3
-    assert not info["from_checkpoint"]
     assert resumed.run.digest() == driver.run.digest()
 
 
+def checkpoint_mid_window(journal, driver) -> int:
+    """Step past milestone 2 and 500 more events, then journal a
+    checkpoint record there (the supervised child's periodic append)."""
+    while driver.milestones_done < 2:
+        driver.step()
+    target = driver.sim.events_processed + 500
+    while driver.sim.events_processed < target:
+        driver.step()
+    journal.append(driver.position("checkpoint"))
+    return driver.sim.events_processed
+
+
 def test_resume_driver_prefers_checkpoint_then_journal(tmp_path):
+    # Resume reaches the furthest record, whichever kind it is: first a
+    # checkpoint record, then a milestone journaled after it.
     state = RunState(str(tmp_path / "s")).ensure()
     driver = RunDriver(run_from_spec(SMALL_SPEC))
     with RunJournal(state.journal_path, spec=SMALL_SPEC) as journal:
         driver.journal = journal
-        while driver.milestones_done < 2:
-            driver.step()
-        driver.checkpoint(state.checkpoint_path)
-        ckpt_events = driver.sim.events_processed
+        ckpt_events = checkpoint_mid_window(journal, driver)
+        resumed, info = resume_driver(state, SMALL_SPEC)
+        assert info["resumed_events"] == ckpt_events
+        assert resumed.run.digest() == driver.run.digest()
         while driver.milestones_done < 3:
             driver.step()
     resumed, info = resume_driver(state, SMALL_SPEC)
-    assert info["from_checkpoint"]
     assert info["resumed_events"] == driver.sim.events_processed > ckpt_events
+    assert info["resumed_milestones"] == 3
     assert resumed.run.digest() == driver.run.digest()
 
 
@@ -97,13 +111,15 @@ def test_resume_driver_survives_a_torn_checkpoint(tmp_path):
         driver.journal = journal
         while driver.milestones_done < 2:
             driver.step()
-        driver.checkpoint(state.checkpoint_path)
-    data = open(state.checkpoint_path, "rb").read()
-    open(state.checkpoint_path, "wb").write(data[:len(data) // 2])
+        ms_events = driver.sim.events_processed
+        checkpoint_mid_window(journal, driver)
+    data = open(state.journal_path, "rb").read()
+    cut = data.rindex(b"\n", 0, len(data) - 1) + 1  # start of the record
+    open(state.journal_path, "wb").write(data[:(cut + len(data)) // 2])
     resumed, info = resume_driver(state, SMALL_SPEC)
-    assert not info["from_checkpoint"]  # fell back to the journal
-    assert info["resumed_events"] == driver.sim.events_processed
-    assert resumed.run.digest() == driver.run.digest()
+    assert info["journal_torn_tail"]  # fell back to milestone 2
+    assert info["resumed_events"] == ms_events
+    assert info["resumed_milestones"] == 2
 
 
 def test_resume_driver_rejects_foreign_journal(tmp_path):
@@ -111,7 +127,7 @@ def test_resume_driver_rejects_foreign_journal(tmp_path):
     with RunJournal(state.journal_path, spec={"run": "experiment",
                                               "clients": 99}):
         pass
-    with pytest.raises(JournalMismatchError, match="different run"):
+    with pytest.raises(RestoreMismatchError, match="different run"):
         resume_driver(state, SMALL_SPEC)
 
 
@@ -127,7 +143,7 @@ def test_resume_driver_rejects_doctored_digest(tmp_path):
                         "events": driver.sim.events_processed,
                         "milestones_done": driver.milestones_done,
                         "digest": "0" * 64})
-    with pytest.raises(JournalMismatchError, match="digest"):
+    with pytest.raises(RestoreMismatchError, match="digest"):
         resume_driver(state, SMALL_SPEC)
 
 
@@ -183,6 +199,11 @@ def test_sigkill_at_seeded_point_resumes_byte_identical(tmp_path):
     # The retry genuinely resumed — it did not silently start over.
     assert sres.result["resume"]["resumed_events"] > 0
     assert sres.attempts[0].backoff_s > 0
+    # One run record: checkpoint records live in run.journal.
+    assert not os.path.exists(os.path.join(sres.state_dir, "run.ckpt"))
+    kinds = [r["kind"] for r in scan_journal(
+        RunState(sres.state_dir).journal_path).positions]
+    assert "checkpoint" in kinds and kinds.count("milestone") == 4
 
 
 @pytest.mark.supervise
@@ -256,7 +277,7 @@ def test_figure9_supervised_matches_serial(tmp_path):
     # The supervised sweep persisted its cells into the same cache the
     # unsupervised path resumes from.
     import os.path
-    assert os.path.exists(tmp_path / "ckpt" / "figure9-cells.ckpt")
+    assert os.path.exists(tmp_path / "ckpt" / "figure9-cells.jrnl")
 
 
 @pytest.mark.supervise
