@@ -59,7 +59,7 @@ import argparse
 import sys
 
 
-def _print_journal_error(exc) -> int:
+def _print_error(exc) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return 2
 
@@ -120,7 +120,7 @@ def chaos_main(argv) -> int:
     _add_obs_args(parser)
     args = parser.parse_args(argv)
 
-    from repro.chaos import list_scenarios, run_scenario
+    from repro.chaos import ChaosRun, list_scenarios
     from repro.snapshot import JournalError, RunDriver
 
     if args.list_them:
@@ -133,7 +133,7 @@ def chaos_main(argv) -> int:
         try:
             driver, record = RunDriver.resume(args.resume)
         except (JournalError, ValueError) as exc:
-            return _print_journal_error(exc)
+            return _print_error(exc)
         print(f"resumed {driver.run.spec()} at tick {record['tick']} "
               f"({record['events']} events); continuing...")
         if args.checkpoint_every:
@@ -146,15 +146,15 @@ def chaos_main(argv) -> int:
 
     names = ([args.scenario] if args.scenario
              else [n for n, _ in list_scenarios()])
+    try:
+        runs = [ChaosRun(name, args.seed, use_rollback=args.rollback)
+                for name in names]
+    except ValueError as exc:
+        return _print_error(exc)
 
     if args.obs:
-        from repro.chaos import ChaosRun
         from repro.obs import run_with_obs
-        if names[0] not in dict(list_scenarios()):
-            print(f"unknown scenario {names[0]!r}")
-            return 2
-        run = ChaosRun(names[0], args.seed, use_rollback=args.rollback)
-        report, session = run_with_obs(run, args.obs_dir)
+        report, session = run_with_obs(runs[0], args.obs_dir)
         print(report.summary())
         print()
         print(session.describe())
@@ -162,11 +162,6 @@ def chaos_main(argv) -> int:
 
     if args.workers > 1 and not args.checkpoint_every and len(names) > 1:
         from repro.perf.pool import SweepCell, run_cells
-        known = dict(list_scenarios())
-        unknown = [n for n in names if n not in known]
-        if unknown:
-            print(f"unknown scenario {unknown[0]!r}")
-            return 2
         cells = [SweepCell(key=name, runner="chaos",
                            params=dict(scenario=name, seed=args.seed,
                                        rollback=args.rollback))
@@ -181,24 +176,15 @@ def chaos_main(argv) -> int:
         return 1 if failed else 0
 
     failed = 0
-    for name in names:
-        try:
-            if args.checkpoint_every:
-                from repro.chaos import ChaosRun
-                if name not in dict(list_scenarios()):
-                    raise KeyError(f"unknown scenario {name!r}")
-                driver = RunDriver(ChaosRun(name, args.seed,
-                                            use_rollback=args.rollback))
-                report, journal = driver.run_with_checkpoints(
-                    args.checkpoint_every, args.checkpoint_dir,
-                    f"chaos-{name}-{args.seed}")
-                print(f"(journal: {journal})")
-            else:
-                report = run_scenario(name, seed=args.seed,
-                                      use_rollback=args.rollback)
-        except KeyError as exc:
-            print(exc.args[0])
-            return 2
+    for run in runs:
+        driver = RunDriver(run)
+        if args.checkpoint_every:
+            report, journal = driver.run_with_checkpoints(
+                args.checkpoint_every, args.checkpoint_dir,
+                f"chaos-{run.scenario}-{args.seed}")
+            print(f"(journal: {journal})")
+        else:
+            report = driver.run_all()
         print(report.summary())
         print()
         if not report.ok:
@@ -258,7 +244,7 @@ def experiment_main(argv) -> int:
             session.finish()
             print(session.describe())
     except (JournalError, ValueError) as exc:
-        return _print_journal_error(exc)
+        return _print_error(exc)
 
     print(f"{result.connections_per_second:.1f} conn/s "
           f"({result.client_completions} completed, "
@@ -314,7 +300,7 @@ def figure9_main(argv) -> int:
                 checkpoint_every_s=args.checkpoint_every,
                 workers=args.workers, supervised=args.supervised)
     except JournalError as exc:
-        return _print_journal_error(exc)
+        return _print_error(exc)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -444,42 +430,43 @@ def defense_main(argv) -> int:
     _add_perf_args(parser)
     args = parser.parse_args(argv)
 
+    from dataclasses import replace
+
+    from repro.defense.run import DefenseRun
     from repro.experiments.defense import run_defense
     from repro.perf import maybe_profiled
 
     attacks = [a.strip() for a in args.attacks.split(",") if a.strip()]
     seeds = [int(s) for s in args.seeds.split(",")]
+    fields = dict(clients=args.clients, document=args.document,
+                  syn_rate=args.syn_rate, syn_ramp_to=args.syn_ramp_to,
+                  syn_ramp_s=args.syn_ramp_s,
+                  cgi_attackers=args.cgi_attackers,
+                  warmup_s=args.warmup, measure_s=args.measure)
+    try:
+        # The instrumented cell; every flag is checked before a cell runs.
+        base = DefenseRun(attacks[0], adaptive=True, seed=seeds[0],
+                          **fields)
+        for attack in attacks[1:]:
+            replace(base, attack=attack)
+    except ValueError as exc:
+        return _print_error(exc)
 
     if args.replay_check:
-        ok = _defense_replay_check(attacks[0], seeds[0], args)
-        if not ok:
+        if not _defense_replay_check(base):
             return 1
         print()
 
     if args.obs:
-        from repro.defense.run import DefenseRun
         from repro.obs import run_with_obs
-        run = DefenseRun(attacks[0], adaptive=True, seed=seeds[0],
-                         clients=args.clients, document=args.document,
-                         syn_rate=args.syn_rate,
-                         syn_ramp_to=args.syn_ramp_to,
-                         syn_ramp_s=args.syn_ramp_s,
-                         cgi_attackers=args.cgi_attackers,
-                         warmup_s=args.warmup, measure_s=args.measure)
-        _, session = run_with_obs(run, args.obs_dir)
+        _, session = run_with_obs(base, args.obs_dir)
         print(f"instrumented adaptive cell: {attacks[0]} seed={seeds[0]}")
         print(session.describe())
         print()
 
     with maybe_profiled(args.profile):
-        result = run_defense(
-            attacks=attacks, seeds=seeds,
-            clients=args.clients, document=args.document,
-            syn_rate=args.syn_rate, syn_ramp_to=args.syn_ramp_to,
-            syn_ramp_s=args.syn_ramp_s,
-            cgi_attackers=args.cgi_attackers,
-            warmup_s=args.warmup, measure_s=args.measure,
-            workers=args.workers)
+        result = run_defense(attacks=attacks, seeds=seeds,
+                             workers=args.workers, **fields)
     print(result.format())
     if args.strict:
         bad = [a for a in attacks if not result.adaptive_meets_target(a)]
@@ -490,25 +477,20 @@ def defense_main(argv) -> int:
     return 0
 
 
-def _defense_replay_check(attack: str, seed: int, args) -> bool:
-    """Build one adaptive cell twice and compare full-machine digests."""
-    from repro.defense.run import DefenseRun
+def _defense_replay_check(base) -> bool:
+    """Run one adaptive defense cell twice; compare full-machine digests."""
+    from dataclasses import replace
+
     from repro.snapshot.driver import RunDriver
 
     digests = []
     for attempt in (1, 2):
-        run = DefenseRun(attack, adaptive=True, seed=seed,
-                         clients=args.clients, document=args.document,
-                         syn_rate=args.syn_rate,
-                         syn_ramp_to=args.syn_ramp_to,
-                         syn_ramp_s=args.syn_ramp_s,
-                         cgi_attackers=args.cgi_attackers,
-                         warmup_s=args.warmup, measure_s=args.measure)
+        run = replace(base)
         RunDriver(run).run_all()
         digests.append(run.digest())
     if digests[0] == digests[1]:
-        print(f"replay check OK: {attack} seed={seed} adaptive cell "
-              f"digests identical ({digests[0][:16]}...)")
+        print(f"replay check OK: {base.attack} seed={base.seed} adaptive "
+              f"cell digests identical ({digests[0][:16]}...)")
         return True
     print(f"REPLAY CHECK FAILED: {digests[0][:16]} != {digests[1][:16]}",
           file=sys.stderr)
@@ -551,42 +533,43 @@ def cluster_main(argv) -> int:
     _add_perf_args(parser)
     args = parser.parse_args(argv)
 
+    from dataclasses import replace
+
+    from repro.cluster.run import ClusterRun
     from repro.experiments.cluster import run_cluster
     from repro.perf import maybe_profiled
 
     sizes = [int(s) for s in args.sizes.split(",")]
     seeds = [int(s) for s in args.seeds.split(",")]
+    fields = dict(clients=args.clients, document=args.document,
+                  syn_rate=args.syn_rate, syn_ramp_to=args.syn_ramp_to,
+                  syn_ramp_s=args.syn_ramp_s, chaos_at_s=args.chaos_at,
+                  chaos_restore_s=args.chaos_restore,
+                  warmup_s=args.warmup, measure_s=args.measure)
+    try:
+        # The instrumented cell; every flag is checked before a cell runs.
+        base = ClusterRun("crash", replicas=max(sizes), seed=seeds[0],
+                          **fields)
+        for size in sizes:
+            replace(base, replicas=size)
+    except ValueError as exc:
+        return _print_error(exc)
 
     if args.replay_check:
-        if not _cluster_replay_check(max(sizes), seeds[0], args):
+        if not _cluster_replay_check(base):
             return 1
         print()
 
     if args.obs:
-        from repro.cluster.run import ClusterRun
         from repro.obs import run_with_obs
-        run = ClusterRun("crash", replicas=max(sizes), seed=seeds[0],
-                         clients=args.clients, document=args.document,
-                         syn_rate=args.syn_rate,
-                         syn_ramp_to=args.syn_ramp_to,
-                         syn_ramp_s=args.syn_ramp_s,
-                         chaos_at_s=args.chaos_at,
-                         chaos_restore_s=args.chaos_restore,
-                         warmup_s=args.warmup, measure_s=args.measure)
-        _, session = run_with_obs(run, args.obs_dir)
-        print(f"instrumented crash cell: n={max(sizes)} seed={seeds[0]}")
+        _, session = run_with_obs(base, args.obs_dir)
+        print(f"instrumented crash cell: n={base.replicas} seed={base.seed}")
         print(session.describe())
         print()
 
     with maybe_profiled(args.profile):
-        result = run_cluster(
-            sizes=sizes, seeds=seeds,
-            clients=args.clients, document=args.document,
-            syn_rate=args.syn_rate, syn_ramp_to=args.syn_ramp_to,
-            syn_ramp_s=args.syn_ramp_s,
-            chaos_at_s=args.chaos_at, chaos_restore_s=args.chaos_restore,
-            warmup_s=args.warmup, measure_s=args.measure,
-            workers=args.workers)
+        result = run_cluster(sizes=sizes, seeds=seeds,
+                             workers=args.workers, **fields)
     print(result.format())
     if args.strict and not result.meets_target():
         print("\nFAIL: cluster recovery targets not met", file=sys.stderr)
@@ -594,24 +577,18 @@ def cluster_main(argv) -> int:
     return 0
 
 
-def _cluster_replay_check(size: int, seed: int, args) -> bool:
-    """Record one attacked cell and replay it in event lockstep."""
-    from repro.cluster.run import ClusterRun
+def _cluster_replay_check(base) -> bool:
+    """Record one attacked cluster cell and replay it in event lockstep."""
+    from dataclasses import replace
+
     from repro.snapshot import record, replay
 
-    run = ClusterRun("crash", replicas=size, seed=seed,
-                     clients=args.clients, document=args.document,
-                     syn_rate=args.syn_rate,
-                     syn_ramp_to=args.syn_ramp_to,
-                     syn_ramp_s=args.syn_ramp_s,
-                     chaos_at_s=args.chaos_at,
-                     chaos_restore_s=args.chaos_restore,
-                     warmup_s=args.warmup, measure_s=args.measure)
-    _, recording = record(run)
+    _, recording = record(replace(base))
     report = replay(recording)
     if report.ok:
-        print(f"replay check OK: crash cell (n={size}, seed={seed}) "
-              f"reproduced {report.events_replayed} events bit for bit")
+        print(f"replay check OK: crash cell (n={base.replicas}, "
+              f"seed={base.seed}) reproduced {report.events_replayed} "
+              f"events bit for bit")
         return True
     print("REPLAY CHECK FAILED", file=sys.stderr)
     print(report.divergence.describe(), file=sys.stderr)
@@ -797,15 +774,14 @@ def record_main(argv) -> int:
     parser.add_argument("--output", "-o", required=True)
     args = parser.parse_args(argv)
 
-    from repro.chaos import SCENARIOS, ChaosRun
+    from repro.chaos import ChaosRun
     from repro.snapshot import record
 
-    if args.scenario not in SCENARIOS:
-        print(f"unknown scenario {args.scenario!r} "
-              f"(known: {', '.join(sorted(SCENARIOS))})", file=sys.stderr)
-        return 2
-    report, recording = record(ChaosRun(args.scenario, args.seed),
-                               every_events=args.every)
+    try:
+        run = ChaosRun(args.scenario, args.seed)
+    except ValueError as exc:
+        return _print_error(exc)
+    report, recording = record(run, every_events=args.every)
     recording.save(args.output)
     print(f"recorded {recording.events_total} events "
           f"({len(recording.entries)} digest entries) -> {args.output}")
@@ -840,10 +816,10 @@ def replay_main(argv) -> int:
                                   every_events=args.every)
         else:
             parser.error("give a recording file or --scenario")
-    except JournalError as exc:
-        return _print_journal_error(exc)
+        report = replay(recording)
+    except (JournalError, ValueError) as exc:
+        return _print_error(exc)
 
-    report = replay(recording)
     if report.ok:
         print(f"replay OK: {report.events_replayed} events reproduced "
               f"bit for bit")
@@ -1075,8 +1051,14 @@ def supervise_main(argv) -> int:
 
     if args.spec_file:
         import json
-        with open(args.spec_file) as fh:
-            spec = json.load(fh)
+
+        from repro.snapshot.runs import run_from_spec
+        try:
+            with open(args.spec_file) as fh:
+                spec = json.load(fh)
+            run_from_spec(spec)  # a bad spec fails here, not in a child
+        except (OSError, ValueError) as exc:
+            return _print_error(f"{args.spec_file}: {exc}")
     elif args.kind:
         from repro.supervise.harness import selftest_spec
         spec = selftest_spec(args.kind)

@@ -25,6 +25,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.clock import micros_to_ticks, seconds_to_ticks
 from repro.experiments.harness import TRUSTED_SUBNET, Testbed
+from repro.snapshot.runs import (SETTLE_S, ReplayableRun, rng_fingerprint,
+                                 spec_field)
 from repro.net.fault import FaultInjector
 from repro.policy.synflood import SynFloodPolicy
 from repro.chaos.inject import ChaosInjector
@@ -117,214 +119,6 @@ class ChaosScenario:
         self.recovery_s = recovery_s
         self.probe_s = probe_s
         self.watchdog_kwargs = watchdog_kwargs or {}
-
-    # ------------------------------------------------------------------
-    def run(self, seed: int = 1, *, use_rollback: bool = False) -> ChaosReport:
-        """Run the scenario to its verdict (via the replayable driver).
-
-        The five phases execute as fixed-tick milestones of a
-        :class:`ChaosRun`, which is what makes a chaos run checkpointable,
-        resumable, and replayable like any other run.  ``use_rollback``
-        arms the watchdog's snapshot/rollback rung (off by default — the
-        canned scenarios' escalation behavior is part of their contract).
-        """
-        from repro.snapshot.driver import RunDriver
-
-        return RunDriver(ChaosRun(self, seed,
-                                  use_rollback=use_rollback)).run_all()
-
-
-class ChaosRun:
-    """A chaos scenario expressed as a replayable run (see ISSUE tentpole).
-
-    Implements the :class:`~repro.snapshot.runs.ReplayableRun` contract so
-    chaos runs get whole-machine checkpoints, crash-resume, and lockstep
-    replay for free.  The five scenario phases become five milestones:
-
-    ======================  ====================================
-    tick                    action
-    ======================  ====================================
-    0                       ``boot``
-    settle                  ``start_load``
-    + warmup                ``arm_chaos``  (watchdog, checker, injector)
-    + chaos + recovery      ``disarm_probe``
-    + probe                 ``verdict``
-    ======================  ====================================
-    """
-
-    KIND = "chaos"
-
-    # ReplayableRun duck-type (the base class lives in repro.snapshot.runs;
-    # importing it here at class-definition time would be a cycle, so the
-    # digest helpers are mixed in lazily via summary()/digest()).
-    bed: Optional[Testbed] = None
-
-    def __init__(self, scenario, seed: int = 1, *,
-                 use_rollback: bool = False,
-                 schedule: Optional[FaultSchedule] = None):
-        if isinstance(scenario, str):
-            scenario = SCENARIOS[scenario]
-        self.scenario = scenario
-        self.seed = seed
-        self.use_rollback = use_rollback
-        #: Explicit fault schedule overriding the scenario's generator.
-        #: This is how the resilience campaign runs *generated* schedules
-        #: against a canned scenario's testbed: the schedule rides in the
-        #: spec, so the run stays a pure function of its spec.
-        self.schedule = schedule
-        self.report: Optional[ChaosReport] = None
-        self.snapshotter = None
-        self.tracer = None
-
-    # -- spec -----------------------------------------------------------
-    def spec(self) -> Dict:
-        out = {"run": self.KIND, "scenario": self.scenario.name,
-               "seed": self.seed, "rollback": self.use_rollback}
-        if self.schedule is not None:
-            out["schedule"] = self.schedule.to_jsonable()
-        return out
-
-    @classmethod
-    def from_spec(cls, spec: Dict) -> "ChaosRun":
-        schedule = None
-        if spec.get("schedule") is not None:
-            schedule = FaultSchedule.from_jsonable(spec["schedule"])
-        return cls(spec["scenario"], spec["seed"],
-                   use_rollback=bool(spec.get("rollback", False)),
-                   schedule=schedule)
-
-    # -- build + timeline ----------------------------------------------
-    def build(self) -> None:
-        self.bed, self.net_injector = self.scenario.build(self.seed)
-
-    def attach_tracer(self, capacity: int = 200_000):
-        """Instrument the server with a ring-buffer tracer (for the
-        byte-identical-trace determinism tests)."""
-        from repro.sim.trace import Tracer
-
-        self.tracer = Tracer(self.bed.sim, capacity=capacity)
-        self.tracer.instrument_server(self.bed.server)
-        return self.tracer
-
-    def milestones(self) -> List[Tuple[int, str]]:
-        sc = self.scenario
-        settle = seconds_to_ticks(0.01)
-        t_chaos = settle + seconds_to_ticks(sc.warmup_s)
-        t_probe = (t_chaos + seconds_to_ticks(sc.chaos_s)
-                   + seconds_to_ticks(sc.recovery_s))
-        t_verdict = t_probe + seconds_to_ticks(sc.probe_s)
-        return [(0, "boot"), (settle, "start_load"), (t_chaos, "arm_chaos"),
-                (t_probe, "disarm_probe"), (t_verdict, "verdict")]
-
-    def perform(self, action: str) -> None:
-        getattr(self, f"ms_{action}")()
-
-    def result(self) -> Optional[ChaosReport]:
-        return self.report
-
-    # -- milestone actions ----------------------------------------------
-    def ms_boot(self) -> None:
-        self.bed.server.boot()
-
-    def ms_start_load(self) -> None:
-        self.bed.start_load()
-
-    def ms_arm_chaos(self) -> None:
-        sc, bed = self.scenario, self.bed
-        kernel = bed.server.kernel
-        self.recovery = DomainRecovery(bed.server)
-        wd_kwargs = dict(sc.watchdog_kwargs)
-        if self.use_rollback:
-            from repro.snapshot.rollback import DomainSnapshotter
-            self.snapshotter = DomainSnapshotter(kernel)
-            wd_kwargs.setdefault("snapshotter", self.snapshotter)
-        self.watchdog = Watchdog(kernel,
-                                 service_probe=self.recovery.probe,
-                                 service_revive=self.recovery.revive,
-                                 **wd_kwargs)
-        self.watchdog.start()
-        self.checker = InvariantChecker(kernel)
-        self.checker.start(period_s=0.05)
-        schedule = (self.schedule if self.schedule is not None
-                    else sc.make_schedule(self.seed, sc.chaos_s))
-        self.chaos = ChaosInjector(bed.server, schedule,
-                                   fault_injector=self.net_injector)
-        self.chaos.arm()
-
-    def ms_disarm_probe(self) -> None:
-        self.chaos.disarm()
-        self.probes = self.bed.add_clients(3)
-        for probe in self.probes:
-            probe.start()
-        self._probe_start = self.bed.sim.now
-
-    def ms_verdict(self) -> None:
-        bed, sim = self.bed, self.bed.sim
-        completions = bed.stats.completions_in("client", self._probe_start,
-                                               sim.now)
-        self.checker.check_now()
-        self.checker.stop()
-        self.watchdog.stop()
-        service_alive = self.recovery.probe()
-        recovery_cycle = self.watchdog.saw_recovery_cycle()
-        ok = (self.checker.ok and recovery_cycle and service_alive
-              and completions > 0)
-        notes = list(self.chaos.log[-3:])
-        if self.recovery.recoveries:
-            notes.append(
-                f"service revived {self.recovery.recoveries} time(s)")
-        self.report = ChaosReport(
-            scenario=self.scenario.name,
-            seed=self.seed,
-            ok=ok,
-            service_alive=service_alive,
-            recovery_cycle=recovery_cycle,
-            completions_after=completions,
-            faults_injected=dict(self.chaos.injected),
-            faults_skipped=dict(self.chaos.skipped),
-            violations=list(self.checker.violations),
-            watchdog_log=list(self.watchdog.log),
-            sheds=bed.server.kernel.sheds,
-            fault_traps=bed.server.kernel.fault_traps,
-            kills=self.watchdog.kills,
-            rollbacks=self.watchdog.rollbacks,
-            notes=notes,
-        )
-
-    # -- digests --------------------------------------------------------
-    def extra_summary(self) -> Dict:
-        from repro.snapshot.runs import rng_fingerprint
-
-        out: Dict = {}
-        chaos = getattr(self, "chaos", None)
-        if chaos is not None:
-            out["injected"] = dict(sorted(chaos.injected.items()))
-            out["skipped"] = dict(sorted(chaos.skipped.items()))
-            out["chaos_rng"] = rng_fingerprint(chaos.rng)
-        watchdog = getattr(self, "watchdog", None)
-        if watchdog is not None:
-            kinds: Dict[str, int] = {}
-            for action in watchdog.log:
-                kinds[action.kind] = kinds.get(action.kind, 0) + 1
-            out["watchdog"] = {"scans": watchdog.scans,
-                               "kills": watchdog.kills,
-                               "rollbacks": watchdog.rollbacks,
-                               "log": dict(sorted(kinds.items()))}
-        if self.net_injector is not None:
-            rng = getattr(self.net_injector, "rng", None)
-            if rng is not None:
-                out["net_rng"] = rng_fingerprint(rng)
-        if self.snapshotter is not None:
-            out["snapshotter"] = self.snapshotter.summary()
-        return out
-
-    def summary(self) -> Dict:
-        from repro.snapshot.runs import ReplayableRun
-        return ReplayableRun.summary(self)
-
-    def digest(self) -> str:
-        from repro.snapshot.runs import ReplayableRun
-        return ReplayableRun.digest(self)
 
 
 # ----------------------------------------------------------------------
@@ -433,6 +227,152 @@ SCENARIOS: Dict[str, ChaosScenario] = {
 }
 
 
+@dataclass(eq=False)
+class ChaosRun(ReplayableRun):
+    """A chaos scenario expressed as a replayable run.
+
+    Chaos runs get whole-machine checkpoints, crash-resume, and lockstep
+    replay like every other :class:`~repro.snapshot.runs.ReplayableRun`.
+    The five scenario phases become five milestones:
+
+    ======================  ====================================
+    tick                    action
+    ======================  ====================================
+    0                       ``boot``
+    settle                  ``start_load``
+    + warmup                ``arm_chaos``  (watchdog, checker, injector)
+    + chaos + recovery      ``disarm_probe``
+    + probe                 ``verdict``
+    ======================  ====================================
+    """
+
+    KIND = "chaos"
+    #: Run-time state, set while the run executes.
+    snapshotter = None
+    tracer = None
+
+    scenario: str = spec_field(choices=SCENARIOS)
+    seed: int = spec_field(1, low=None)
+    use_rollback: bool = spec_field(False, key="rollback")
+    #: Explicit fault schedule overriding the scenario's generator.
+    #: This is how the resilience campaign runs *generated* schedules
+    #: against a canned scenario's testbed: the schedule rides in the
+    #: spec, so the run stays a pure function of its spec.
+    schedule: Optional[FaultSchedule] = spec_field(None, codec=FaultSchedule)
+
+    # -- build + timeline ----------------------------------------------
+    def build(self) -> None:
+        self.bed, self.net_injector = SCENARIOS[self.scenario].build(
+            self.seed)
+
+    def attach_tracer(self, capacity: int = 200_000):
+        """Instrument the server with a ring-buffer tracer (for the
+        byte-identical-trace determinism tests)."""
+        from repro.sim.trace import Tracer
+
+        self.tracer = Tracer(self.bed.sim, capacity=capacity)
+        self.tracer.instrument_server(self.bed.server)
+        return self.tracer
+
+    def milestones(self) -> List[Tuple[int, str]]:
+        sc = SCENARIOS[self.scenario]
+        settle = seconds_to_ticks(SETTLE_S)
+        t_chaos = settle + seconds_to_ticks(sc.warmup_s)
+        t_probe = (t_chaos + seconds_to_ticks(sc.chaos_s)
+                   + seconds_to_ticks(sc.recovery_s))
+        t_verdict = t_probe + seconds_to_ticks(sc.probe_s)
+        return [(0, "boot"), (settle, "start_load"), (t_chaos, "arm_chaos"),
+                (t_probe, "disarm_probe"), (t_verdict, "verdict")]
+
+    # -- milestone actions ----------------------------------------------
+    def ms_arm_chaos(self) -> None:
+        sc, bed = SCENARIOS[self.scenario], self.bed
+        kernel = bed.server.kernel
+        self.recovery = DomainRecovery(bed.server)
+        wd_kwargs = dict(sc.watchdog_kwargs)
+        if self.use_rollback:
+            from repro.snapshot.rollback import DomainSnapshotter
+            self.snapshotter = DomainSnapshotter(kernel)
+            wd_kwargs.setdefault("snapshotter", self.snapshotter)
+        self.watchdog = Watchdog(kernel,
+                                 service_probe=self.recovery.probe,
+                                 service_revive=self.recovery.revive,
+                                 **wd_kwargs)
+        self.watchdog.start()
+        self.checker = InvariantChecker(kernel)
+        self.checker.start(period_s=0.05)
+        schedule = (self.schedule if self.schedule is not None
+                    else sc.make_schedule(self.seed, sc.chaos_s))
+        self.chaos = ChaosInjector(bed.server, schedule,
+                                   fault_injector=self.net_injector)
+        self.chaos.arm()
+
+    def ms_disarm_probe(self) -> None:
+        self.chaos.disarm()
+        self.probes = self.bed.add_clients(3)
+        for probe in self.probes:
+            probe.start()
+        self._probe_start = self.bed.sim.now
+
+    def ms_verdict(self) -> None:
+        bed, sim = self.bed, self.bed.sim
+        completions = bed.stats.completions_in("client", self._probe_start,
+                                               sim.now)
+        self.checker.check_now()
+        self.checker.stop()
+        self.watchdog.stop()
+        service_alive = self.recovery.probe()
+        recovery_cycle = self.watchdog.saw_recovery_cycle()
+        ok = (self.checker.ok and recovery_cycle and service_alive
+              and completions > 0)
+        notes = list(self.chaos.log[-3:])
+        if self.recovery.recoveries:
+            notes.append(
+                f"service revived {self.recovery.recoveries} time(s)")
+        self.run_result = ChaosReport(
+            scenario=self.scenario,
+            seed=self.seed,
+            ok=ok,
+            service_alive=service_alive,
+            recovery_cycle=recovery_cycle,
+            completions_after=completions,
+            faults_injected=dict(self.chaos.injected),
+            faults_skipped=dict(self.chaos.skipped),
+            violations=list(self.checker.violations),
+            watchdog_log=list(self.watchdog.log),
+            sheds=bed.server.kernel.sheds,
+            fault_traps=bed.server.kernel.fault_traps,
+            kills=self.watchdog.kills,
+            rollbacks=self.watchdog.rollbacks,
+            notes=notes,
+        )
+
+    # -- digests --------------------------------------------------------
+    def extra_summary(self) -> Dict:
+        out: Dict = {}
+        chaos = getattr(self, "chaos", None)
+        if chaos is not None:
+            out["injected"] = dict(sorted(chaos.injected.items()))
+            out["skipped"] = dict(sorted(chaos.skipped.items()))
+            out["chaos_rng"] = rng_fingerprint(chaos.rng)
+        watchdog = getattr(self, "watchdog", None)
+        if watchdog is not None:
+            kinds: Dict[str, int] = {}
+            for action in watchdog.log:
+                kinds[action.kind] = kinds.get(action.kind, 0) + 1
+            out["watchdog"] = {"scans": watchdog.scans,
+                               "kills": watchdog.kills,
+                               "rollbacks": watchdog.rollbacks,
+                               "log": dict(sorted(kinds.items()))}
+        if self.net_injector is not None:
+            rng = getattr(self.net_injector, "rng", None)
+            if rng is not None:
+                out["net_rng"] = rng_fingerprint(rng)
+        if self.snapshotter is not None:
+            out["snapshotter"] = self.snapshotter.summary()
+        return out
+
+
 def list_scenarios() -> List[Tuple[str, str]]:
     """``[(name, description)]`` for the CLI."""
     return [(s.name, s.description) for s in SCENARIOS.values()]
@@ -440,11 +380,19 @@ def list_scenarios() -> List[Tuple[str, str]]:
 
 def run_scenario(name: str, seed: int = 1, *,
                  use_rollback: bool = False) -> ChaosReport:
-    """Run one canned scenario; raises ``KeyError`` for unknown names."""
-    try:
-        scenario = SCENARIOS[name]
-    except KeyError:
+    """Run one canned scenario to its verdict; raises ``KeyError`` for
+    unknown names.
+
+    The five phases execute as the milestones of a :class:`ChaosRun`,
+    which is what makes a chaos run checkpointable, resumable, and
+    replayable like any other run.  ``use_rollback`` arms the watchdog's
+    snapshot/rollback rung (off by default — the canned scenarios'
+    escalation behavior is part of their contract).
+    """
+    from repro.snapshot.driver import RunDriver
+
+    if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
-        raise KeyError(f"unknown scenario {name!r} (known: {known})") \
-            from None
-    return scenario.run(seed, use_rollback=use_rollback)
+        raise KeyError(f"unknown scenario {name!r} (known: {known})")
+    return RunDriver(ChaosRun(name, seed,
+                              use_rollback=use_rollback)).run_all()

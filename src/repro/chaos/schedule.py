@@ -12,8 +12,10 @@ so a failing chaos run is replayed exactly by rerunning with its seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Sequence, Tuple
+
+from repro.snapshot.runs import check_fields, spec_field
 
 # -- fault kinds (one per layer of the simulated machine) ---------------
 MODULE_EXCEPTION = "module-exception"   # module raises mid-path
@@ -46,14 +48,19 @@ class FaultEvent:
 
     ``magnitude`` is kind-specific: a probability for ``iobuf-fail`` and
     ``module-exception``, a fraction of free pages for ``page-pressure``,
-    a period multiplier for ``clock-skew``, ignored elsewhere.
+    a period multiplier for ``clock-skew``, ignored elsewhere.  Fields
+    follow the run-spec rules (:mod:`repro.snapshot.runs`): a known kind,
+    finite numbers ``>= 0``.
     """
 
     at_s: float
-    kind: str
+    kind: str = spec_field(choices=GENERATOR_FAULT_KINDS)
     target: str = ""
     duration_s: float = 0.0
     magnitude: float = 1.0
+
+    def __post_init__(self) -> None:
+        check_fields(self, "fault event")
 
     def describe(self) -> str:
         parts = [f"t+{self.at_s:.3f}s {self.kind}"]
@@ -73,10 +80,12 @@ class FaultEvent:
 
     @classmethod
     def from_jsonable(cls, payload: Dict) -> "FaultEvent":
-        return cls(at_s=float(payload["at_s"]), kind=payload["kind"],
-                   target=payload.get("target", ""),
-                   duration_s=float(payload.get("duration_s", 0.0)),
-                   magnitude=float(payload.get("magnitude", 1.0)))
+        """Inverse of :meth:`to_jsonable`; ``ValueError`` if malformed."""
+        keys = [f.name for f in fields(cls)]
+        if not isinstance(payload, dict) or set(payload) != set(keys):
+            raise ValueError(f"a fault event needs exactly the keys "
+                             f"{', '.join(keys)}, got {payload!r}")
+        return cls(**payload)
 
     def replaced(self, **changes) -> "FaultEvent":
         """A copy with ``changes`` applied (the mutation hook shrinking
@@ -126,8 +135,18 @@ class FaultSchedule:
 
     @classmethod
     def from_jsonable(cls, payload: Dict) -> "FaultSchedule":
-        return cls([FaultEvent.from_jsonable(e) for e in payload["events"]],
-                   seed=int(payload.get("seed", 0)))
+        """Inverse of :meth:`to_jsonable`; ``ValueError`` if malformed,
+        including events out of time order (they would not round-trip)."""
+        if not isinstance(payload, dict) \
+                or set(payload) != {"seed", "events"} \
+                or type(payload["seed"]) is not int \
+                or not isinstance(payload["events"], list):
+            raise ValueError(f"a fault schedule needs an int 'seed' and an "
+                             f"'events' list, got {payload!r}")
+        events = [FaultEvent.from_jsonable(e) for e in payload["events"]]
+        if any(b.at_s < a.at_s for a, b in zip(events, events[1:])):
+            raise ValueError("fault events must be in time order")
+        return cls(events, seed=payload["seed"])
 
     def without(self, indices) -> "FaultSchedule":
         """A new schedule with the events at ``indices`` removed.

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim.clock import seconds_to_ticks, ticks_to_seconds
-from repro.snapshot.runs import SETTLE_S, ReplayableRun
+from repro.snapshot.runs import WindowedRun, spec_field
 
 CHAOS_KINDS = ("none", "crash", "partition", "flap")
 
@@ -73,72 +73,38 @@ class ClusterRunResult:
     per_replica: List[Dict] = field(default_factory=list)
 
 
-class ClusterRun(ReplayableRun):
+@dataclass(eq=False)
+class ClusterRun(WindowedRun):
     """One cluster chaos cell as fixed-tick milestones."""
 
     KIND = "cluster"
+    OUTCOMES = ("aborted", "refused", "retried", "degraded")
+    #: Run-time state: the tick the chaos hit, if it has.
+    _chaos_tick = None
 
-    def __init__(self, chaos: str = "crash", *,
-                 replicas: int = 3, adaptive: bool = True, seed: int = 1,
-                 clients: int = 12, document: str = "/doc-1k",
-                 retry: bool = True,
-                 syn_rate: int = 0, syn_ramp_to: int = 4000,
-                 syn_ramp_s: float = 1.5, spoof_hosts: int = 500,
-                 victim: int = 0,
-                 chaos_at_s: float = 0.5, chaos_restore_s: float = 1.7,
-                 warmup_s: float = 0.5, measure_s: float = 2.5):
-        if chaos not in CHAOS_KINDS:
-            raise ValueError(f"unknown chaos kind {chaos!r} "
-                             f"(known: {', '.join(CHAOS_KINDS)})")
-        if not 0 <= victim < replicas:
-            raise ValueError("victim must index a replica")
-        self.chaos = chaos
-        self.replicas = replicas
-        self.adaptive = adaptive
-        self.seed = seed
-        self.clients = clients
-        self.document = document
-        self.retry = retry
-        self.syn_rate = syn_rate
-        self.syn_ramp_to = syn_ramp_to
-        self.syn_ramp_s = syn_ramp_s
-        self.spoof_hosts = spoof_hosts
-        self.victim = victim
-        self.chaos_at_s = chaos_at_s
-        self.chaos_restore_s = chaos_restore_s
-        self.warmup_s = warmup_s
-        self.measure_s = measure_s
-        self.run_result: Optional[ClusterRunResult] = None
-        self._window_start = None
-        self._chaos_tick: Optional[int] = None
-        self._outcomes_at_start = (0, 0, 0, 0)
+    chaos: str = spec_field("crash", choices=CHAOS_KINDS)
+    replicas: int = spec_field(3, low=1)
+    adaptive: bool = True
+    seed: int = spec_field(1, low=None)
+    clients: int = 12
+    document: str = "/doc-1k"
+    retry: bool = True
+    syn_rate: int = 0
+    syn_ramp_to: int = 4000
+    syn_ramp_s: float = 1.5
+    spoof_hosts: int = 500
+    victim: int = 0
+    chaos_at_s: float = 0.5
+    chaos_restore_s: float = 1.7
+    warmup_s: float = 0.5
+    measure_s: float = spec_field(2.5, above=0)
 
-    # ------------------------------------------------------------------
-    def spec(self) -> Dict:
-        return {
-            "run": self.KIND,
-            "chaos": self.chaos,
-            "replicas": self.replicas,
-            "adaptive": self.adaptive,
-            "seed": self.seed,
-            "clients": self.clients,
-            "document": self.document,
-            "retry": self.retry,
-            "syn_rate": self.syn_rate,
-            "syn_ramp_to": self.syn_ramp_to,
-            "syn_ramp_s": self.syn_ramp_s,
-            "spoof_hosts": self.spoof_hosts,
-            "victim": self.victim,
-            "chaos_at_s": self.chaos_at_s,
-            "chaos_restore_s": self.chaos_restore_s,
-            "warmup_s": self.warmup_s,
-            "measure_s": self.measure_s,
-        }
-
-    @classmethod
-    def from_spec(cls, spec: Dict) -> "ClusterRun":
-        fields_ = {k: v for k, v in spec.items() if k != "run"}
-        return cls(fields_.pop("chaos"), **fields_)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.victim >= self.replicas:
+            raise self.field_error(
+                "victim", f"must index a replica (< {self.replicas}), "
+                          f"got {self.victim}")
 
     # ------------------------------------------------------------------
     def build(self) -> None:
@@ -163,41 +129,19 @@ class ClusterRun(ReplayableRun):
                 ramp_seconds=self.syn_ramp_s,
                 spoof_hosts=self.spoof_hosts)
 
-    def milestones(self) -> List[Tuple[int, str]]:
-        settle = seconds_to_ticks(SETTLE_S)
-        warm_end = settle + seconds_to_ticks(self.warmup_s)
-        measure_end = warm_end + seconds_to_ticks(self.measure_s)
-        out = [
-            (0, "boot"),
-            (settle, "start_load"),
-            (warm_end, "begin_window"),
-        ]
-        if self.chaos != "none":
-            out.append((warm_end + seconds_to_ticks(self.chaos_at_s),
-                        "chaos_hit"))
-            restore_at = warm_end + seconds_to_ticks(self.chaos_restore_s)
-            if self.chaos in ("crash", "partition") \
-                    and restore_at < measure_end:
-                out.append((restore_at, "chaos_restore"))
-        out.append((measure_end, "end_window"))
+    def window_milestones(self, start: int,
+                          end: int) -> List[Tuple[int, str]]:
+        if self.chaos == "none":
+            return []
+        out = [(start + seconds_to_ticks(self.chaos_at_s), "chaos_hit")]
+        restore_at = start + seconds_to_ticks(self.chaos_restore_s)
+        if self.chaos in ("crash", "partition") and restore_at < end:
+            out.append((restore_at, "chaos_restore"))
         return out
-
-    def result(self) -> Optional[ClusterRunResult]:
-        return self.run_result
 
     # -- timeline actions ----------------------------------------------
     def ms_boot(self) -> None:
         self.bed.boot()
-
-    def ms_start_load(self) -> None:
-        self.bed.start_load()
-
-    def ms_begin_window(self) -> None:
-        self._window_start = self.bed.begin_window()
-        stats = self.bed.stats
-        self._outcomes_at_start = tuple(
-            stats.outcome_total("client", k)
-            for k in ("aborted", "refused", "retried", "degraded"))
 
     def ms_chaos_hit(self) -> None:
         self._chaos_tick = self.bed.sim.now
@@ -232,7 +176,6 @@ class ClusterRun(ReplayableRun):
         end = bed.sim.now
         stats = bed.stats
         dispatcher = bed.dispatcher
-        a0, r0, t0, d0 = self._outcomes_at_start
 
         failover = None
         if self._chaos_tick is not None:
@@ -251,10 +194,7 @@ class ClusterRun(ReplayableRun):
             window_end=end,
             goodput_cps=stats.rate_per_second("client", start, end),
             completions=stats.completions_in("client", start, end),
-            aborted=stats.outcome_total("client", "aborted") - a0,
-            refused=stats.outcome_total("client", "refused") - r0,
-            retried=stats.outcome_total("client", "retried") - t0,
-            degraded=stats.outcome_total("client", "degraded") - d0,
+            **self.window_outcomes(),
             syn_sent=(bed.syn_attacker.sent if bed.syn_attacker else 0),
             failover_latency_s=failover,
             health_downs=sum(1 for _, _, k in transitions if k == "down"),
@@ -277,5 +217,4 @@ class ClusterRun(ReplayableRun):
         )
 
     def extra_summary(self) -> Dict:
-        return {"window_start": self._window_start or 0,
-                "seed": self.seed}
+        return {**super().extra_summary(), "seed": self.seed}

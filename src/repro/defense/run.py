@@ -19,10 +19,9 @@ scans on the simulated clock — so a recorded run replays bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from repro.sim.clock import seconds_to_ticks
-from repro.snapshot.runs import SETTLE_S, ReplayableRun
+from repro.snapshot.runs import WindowedRun, spec_field
 
 ATTACKS = ("none", "synflood", "runaway-cgi", "mixed")
 
@@ -60,65 +59,27 @@ class DefenseRunResult:
     ladder: List[str] = field(default_factory=list)
 
 
-class DefenseRun(ReplayableRun):
+@dataclass(eq=False)
+class DefenseRun(WindowedRun):
     """One static-vs-adaptive defense cell as fixed-tick milestones."""
 
     KIND = "defense"
+    OUTCOMES = ("aborted", "refused", "degraded")
 
-    def __init__(self, attack: str = "synflood", *,
-                 adaptive: bool = True, seed: int = 1,
-                 config: str = "accounting",
-                 clients: int = 12, document: str = "/doc-1k",
-                 syn_rate: int = 200, syn_ramp_to: int = 4000,
-                 syn_ramp_s: float = 1.5, spoof_hosts: int = 500,
-                 cgi_attackers: int = 8,
-                 untrusted_cap: int = 16,
-                 warmup_s: float = 0.5, measure_s: float = 2.0):
-        if attack not in ATTACKS:
-            raise ValueError(f"unknown attack {attack!r} "
-                             f"(known: {', '.join(ATTACKS)})")
-        self.attack = attack
-        self.adaptive = adaptive
-        self.seed = seed
-        self.config = config
-        self.clients = clients
-        self.document = document
-        self.syn_rate = syn_rate
-        self.syn_ramp_to = syn_ramp_to
-        self.syn_ramp_s = syn_ramp_s
-        self.spoof_hosts = spoof_hosts
-        self.cgi_attackers = cgi_attackers
-        self.untrusted_cap = untrusted_cap
-        self.warmup_s = warmup_s
-        self.measure_s = measure_s
-        self.run_result: Optional[DefenseRunResult] = None
-        self._window_start = None
-        self._outcomes_at_start = (0, 0, 0)
-
-    # ------------------------------------------------------------------
-    def spec(self) -> Dict:
-        return {
-            "run": self.KIND,
-            "attack": self.attack,
-            "adaptive": self.adaptive,
-            "seed": self.seed,
-            "config": self.config,
-            "clients": self.clients,
-            "document": self.document,
-            "syn_rate": self.syn_rate,
-            "syn_ramp_to": self.syn_ramp_to,
-            "syn_ramp_s": self.syn_ramp_s,
-            "spoof_hosts": self.spoof_hosts,
-            "cgi_attackers": self.cgi_attackers,
-            "untrusted_cap": self.untrusted_cap,
-            "warmup_s": self.warmup_s,
-            "measure_s": self.measure_s,
-        }
-
-    @classmethod
-    def from_spec(cls, spec: Dict) -> "DefenseRun":
-        fields_ = {k: v for k, v in spec.items() if k != "run"}
-        return cls(fields_.pop("attack"), **fields_)
+    attack: str = spec_field("synflood", choices=ATTACKS)
+    adaptive: bool = True
+    seed: int = spec_field(1, low=None)
+    config: str = "accounting"
+    clients: int = 12
+    document: str = "/doc-1k"
+    syn_rate: int = 200
+    syn_ramp_to: int = 4000
+    syn_ramp_s: float = 1.5
+    spoof_hosts: int = 500
+    cgi_attackers: int = 8
+    untrusted_cap: int = 16
+    warmup_s: float = 0.5
+    measure_s: float = spec_field(2.0, above=0)
 
     # ------------------------------------------------------------------
     def build(self) -> None:
@@ -150,34 +111,6 @@ class DefenseRun(ReplayableRun):
         if self.attack in ("runaway-cgi", "mixed"):
             self.bed.add_cgi_attackers(self.cgi_attackers)
 
-    def milestones(self) -> List[Tuple[int, str]]:
-        settle = seconds_to_ticks(SETTLE_S)
-        warm_end = settle + seconds_to_ticks(self.warmup_s)
-        measure_end = warm_end + seconds_to_ticks(self.measure_s)
-        return [
-            (0, "boot"),
-            (settle, "start_load"),
-            (warm_end, "begin_window"),
-            (measure_end, "end_window"),
-        ]
-
-    def result(self) -> Optional[DefenseRunResult]:
-        return self.run_result
-
-    # -- timeline actions ----------------------------------------------
-    def ms_boot(self) -> None:
-        self.bed.server.boot()
-
-    def ms_start_load(self) -> None:
-        self.bed.start_load()
-
-    def ms_begin_window(self) -> None:
-        self._window_start = self.bed.begin_window()
-        stats = self.bed.stats
-        self._outcomes_at_start = tuple(
-            stats.outcome_total("client", k)
-            for k in ("aborted", "refused", "degraded"))
-
     def ms_end_window(self) -> None:
         bed = self.bed
         start = self._window_start
@@ -186,7 +119,6 @@ class DefenseRun(ReplayableRun):
         server = bed.server
         stats = bed.stats
         controller = server.defense
-        a0, r0, d0 = self._outcomes_at_start
         self.run_result = DefenseRunResult(
             attack=self.attack,
             adaptive=self.adaptive,
@@ -195,9 +127,7 @@ class DefenseRun(ReplayableRun):
             window_end=end,
             goodput_cps=stats.rate_per_second("client", start, end),
             completions=stats.completions_in("client", start, end),
-            aborted=stats.outcome_total("client", "aborted") - a0,
-            refused=stats.outcome_total("client", "refused") - r0,
-            degraded=stats.outcome_total("client", "degraded") - d0,
+            **self.window_outcomes(),
             syn_sent=(bed.syn_attacker.sent if bed.syn_attacker else 0),
             demux_drops=dict(sorted(server.tcp.demux_drops.items())),
             syncookies_sent=server.tcp.syncookies_sent,
@@ -215,5 +145,4 @@ class DefenseRun(ReplayableRun):
         )
 
     def extra_summary(self) -> Dict:
-        return {"window_start": self._window_start or 0,
-                "seed": self.seed}
+        return {**super().extra_summary(), "seed": self.seed}

@@ -32,6 +32,9 @@ CLUSTER_RECOVERY_TARGET = 0.70
 #: crash victim and has nobody to fail over to).
 SINGLE_COLLAPSE_CEILING = 0.50
 
+#: The two cells run per (size, seed).
+MODES = ("none", "attacked")
+
 
 @dataclass
 class ClusterComparison:
@@ -111,33 +114,26 @@ def _cell_key(size: int, mode: str, seed: int) -> str:
 
 
 def run_cluster(sizes: Sequence[int] = (1, 3),
-                seeds: Sequence[int] = (1,),
-                clients: int = 12, document: str = "/doc-1k",
-                syn_rate: int = 200, syn_ramp_to: int = 4000,
-                syn_ramp_s: float = 1.5, spoof_hosts: int = 500,
-                chaos_at_s: float = 0.5, chaos_restore_s: float = 1.7,
-                warmup_s: float = 0.5, measure_s: float = 2.5,
-                workers: int = 0) -> ClusterComparison:
-    """Run the 1-vs-N matrix; ``workers > 1`` fans cells out."""
+                seeds: Sequence[int] = (1,), workers: int = 0,
+                syn_rate: int = 200, **fields) -> ClusterComparison:
+    """Run the 1-vs-N matrix of :class:`~repro.cluster.run.ClusterRun`
+    ``fields``; ``workers > 1`` fans cells out."""
+    from dataclasses import replace
+
+    from repro.cluster.run import ClusterRun
     from repro.perf.pool import SweepCell, run_cells
 
+    base = ClusterRun(syn_rate=syn_rate, **fields)
     cells = []
     for size in sizes:
         for seed in seeds:
-            for mode in ("none", "attacked"):
-                attacked = mode == "attacked"
-                params = dict(
-                    chaos="crash" if attacked else "none",
-                    replicas=size, adaptive=True, seed=seed,
-                    clients=clients, document=document, retry=True,
-                    syn_rate=syn_rate if attacked else 0,
-                    syn_ramp_to=syn_ramp_to, syn_ramp_s=syn_ramp_s,
-                    spoof_hosts=spoof_hosts, victim=0,
-                    chaos_at_s=chaos_at_s,
-                    chaos_restore_s=chaos_restore_s,
-                    warmup_s=warmup_s, measure_s=measure_s)
-                cells.append(SweepCell(key=_cell_key(size, mode, seed),
-                                       runner="cluster", params=params))
+            attacked = replace(base, replicas=size, seed=seed)
+            runs = {"none": replace(attacked, chaos="none", syn_rate=0),
+                    "attacked": attacked}
+            cells += [SweepCell(key=_cell_key(size, mode, seed),
+                                runner="run",
+                                params={"spec": runs[mode].spec()})
+                      for mode in MODES]
     merged = run_cells(cells, workers=workers)
 
     result = ClusterComparison(sizes=list(sizes), seeds=list(seeds))
@@ -145,5 +141,5 @@ def run_cluster(sizes: Sequence[int] = (1, 3),
         for seed in seeds:
             result.cells[(size, seed)] = {
                 mode: merged[_cell_key(size, mode, seed)]
-                for mode in ("none", "attacked")}
+                for mode in MODES}
     return result

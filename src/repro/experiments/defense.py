@@ -27,6 +27,9 @@ from repro.experiments.report import format_table
 #: of the no-attack goodput under the ramping SYN flood.
 ADAPTIVE_RECOVERY_TARGET = 0.80
 
+#: The three cells run per (attack, seed): no attack, static, adaptive.
+MODES = ("none", "static", "adaptive")
+
 
 @dataclass
 class DefenseComparison:
@@ -150,30 +153,26 @@ def _cell_key(attack: str, mode: str, seed: int) -> str:
 
 
 def run_defense(attacks: Sequence[str] = ("synflood", "runaway-cgi"),
-                seeds: Sequence[int] = (1,),
-                clients: int = 12, document: str = "/doc-1k",
-                syn_rate: int = 200, syn_ramp_to: int = 4000,
-                syn_ramp_s: float = 1.5, spoof_hosts: int = 500,
-                cgi_attackers: int = 8,
-                warmup_s: float = 0.5, measure_s: float = 2.0,
-                workers: int = 0) -> DefenseComparison:
-    """Run the static-vs-adaptive matrix; ``workers > 1`` fans cells out."""
+                seeds: Sequence[int] = (1,), workers: int = 0,
+                **fields) -> DefenseComparison:
+    """Run the static-vs-adaptive matrix of :class:`~repro.defense.run.
+    DefenseRun` ``fields``; ``workers > 1`` fans cells out."""
+    from dataclasses import replace
+
+    from repro.defense.run import DefenseRun
     from repro.perf.pool import SweepCell, run_cells
 
+    base = DefenseRun(**fields)
     cells = []
     for attack in attacks:
         for seed in seeds:
-            for mode in ("none", "static", "adaptive"):
-                params = dict(
-                    attack="none" if mode == "none" else attack,
-                    adaptive=(mode == "adaptive"), seed=seed,
-                    clients=clients, document=document,
-                    syn_rate=syn_rate, syn_ramp_to=syn_ramp_to,
-                    syn_ramp_s=syn_ramp_s, spoof_hosts=spoof_hosts,
-                    cgi_attackers=cgi_attackers,
-                    warmup_s=warmup_s, measure_s=measure_s)
+            for mode in MODES:
+                run = replace(base,
+                              attack="none" if mode == "none" else attack,
+                              adaptive=(mode == "adaptive"), seed=seed)
                 cells.append(SweepCell(key=_cell_key(attack, mode, seed),
-                                       runner="defense", params=params))
+                                       runner="run",
+                                       params={"spec": run.spec()}))
     merged = run_cells(cells, workers=workers)
 
     result = DefenseComparison(attacks=list(attacks), seeds=list(seeds))
@@ -181,5 +180,5 @@ def run_defense(attacks: Sequence[str] = ("synflood", "runaway-cgi"),
         for seed in seeds:
             result.cells[(attack, seed)] = {
                 mode: merged[_cell_key(attack, mode, seed)]
-                for mode in ("none", "static", "adaptive")}
+                for mode in MODES}
     return result

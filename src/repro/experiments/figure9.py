@@ -165,18 +165,12 @@ def run_figure9(client_counts: Sequence[int] = (16, 64),
 
 
 def _cell_spec(params: Dict) -> Dict:
-    """The :class:`~repro.snapshot.runs.ExperimentRun` spec of one cell
-    (exactly the machine the ``figure9`` cell runner builds)."""
-    return {
-        "run": "experiment",
-        "config": params["config"],
-        "clients": params["clients"],
-        "document": params["document"],
-        "syn_rate": params["syn_rate"] if params["attack"] else 0,
-        "untrusted_cap": params["untrusted_cap"],
-        "cgi_attackers": 0, "cgi_script": "loop", "qos": False,
-        "warmup_s": params["warmup_s"], "measure_s": params["measure_s"],
-    }
+    """The spec of one cell (exactly the machine the ``figure9`` cell
+    runner builds)."""
+    from repro.perf.cells import figure9_run
+
+    return figure9_run(**{k: v for k, v in params.items()
+                          if not k.startswith("checkpoint_")}).spec()
 
 
 def _run_cells_supervised(cells, cache: Dict, persist,

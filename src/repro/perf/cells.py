@@ -52,23 +52,30 @@ def figure8_cell(config: str, clients: int, document: str,
     return {"cps": run.connections_per_second}
 
 
-@cell_runner("figure9")
-def figure9_cell(config: str, clients: int, attack: bool, document: str,
-                 syn_rate: int, untrusted_cap: int,
-                 warmup_s: float, measure_s: float,
-                 checkpoint_dir: str = None,
-                 checkpoint_every_s: float = None) -> Dict[str, Any]:
-    """One Figure-9 cell: clients with or without the SYN flood."""
-    from repro.snapshot.driver import RunDriver
+def figure9_run(config: str, clients: int, attack: bool, document: str,
+                syn_rate: int, untrusted_cap: int, warmup_s: float,
+                measure_s: float):
+    """The replayable run of one Figure-9 cell (no flood unless
+    ``attack``)."""
     from repro.snapshot.runs import ExperimentRun
 
-    run = ExperimentRun(config, clients=clients, document=document,
-                        syn_rate=syn_rate if attack else 0,
-                        untrusted_cap=untrusted_cap,
-                        warmup_s=warmup_s, measure_s=measure_s)
-    driver = RunDriver(run)
+    return ExperimentRun(config, clients=clients, document=document,
+                         syn_rate=syn_rate if attack else 0,
+                         untrusted_cap=untrusted_cap,
+                         warmup_s=warmup_s, measure_s=measure_s)
+
+
+@cell_runner("figure9")
+def figure9_cell(checkpoint_dir: str = None,
+                 checkpoint_every_s: float = None,
+                 **cell) -> Dict[str, Any]:
+    """One Figure-9 cell (``cell``: :func:`figure9_run`'s arguments)."""
+    from repro.snapshot.driver import RunDriver
+
+    driver = RunDriver(figure9_run(**cell))
     if checkpoint_dir and checkpoint_every_s:
-        stem = f"fig9-{config}-{clients}-{'attack' if attack else 'base'}"
+        stem = (f"fig9-{cell['config']}-{cell['clients']}-"
+                f"{'attack' if cell['attack'] else 'base'}")
         res, _ = driver.run_with_checkpoints(checkpoint_every_s,
                                              checkpoint_dir, stem)
     else:
@@ -192,55 +199,17 @@ def ablation_early_drop_cell(early: bool, clients: int, syn_rate: int,
 
 
 # ----------------------------------------------------------------------
-# Defense cell (static-vs-adaptive matrix)
+# Replayable-run cell (the defense and cluster matrices)
 # ----------------------------------------------------------------------
-@cell_runner("defense")
-def defense_cell(attack: str, adaptive: bool, seed: int,
-                 clients: int, document: str,
-                 syn_rate: int, syn_ramp_to: int, syn_ramp_s: float,
-                 spoof_hosts: int, cgi_attackers: int,
-                 warmup_s: float, measure_s: float) -> Dict[str, Any]:
-    """One defense cell: an attack profile with or without the closed loop."""
+@cell_runner("run")
+def spec_cell(spec: Dict[str, Any]) -> Dict[str, Any]:
+    """One replayable run rebuilt from its spec; returns its result."""
     from dataclasses import asdict
 
-    from repro.defense.run import DefenseRun
     from repro.snapshot.driver import RunDriver
+    from repro.snapshot.runs import run_from_spec
 
-    run = DefenseRun(attack, adaptive=adaptive, seed=seed,
-                     clients=clients, document=document,
-                     syn_rate=syn_rate, syn_ramp_to=syn_ramp_to,
-                     syn_ramp_s=syn_ramp_s, spoof_hosts=spoof_hosts,
-                     cgi_attackers=cgi_attackers,
-                     warmup_s=warmup_s, measure_s=measure_s)
-    return asdict(RunDriver(run).run_all())
-
-
-# ----------------------------------------------------------------------
-# Cluster cell (1-vs-N replica chaos matrix)
-# ----------------------------------------------------------------------
-@cell_runner("cluster")
-def cluster_cell(chaos: str, replicas: int, adaptive: bool, seed: int,
-                 clients: int, document: str, retry: bool,
-                 syn_rate: int, syn_ramp_to: int, syn_ramp_s: float,
-                 spoof_hosts: int, victim: int,
-                 chaos_at_s: float, chaos_restore_s: float,
-                 warmup_s: float, measure_s: float) -> Dict[str, Any]:
-    """One cluster cell: N replicas, optional flood, optional mid-window
-    chaos."""
-    from dataclasses import asdict
-
-    from repro.cluster.run import ClusterRun
-    from repro.snapshot.driver import RunDriver
-
-    run = ClusterRun(chaos, replicas=replicas, adaptive=adaptive,
-                     seed=seed, clients=clients, document=document,
-                     retry=retry, syn_rate=syn_rate,
-                     syn_ramp_to=syn_ramp_to, syn_ramp_s=syn_ramp_s,
-                     spoof_hosts=spoof_hosts, victim=victim,
-                     chaos_at_s=chaos_at_s,
-                     chaos_restore_s=chaos_restore_s,
-                     warmup_s=warmup_s, measure_s=measure_s)
-    return asdict(RunDriver(run).run_all())
+    return asdict(RunDriver(run_from_spec(spec)).run_all())
 
 
 # ----------------------------------------------------------------------

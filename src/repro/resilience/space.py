@@ -219,51 +219,43 @@ def _first(entries: Sequence[Dict], kind: str) -> Optional[Dict]:
 
 
 def case_to_spec(case: Dict) -> Dict:
-    """Map a case onto the run spec its target executes."""
-    target = case["target"]
-    params = case["params"]
-    entries = case["entries"]
-    if target == "chaos":
-        return {"run": "chaos", "scenario": params["scenario"],
-                "seed": case["seed"],
-                "rollback": bool(params.get("rollback", False)),
-                "schedule": {"seed": case["seed"], "events": list(entries)}}
+    """Map a case onto the run spec its target executes; the run's
+    constructor validates it and supplies the fields a case leaves out."""
+    params, entries, seed = case["params"], case["entries"], case["seed"]
+    if case["target"] == "chaos":
+        from repro.chaos.scenarios import ChaosRun
+        from repro.chaos.schedule import FaultEvent, FaultSchedule
+        schedule = FaultSchedule(
+            [FaultEvent.from_jsonable(e) for e in entries], seed=seed)
+        return ChaosRun(params["scenario"], seed, schedule=schedule,
+                        use_rollback=bool(params.get("rollback", False))
+                        ).spec()
 
     syn = _first(entries, "syn-ramp")
-    if target == "defense":
+    shared = dict(adaptive=bool(params["adaptive"]), seed=seed,
+                  clients=params["clients"], document=params["document"],
+                  syn_rate=syn["rate"] if syn else 0,
+                  syn_ramp_to=syn["ramp_to"] if syn else 0,
+                  syn_ramp_s=syn["ramp_s"] if syn else 1.0,
+                  spoof_hosts=syn["spoof_hosts"] if syn else 0,
+                  warmup_s=params["warmup_s"], measure_s=params["measure_s"])
+    if case["target"] == "defense":
+        from repro.defense.run import DefenseRun
         cgi = _first(entries, "cgi-runaway")
         attack = ("mixed" if syn and cgi else "synflood" if syn
                   else "runaway-cgi" if cgi else "none")
-        return {"run": "defense", "attack": attack,
-                "adaptive": bool(params["adaptive"]), "seed": case["seed"],
-                "config": "accounting",
-                "clients": params["clients"],
-                "document": params["document"],
-                "syn_rate": syn["rate"] if syn else 0,
-                "syn_ramp_to": syn["ramp_to"] if syn else 0,
-                "syn_ramp_s": syn["ramp_s"] if syn else 1.0,
-                "spoof_hosts": syn["spoof_hosts"] if syn else 0,
-                "cgi_attackers": cgi["attackers"] if cgi else 0,
-                "untrusted_cap": params["untrusted_cap"],
-                "warmup_s": params["warmup_s"],
-                "measure_s": params["measure_s"]}
+        return DefenseRun(attack, cgi_attackers=cgi["attackers"] if cgi else 0,
+                          untrusted_cap=params["untrusted_cap"],
+                          **shared).spec()
 
+    from repro.cluster.run import ClusterRun
     hit = _first(entries, "replica-chaos")
-    return {"run": "cluster",
-            "chaos": hit["chaos"] if hit else "none",
-            "replicas": params["replicas"],
-            "adaptive": bool(params["adaptive"]), "seed": case["seed"],
-            "clients": params["clients"], "document": params["document"],
-            "retry": bool(params["retry"]),
-            "syn_rate": syn["rate"] if syn else 0,
-            "syn_ramp_to": syn["ramp_to"] if syn else 0,
-            "syn_ramp_s": syn["ramp_s"] if syn else 1.0,
-            "spoof_hosts": syn["spoof_hosts"] if syn else 0,
-            "victim": params["victim"],
-            "chaos_at_s": hit["at_s"] if hit else 0.5,
-            "chaos_restore_s": hit["restore_s"] if hit else 1.7,
-            "warmup_s": params["warmup_s"],
-            "measure_s": params["measure_s"]}
+    chaos = (dict(chaos=hit["chaos"], chaos_at_s=hit["at_s"],
+                  chaos_restore_s=hit["restore_s"]) if hit
+             else dict(chaos="none"))
+    return ClusterRun(replicas=params["replicas"],
+                      retry=bool(params["retry"]), victim=params["victim"],
+                      **chaos, **shared).spec()
 
 
 def case_with_entries(case: Dict, entries: List[Dict]) -> Dict:

@@ -34,40 +34,26 @@ from repro.supervise.supervisor import (Supervisor, SupervisedResult,
 __all__ = ["SelftestCase", "SelftestReport", "crash_injection_selftest",
            "selftest_spec", "reference_outcome"]
 
-#: Small-but-real specs, one per run kind: each boots the full machine,
-#: takes attack traffic where the kind has any, and finishes in seconds.
-_SELFTEST_SPECS: Dict[str, Dict] = {
-    "experiment": {
-        "run": "experiment", "config": "accounting", "clients": 3,
-        "document": "/doc-1k", "syn_rate": 100, "untrusted_cap": 16,
-        "cgi_attackers": 0, "cgi_script": "loop", "qos": False,
-        "warmup_s": 0.2, "measure_s": 0.5,
-    },
-    "chaos": {
-        "run": "chaos", "scenario": "domain-crash", "seed": 3,
-        "rollback": False,
-    },
-    "defense": {
-        "run": "defense", "attack": "synflood", "adaptive": True,
-        "seed": 2, "config": "accounting", "clients": 6,
-        "document": "/doc-1k", "syn_rate": 150, "syn_ramp_to": 600,
-        "syn_ramp_s": 0.5, "spoof_hosts": 100, "cgi_attackers": 4,
-        "untrusted_cap": 16, "warmup_s": 0.3, "measure_s": 0.8,
-    },
-    "cluster": {
-        "run": "cluster", "chaos": "crash", "replicas": 2,
-        "adaptive": True, "seed": 2, "clients": 6, "document": "/doc-1k",
-        "retry": True, "syn_rate": 0, "syn_ramp_to": 4000,
-        "syn_ramp_s": 1.5, "spoof_hosts": 100, "victim": 0,
-        "chaos_at_s": 0.4, "chaos_restore_s": 1.0,
-        "warmup_s": 0.3, "measure_s": 1.2,
-    },
+#: Small-but-real runs, one per kind, as the fields that differ from the
+#: kind's defaults: each boots the full machine, takes attack traffic
+#: where the kind has any, and finishes in seconds.
+_SELFTEST_FIELDS: Dict[str, Dict] = {
+    "experiment": dict(clients=3, syn_rate=100, untrusted_cap=16,
+                       warmup_s=0.2, measure_s=0.5),
+    "chaos": dict(scenario="domain-crash", seed=3),
+    "defense": dict(seed=2, clients=6, syn_rate=150, syn_ramp_to=600,
+                    syn_ramp_s=0.5, spoof_hosts=100, cgi_attackers=4,
+                    warmup_s=0.3, measure_s=0.8),
+    "cluster": dict(replicas=2, seed=2, clients=6, spoof_hosts=100,
+                    chaos_at_s=0.4, chaos_restore_s=1.0,
+                    warmup_s=0.3, measure_s=1.2),
 }
 
 
 def selftest_spec(kind: str) -> Dict:
-    """The selftest's reference spec for one run kind (a copy)."""
-    return dict(_SELFTEST_SPECS[kind])
+    """The selftest's reference spec for one run kind."""
+    from repro.snapshot.runs import run_class
+    return run_class(kind)(**_SELFTEST_FIELDS[kind]).spec()
 
 
 def reference_outcome(spec: Dict) -> Dict:

@@ -1,53 +1,78 @@
 """Run specs are validated where the run is constructed.
 
 A journal's spec record is rebuilt into a run by ``RunDriver.resume``, so
-a malformed experiment spec — a wrong type, an out-of-range value, a
-missing or unknown key — must fail up front with a ``ValueError`` naming
-the field, not deep inside the build or as a run that "succeeds" with
-nonsense numbers.
+a malformed spec of any kind — a wrong type, an out-of-range value, an
+unknown choice, a missing or unknown key — must fail up front with a
+``ValueError`` naming the kind and the field, not deep inside the build
+or as a run that "succeeds" with nonsense numbers.  The CLI entry points
+that take specs or run fields report the same error and exit 2.
 """
 
 from __future__ import annotations
 
-import pytest
+import copy
+import json
 
-from repro.snapshot import ExperimentRun, RunDriver, run_from_spec
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.__main__ import main
+from repro.resilience.space import case_to_spec, sample_case
+from repro.snapshot import (ExperimentRun, Recording, RunDriver,
+                            run_from_spec)
 from repro.snapshot.journal import write_journal
+from repro.snapshot.runs import run_class
+from repro.supervise.harness import selftest_spec
+
+KINDS = ("experiment", "chaos", "defense", "cluster")
 
 GOOD = ExperimentRun("accounting", clients=2, syn_rate=200,
                      untrusted_cap=16, warmup_s=0.1, measure_s=0.3).spec()
 
-BAD_VALUES = [
+#: ``(kind, field, value)``; each kind starts from its selftest spec.
+BAD_VALUES = [("experiment", name, value) for name, value in [
     ("clients", -3), ("clients", "8"), ("clients", 2.0), ("clients", True),
     ("syn_rate", -1), ("syn_rate", None), ("cgi_attackers", -2),
     ("cgi_attackers", "1"), ("warmup_s", -0.5), ("warmup_s", float("nan")),
     ("measure_s", -1.0), ("measure_s", 0), ("measure_s", float("inf")),
     ("measure_s", "5"),
-]
+]] + [("defense", "adaptive", "no"), ("cluster", "replicas", 0),
+      ("chaos", "scenario", "nope")]
+BAD_IDS = [f"{name}-{value}" if kind == "experiment"
+           else f"{kind}-{name}-{value}" for kind, name, value in BAD_VALUES]
+
+
+def _good(kind):
+    return GOOD if kind == "experiment" else selftest_spec(kind)
 
 
 def test_good_spec_round_trips():
     assert run_from_spec(GOOD).spec() == GOOD
+    for kind in KINDS:
+        assert run_from_spec(selftest_spec(kind)).spec() == \
+            selftest_spec(kind)
 
 
-@pytest.mark.parametrize("name,value", BAD_VALUES)
-def test_bad_value_is_a_value_error_naming_the_field(name, value):
-    with pytest.raises(ValueError, match=f"'{name}'"):
-        ExperimentRun(**{name: value})
-    with pytest.raises(ValueError, match=f"'{name}'"):
-        run_from_spec({**GOOD, name: value})
+@pytest.mark.parametrize("kind,name,value", BAD_VALUES, ids=BAD_IDS)
+def test_bad_value_is_a_value_error_naming_the_field(kind, name, value):
+    required = {"scenario": "domain-crash"} if kind == "chaos" else {}
+    with pytest.raises(ValueError, match=f"{kind} spec field '{name}'"):
+        run_class(kind)(**{**required, name: value})
+    with pytest.raises(ValueError, match=f"{kind} spec field '{name}'"):
+        run_from_spec({**_good(kind), name: value})
 
 
-@pytest.mark.parametrize("name,value", BAD_VALUES)
-def test_resume_refuses_a_journal_whose_spec_is_malformed(tmp_path, name,
-                                                          value):
+@pytest.mark.parametrize("kind,name,value", BAD_VALUES, ids=BAD_IDS)
+def test_resume_refuses_a_journal_whose_spec_is_malformed(tmp_path, kind,
+                                                          name, value):
     path = str(tmp_path / "bad.jrnl")
     write_journal(path, [
-        {"kind": "spec", "spec": {**GOOD, name: value}},
+        {"kind": "spec", "spec": {**_good(kind), name: value}},
         {"kind": "milestone", "tick": 0, "seq": 2, "events": 0,
          "milestones_done": 1, "digest": "0" * 64},
     ])
-    with pytest.raises(ValueError, match=f"'{name}'"):
+    with pytest.raises(ValueError, match=f"{kind} spec field '{name}'"):
         RunDriver.resume(path)
 
 
@@ -62,3 +87,125 @@ def test_missing_and_unknown_keys_are_errors():
 def test_non_object_spec_is_a_value_error():
     with pytest.raises(ValueError, match="JSON object"):
         run_from_spec(["experiment"])
+
+
+def test_cross_field_and_schedule_errors_name_the_field():
+    with pytest.raises(ValueError, match="cluster spec field 'victim'"):
+        run_from_spec({**selftest_spec("cluster"), "victim": 2})
+    spec = case_to_spec(sample_case("chaos", 1))
+    late, early = ({**spec["schedule"]["events"][0], "at_s": at}
+                   for at in (0.5, 0.1))
+    for schedule in ({"seed": 1}, {"seed": 1, "events": [{"at_s": 0}]},
+                     {"seed": 1, "events": [late, early]}, None):
+        with pytest.raises(ValueError, match="chaos spec field 'schedule'"):
+            run_from_spec({**spec, "schedule": schedule})
+
+
+# ----------------------------------------------------------------------
+# Fuzzed specs: a run whose spec() is its input, or a ValueError
+# ----------------------------------------------------------------------
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner,
+                                     max_size=3)),
+    max_leaves=6)
+
+#: Each kind's selftest spec, plus a chaos spec carrying a schedule.
+STARTS = [selftest_spec(kind) for kind in KINDS] + [
+    case_to_spec(sample_case("chaos", 1))]
+
+
+@st.composite
+def mutated_specs(draw):
+    """A start spec with one key deleted, added or given any JSON value;
+    a chaos schedule and its events are mutated the same way."""
+    spec = copy.deepcopy(draw(st.sampled_from(STARTS)))
+    targets = [spec]
+    if "schedule" in spec:
+        targets += [spec["schedule"], *spec["schedule"]["events"]]
+    target = draw(st.sampled_from(targets))
+    op = draw(st.sampled_from(("delete", "add", "replace")))
+    if op == "add":
+        key = draw(st.text(max_size=6).filter(lambda k: k not in target))
+    else:
+        key = draw(st.sampled_from(sorted(target)))
+    if op == "delete":
+        del target[key]
+    else:
+        target[key] = draw(JSON)
+    return spec
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(mutated_specs(), JSON))
+def test_fuzzed_spec_round_trips_or_is_a_value_error(spec):
+    try:
+        run = run_from_spec(spec)
+    except ValueError as exc:
+        kind = spec.get("run") if isinstance(spec, dict) else None
+        prefix = f"{kind} spec field " if kind in KINDS else ""
+        assert "spec" in str(exc) and str(exc).startswith(prefix)
+        return
+    assert run.spec() == spec
+
+
+# ----------------------------------------------------------------------
+# The CLI reports a bad spec or flag as an error and exits 2
+# ----------------------------------------------------------------------
+@pytest.fixture
+def no_runs(monkeypatch):
+    """Fail the test if any run is built (a cell or a child started)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run was started")
+
+    import repro.supervise
+    monkeypatch.setattr(RunDriver, "__init__", refuse)
+    monkeypatch.setattr(repro.supervise, "Supervisor", refuse)
+
+
+@pytest.mark.parametrize("content,field", [
+    (json.dumps({"run": "defense", "adaptive": True, "seed": 2,
+                 "clients": 6}), "'attack' is missing"),
+    (json.dumps({**selftest_spec("cluster"), "clients": "6"}), "'clients'"),
+    ('{"run": "chaos", ', "Expecting"),
+], ids=["missing-key", "wrong-type", "not-json"])
+def test_supervise_rejects_a_bad_spec_file_before_forking(
+        tmp_path, capsys, no_runs, content, field):
+    path = tmp_path / "spec.json"
+    path.write_text(content)
+    assert main(["supervise", "--spec-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("spec,field", [
+    ({**GOOD, "clients": -3}, "experiment spec field 'clients'"),
+    ({**selftest_spec("chaos"), "scenario": "nope"},
+     "chaos spec field 'scenario'"),
+], ids=["experiment-clients", "chaos-scenario"])
+def test_replay_reports_a_malformed_recording_spec(tmp_path, capsys, spec,
+                                                   field):
+    path = str(tmp_path / "bad.rec")
+    Recording(spec, 2000).save(path)
+    assert main(["replay", path]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["defense", "--attacks", "synflood", "--seeds", "1", "--measure", "0"],
+     "defense spec field 'measure_s'"),
+    (["defense", "--attacks", "synfood"], "defense spec field 'attack'"),
+    (["defense", "--attacks", "synflood,synfood", "--replay-check"],
+     "defense spec field 'attack'"),
+    (["cluster", "--sizes", "0"], "cluster spec field 'replicas'"),
+    (["cluster", "--sizes", "1,0", "--replay-check"],
+     "cluster spec field 'replicas'"),
+], ids=["defense-measure", "defense-attack", "defense-later-attack",
+        "cluster-size", "cluster-later-size"])
+def test_sweeps_reject_out_of_range_flags_before_any_cell(capsys, no_runs,
+                                                          argv, field):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err

@@ -236,10 +236,10 @@ def test_raising_run_is_classified_as_exception(tmp_path):
                 "rollback": False}
     sres = small_supervisor(tmp_path, max_attempts=1).run(bad_spec)
     assert sres.gave_up
-    assert sres.classification == "exception:KeyError"
-    assert sres.error["type"] == "KeyError"
+    assert sres.classification == "exception:ValueError"
+    assert sres.error["type"] == "ValueError"
     assert supervision_verdict(sres)["failures"] == \
-        ["supervision:exception:KeyError"]
+        ["supervision:exception:ValueError"]
 
 
 @pytest.mark.supervise
