@@ -64,6 +64,40 @@ def _print_error(exc) -> int:
     return 2
 
 
+def _comma_list(names=None, low=None):
+    """An argparse ``type=`` for a comma-separated list flag.
+
+    Items are ``names`` when given, else integers (``>= low`` when ``low``
+    is given).  A bad item makes argparse exit 2 with ``error: argument
+    --X: ...`` before anything runs.
+    """
+    def item(text):
+        if names is not None:
+            if text in names:
+                return text
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not one of {', '.join(names)}")
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer") from None
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+
+    return lambda text: [item(part.strip()) for part in text.split(",")]
+
+
+def _configs_arg(parser, default) -> None:
+    """The sweeps' ``--configs``: names :meth:`Testbed.by_name` builds."""
+    from repro.experiments.figure8 import CONFIGS
+    parser.add_argument("--configs", default=default,
+                        type=_comma_list(names=CONFIGS),
+                        help=f"comma-separated configurations (of "
+                             f"{','.join(CONFIGS)})")
+
+
 def _add_obs_args(parser) -> None:
     """The shared ``--obs`` / ``--obs-dir`` options."""
     parser.add_argument("--obs", action="store_true",
@@ -261,8 +295,9 @@ def figure9_main(argv) -> int:
         prog="python -m repro figure9",
         description="Figure 9: best-effort throughput under a SYN flood.")
     parser.add_argument("--clients", default="16,64",
+                        type=_comma_list(low=0),
                         help="comma-separated client counts")
-    parser.add_argument("--configs", default="accounting,accounting_pd")
+    _configs_arg(parser, "accounting,accounting_pd")
     parser.add_argument("--document", default="/doc-1")
     parser.add_argument("--doc-label", default="1B")
     parser.add_argument("--syn-rate", type=int, default=1000)
@@ -291,8 +326,7 @@ def figure9_main(argv) -> int:
     try:
         with maybe_profiled(args.profile):
             result = run_figure9(
-                client_counts=[int(x) for x in args.clients.split(",")],
-                configs=[c.strip() for c in args.configs.split(",")],
+                client_counts=args.clients, configs=args.configs,
                 document=args.document, doc_label=args.doc_label,
                 syn_rate=args.syn_rate, untrusted_cap=args.untrusted_cap,
                 warmup_s=args.warmup, measure_s=args.measure,
@@ -310,29 +344,29 @@ def figure9_main(argv) -> int:
 
 def figure8_main(argv) -> int:
     """The base-performance sweep (Figure 8)."""
+    from repro.experiments.figure8 import DOCUMENTS, run_figure8
+
     parser = argparse.ArgumentParser(
         prog="python -m repro figure8",
         description="Figure 8: web-server throughput vs parallel clients.")
     parser.add_argument("--clients", default="1,2,4,8,16,32,64",
+                        type=_comma_list(low=0),
                         help="comma-separated client counts")
-    parser.add_argument("--configs",
-                        default="linux,scout,accounting,accounting_pd")
+    _configs_arg(parser, "linux,scout,accounting,accounting_pd")
     parser.add_argument("--docs", default="1B,1KB,10KB",
+                        type=_comma_list(names=DOCUMENTS),
                         help="document labels to sweep (of 1B,1KB,10KB)")
     parser.add_argument("--warmup", type=float, default=0.6)
     parser.add_argument("--measure", type=float, default=1.5)
     _add_perf_args(parser)
     args = parser.parse_args(argv)
 
-    from repro.experiments.figure8 import DOCUMENTS, run_figure8
     from repro.perf import maybe_profiled
 
-    docs = {label: DOCUMENTS[label]
-            for label in (d.strip() for d in args.docs.split(","))}
+    docs = {label: DOCUMENTS[label] for label in args.docs}
     with maybe_profiled(args.profile):
         result = run_figure8(
-            client_counts=[int(x) for x in args.clients.split(",")],
-            configs=[c.strip() for c in args.configs.split(",")],
+            client_counts=args.clients, configs=args.configs,
             docs=docs, warmup_s=args.warmup, measure_s=args.measure,
             workers=args.workers)
     print(result.format())
@@ -345,8 +379,10 @@ def figure10_main(argv) -> int:
         prog="python -m repro figure10",
         description="Figure 10: best-effort throughput with and without "
                     "a 1 MBps QoS stream.")
-    parser.add_argument("--clients", default="16,64")
-    parser.add_argument("--configs", default="accounting,accounting_pd")
+    parser.add_argument("--clients", default="16,64",
+                        type=_comma_list(low=0),
+                        help="comma-separated client counts")
+    _configs_arg(parser, "accounting,accounting_pd")
     parser.add_argument("--document", default="/doc-1")
     parser.add_argument("--doc-label", default="1B")
     parser.add_argument("--warmup", type=float, default=2.0)
@@ -359,8 +395,7 @@ def figure10_main(argv) -> int:
 
     with maybe_profiled(args.profile):
         result = run_figure10(
-            client_counts=[int(x) for x in args.clients.split(",")],
-            configs=[c.strip() for c in args.configs.split(",")],
+            client_counts=args.clients, configs=args.configs,
             document=args.document, doc_label=args.doc_label,
             warmup_s=args.warmup, measure_s=args.measure,
             workers=args.workers)
@@ -374,8 +409,10 @@ def figure11_main(argv) -> int:
         prog="python -m repro figure11",
         description="Figure 11: runaway-CGI attackers against 64 clients "
                     "plus the QoS stream.")
-    parser.add_argument("--attackers", default="0,1,10,50")
-    parser.add_argument("--configs", default="accounting,accounting_pd")
+    parser.add_argument("--attackers", default="0,1,10,50",
+                        type=_comma_list(low=0),
+                        help="comma-separated CGI attacker counts")
+    _configs_arg(parser, "accounting,accounting_pd")
     parser.add_argument("--clients", type=int, default=64)
     parser.add_argument("--document", default="/doc-1")
     parser.add_argument("--doc-label", default="1B")
@@ -389,8 +426,7 @@ def figure11_main(argv) -> int:
 
     with maybe_profiled(args.profile):
         result = run_figure11(
-            attacker_counts=[int(x) for x in args.attackers.split(",")],
-            configs=[c.strip() for c in args.configs.split(",")],
+            attacker_counts=args.attackers, configs=args.configs,
             clients=args.clients, document=args.document,
             doc_label=args.doc_label,
             warmup_s=args.warmup, measure_s=args.measure,
@@ -408,7 +444,7 @@ def defense_main(argv) -> int:
     parser.add_argument("--attacks", default="synflood,runaway-cgi",
                         help="comma-separated attack profiles (of "
                              "synflood,runaway-cgi,mixed)")
-    parser.add_argument("--seeds", default="1",
+    parser.add_argument("--seeds", default="1", type=_comma_list(),
                         help="comma-separated seeds (default 1)")
     parser.add_argument("--clients", type=int, default=12)
     parser.add_argument("--document", default="/doc-1k")
@@ -437,7 +473,7 @@ def defense_main(argv) -> int:
     from repro.perf import maybe_profiled
 
     attacks = [a.strip() for a in args.attacks.split(",") if a.strip()]
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = args.seeds
     fields = dict(clients=args.clients, document=args.document,
                   syn_rate=args.syn_rate, syn_ramp_to=args.syn_ramp_to,
                   syn_ramp_s=args.syn_ramp_s,
@@ -504,9 +540,9 @@ def cluster_main(argv) -> int:
         description="Compare 1 vs N Escort replicas behind the "
                     "health-checked dispatcher under a ramping SYN flood "
                     "with a mid-window replica crash.")
-    parser.add_argument("--sizes", default="1,3",
+    parser.add_argument("--sizes", default="1,3", type=_comma_list(low=0),
                         help="comma-separated replica counts (default 1,3)")
-    parser.add_argument("--seeds", default="1",
+    parser.add_argument("--seeds", default="1", type=_comma_list(),
                         help="comma-separated seeds (default 1)")
     parser.add_argument("--clients", type=int, default=12)
     parser.add_argument("--document", default="/doc-1k")
@@ -539,8 +575,7 @@ def cluster_main(argv) -> int:
     from repro.experiments.cluster import run_cluster
     from repro.perf import maybe_profiled
 
-    sizes = [int(s) for s in args.sizes.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")]
+    sizes, seeds = args.sizes, args.seeds
     fields = dict(clients=args.clients, document=args.document,
                   syn_rate=args.syn_rate, syn_ramp_to=args.syn_ramp_to,
                   syn_ramp_s=args.syn_ramp_s, chaos_at_s=args.chaos_at,
@@ -926,9 +961,15 @@ def resilience_main(argv) -> int:
     if args.command == "minimize":
         import json as _json
         if args.case_file:
-            with open(args.case_file) as fh:
-                payload = _json.load(fh)
-            case = payload.get("case", payload)
+            from repro.resilience import case_to_spec
+            try:
+                with open(args.case_file) as fh:
+                    payload = _json.load(fh)
+                case = (payload.get("case", payload)
+                        if isinstance(payload, dict) else payload)
+                case_to_spec(case)  # a bad case fails here, not in a run
+            except (OSError, ValueError) as exc:
+                return _print_error(f"{args.case_file}: {exc}")
         else:
             from repro.resilience import FaultSpace
             case = FaultSpace(args.target).sample(args.seed)
@@ -936,8 +977,7 @@ def resilience_main(argv) -> int:
             result = Minimizer(case, max_tests=args.max_tests,
                                log=print).run()
         except ValueError as exc:
-            print(exc)
-            return 2
+            return _print_error(exc)
         print(result.summary())
         for entry in result.case["entries"]:
             print(f"  {entry}")

@@ -249,7 +249,6 @@ class ChaosRun(ReplayableRun):
     KIND = "chaos"
     #: Run-time state, set while the run executes.
     snapshotter = None
-    tracer = None
 
     scenario: str = spec_field(choices=SCENARIOS)
     seed: int = spec_field(1, low=None)
@@ -264,15 +263,6 @@ class ChaosRun(ReplayableRun):
     def build(self) -> None:
         self.bed, self.net_injector = SCENARIOS[self.scenario].build(
             self.seed)
-
-    def attach_tracer(self, capacity: int = 200_000):
-        """Instrument the server with a ring-buffer tracer (for the
-        byte-identical-trace determinism tests)."""
-        from repro.sim.trace import Tracer
-
-        self.tracer = Tracer(self.bed.sim, capacity=capacity)
-        self.tracer.instrument_server(self.bed.server)
-        return self.tracer
 
     def milestones(self) -> List[Tuple[int, str]]:
         sc = SCENARIOS[self.scenario]

@@ -18,7 +18,6 @@ from repro.core.path import Stage
 from repro.kernel.errors import EscortError
 from repro.modules.base import Module, OpenResult
 from repro.modules.scsi import ScsiRead
-from repro.msg.message import Message
 
 
 class FileRead:
@@ -62,7 +61,7 @@ class FsModule(Module):
     # ------------------------------------------------------------------
     def handle_call(self, stage: Stage,
                     request: FileRead) -> Generator:
-        """Return ``(size, Message)`` or ``None`` for a missing file."""
+        """Return ``(size, IOBuffer)`` or ``None`` for a missing file."""
         self.lookups += 1
         yield Cycles(self.costs.fs_lookup + self.acct(1))
         size = self.documents.get(request.uri)
@@ -73,7 +72,7 @@ class FsModule(Module):
             self.cache_hits += 1
             yield Cycles(self.costs.fs_read_cached + self.acct(1))
             self._associate_with_path(stage, buf)
-            return size, Message(body_len=size, iobuf=buf)
+            return size, buf
         # Cache miss: read through SCSI into a fresh buffer.
         self.disk_reads += 1
         ok = yield from stage.call_forward(ScsiRead(size))
@@ -88,7 +87,7 @@ class FsModule(Module):
         self.kernel.iobufs.lock(buf, self.pd)
         self.cache[request.uri] = buf
         self._associate_with_path(stage, buf)
-        return size, Message(body_len=size, iobuf=buf)
+        return size, buf
 
     def _associate_with_path(self, stage: Stage, buf) -> None:
         """Map the cached buffer into the path's domains, fully charging

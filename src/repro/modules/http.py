@@ -164,7 +164,7 @@ class HttpModule(Module):
                 RESPONSE_HEADER_BYTES + ERROR_BODY_BYTES, fin=True,
                 app_data=("404", uri)))
             return
-        size, _message = result
+        size, _buf = result
         self.requests_served += 1
         if self.degrade_level >= 2:
             # Tier 2: serve a shrunk body — the client still gets a

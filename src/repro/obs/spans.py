@@ -1,16 +1,13 @@
 """Parent-linked causal spans.
 
-The ring-buffer :class:`~repro.sim.trace.Tracer` records flat events; a
-:class:`SpanLog` upgrades that into a causal structure: each span may
-name a parent, so a ``pathKill`` links back through the watchdog
-detection and the defense rung that armed it to the monitor signal that
-started the episode.  ``repro obs explain --kill <path>`` walks exactly
-this chain.
+A :class:`SpanLog` is the program's one trace API.  Each span is a point
+event that may name a parent, so a ``pathKill`` links back through the
+watchdog detection and the defense rung that armed it to the monitor
+signal that started the episode.  ``repro obs explain --kill <path>``
+walks exactly this chain.
 
 Span ids are a per-log counter starting at 1 — fully deterministic, so
-two runs of the same seed emit identical span streams.  A ``Tracer``
-built with ``span_log=`` forwards its flat records here too (parentless),
-which keeps the two views consistent without double instrumentation.
+two runs of the same seed emit identical span streams.
 """
 
 from __future__ import annotations

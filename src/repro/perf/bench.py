@@ -13,10 +13,11 @@ Measurements written to ``BENCH_sim.json`` in a stable schema
 4. **Observability overhead**, on request (``--obs-overhead``).
 
 Timings use the best of N repetitions (minimum is the standard estimator
-for noisy wall-clock measurement); simulated results are deterministic, so
-repetitions only de-noise the clock, never the workload.  The repository
-benchmark proper — host time per simulated second on attack workloads,
-with median and spread — is ``perfbench/run.py``.
+for noisy wall-clock measurement), except the observability legs, which
+run interleaved (see :func:`bench_obs_overhead`); simulated results are
+deterministic, so repetitions only de-noise the clock, never the workload.
+The repository benchmark proper — host time per simulated second on
+attack workloads, with median and spread — is ``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -85,51 +86,48 @@ def bench_obs_overhead(clients: int = 8, reps: int = 2,
     session is a pure observer).  ``python -m repro bench --obs-overhead
     --obs-budget 0.05`` gates on the fraction.
 
-    The legs alternate and each repetition starts from a fresh collection,
-    so a slow phase of the host or garbage left by earlier work in the
-    process lands on both legs alike instead of on whichever ran second.
+    Each repetition builds both legs and advances them in lockstep, one
+    short slice of simulated time each in turn, summing each leg's wall
+    time.  A shared host's speed drifts over seconds, by more than the
+    session costs; alternating short slices puts every slow phase on
+    both legs alike.
     """
     import gc
-    import shutil
     import tempfile
 
     from repro.defense.run import DefenseRun
     from repro.obs import ObsSession
     from repro.snapshot.driver import RunDriver
-    from repro.snapshot.runs import reset_ids
 
     kw = dict(adaptive=True, seed=1, clients=clients,
               syn_rate=200, syn_ramp_to=3000, syn_ramp_s=1.0,
               warmup_s=0.2 if quick else 0.4,
               measure_s=0.6 if quick else 1.5)
+    slices, reps = 40, max(1, reps)
+    walls = {False: 0.0, True: 0.0}
     stats: Dict = {}
-
-    def once(obs: bool) -> float:
-        reset_ids()
-        run = DefenseRun("synflood", **kw)
-        driver = RunDriver(run)
-        session = None
-        obs_dir = None
-        if obs:
-            obs_dir = tempfile.mkdtemp(prefix="bench-obs-")
-            session = ObsSession(obs_dir).attach(driver)
-        gc.collect()
-        t0 = time.perf_counter()
-        driver.run_all()
-        dt = time.perf_counter() - t0
-        key = "on" if obs else "off"
-        stats[f"events_{key}"] = driver.sim.events_processed
-        stats[f"digest_{key}"] = run.digest()
-        if session is not None:
-            session.finish()
-            shutil.rmtree(obs_dir, ignore_errors=True)
-        return dt
-
-    walls: Dict[bool, list] = {False: [], True: []}
-    for _ in range(max(1, reps)):
-        for obs in (False, True):
-            walls[obs].append(once(obs))
-    wall_off, wall_on = min(walls[False]), min(walls[True])
+    for _ in range(reps):
+        with tempfile.TemporaryDirectory(prefix="bench-obs-") as obs_dir:
+            legs = {}
+            for obs in (False, True):
+                run = DefenseRun("synflood", **kw)
+                driver = RunDriver(run)
+                session = ObsSession(obs_dir).attach(driver) if obs else None
+                legs[obs] = (run, driver, session)
+            end = legs[False][1].end_tick
+            gc.collect()
+            for k in range(1, slices + 1):
+                for obs in (False, True):
+                    t0 = time.perf_counter()
+                    legs[obs][1].run_to(end * k // slices)
+                    walls[obs] += time.perf_counter() - t0
+            for obs, (run, driver, session) in legs.items():
+                key = "on" if obs else "off"
+                stats[f"events_{key}"] = driver.sim.events_processed
+                stats[f"digest_{key}"] = run.digest()
+                if session is not None:
+                    session.finish()
+    wall_off, wall_on = walls[False] / reps, walls[True] / reps
     eps_off = stats["events_off"] / wall_off
     eps_on = stats["events_on"] / wall_on
     return {

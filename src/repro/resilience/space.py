@@ -220,7 +220,32 @@ def _first(entries: Sequence[Dict], kind: str) -> Optional[Dict]:
 
 def case_to_spec(case: Dict) -> Dict:
     """Map a case onto the run spec its target executes; the run's
-    constructor validates it and supplies the fields a case leaves out."""
+    constructor validates it and supplies the fields a case leaves out.
+
+    A value without the case shape is a ``ValueError`` naming the field.
+    """
+    if not isinstance(case, dict):
+        raise ValueError(f"a case must be a JSON object, got {case!r}")
+    if case.get("target") not in TARGETS:
+        raise ValueError(f"case field 'target' must be one of "
+                         f"{', '.join(TARGETS)}, got {case.get('target')!r}")
+    for key, kind, what in (("seed", int, "an integer"),
+                            ("params", dict, "an object"),
+                            ("entries", list, "a list")):
+        if key not in case:
+            raise ValueError(f"case field {key!r} is missing")
+        if not isinstance(case[key], kind):
+            raise ValueError(f"case field {key!r} must be {what}, "
+                             f"got {case[key]!r}")
+    if not all(isinstance(entry, dict) for entry in case["entries"]):
+        raise ValueError("case field 'entries' must hold JSON objects")
+    try:
+        return _run_spec(case)
+    except KeyError as exc:
+        raise ValueError(f"case field {exc.args[0]!r} is missing") from None
+
+
+def _run_spec(case: Dict) -> Dict:
     params, entries, seed = case["params"], case["entries"], case["seed"]
     if case["target"] == "chaos":
         from repro.chaos.scenarios import ChaosRun

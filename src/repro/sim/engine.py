@@ -353,7 +353,8 @@ class Simulator:
                 f"(= {total}); health={self.queue_health()}")
 
     def queue_health(self) -> dict:
-        """Engine-health counters for perf runs (see :mod:`repro.sim.trace`).
+        """Engine-health counters, read by the perf runs and the obs
+        session's ``sim.*`` series.
 
         ``wheel_scheduled``, ``fast_lane_events`` and ``cancelled_wheel``
         are always 0: the engine has one queue, and the keys stay so that

@@ -1,28 +1,30 @@
 """Determinism regression: same spec + same seed ⇒ the same machine.
 
 The snapshot subsystem's correctness rests entirely on deterministic
-re-execution, so this is the regression net for the whole PR: every canned
-chaos scenario, run twice in one process with the same seed, must produce
-byte-identical traces and identical final state digests.  Any source of
-nondeterminism (dict-order iteration, object-id leakage into behavior,
-wall-clock dependence) fails here first — and ``python -m repro replay``
-then localizes it to the exact event.
+re-execution, so this is its regression net: every canned chaos scenario,
+run twice in one process with the same seed, must produce byte-identical
+recordings — the per-event light fingerprints and the windowed state
+digests of :func:`repro.snapshot.record` — and identical final state
+digests.  Any source of nondeterminism (dict-order iteration, object-id
+leakage into behavior, wall-clock dependence) fails here first — and
+``python -m repro replay`` then localizes it to the exact event.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.chaos import SCENARIOS, ChaosRun
-from repro.snapshot import ExperimentRun, RunDriver
+from repro.snapshot import ExperimentRun, RunDriver, record
 
 
 def run_traced(name: str, seed: int):
     run = ChaosRun(name, seed)
-    driver = RunDriver(run)
-    tracer = run.attach_tracer()
-    report = driver.run_all()
-    trace_bytes = "\n".join(str(e) for e in tracer.events()).encode()
+    report, recording = record(run)
+    trace_bytes = (recording.light.tobytes()
+                   + json.dumps(recording.entries).encode())
     return (report, run.digest(), trace_bytes,
             [str(a) for a in report.watchdog_log])
 
@@ -31,7 +33,7 @@ def assert_identical_runs(name: str, seed: int):
     report_a, digest_a, trace_a, log_a = run_traced(name, seed)
     report_b, digest_b, trace_b, log_b = run_traced(name, seed)
     assert digest_a == digest_b
-    assert trace_a == trace_b, "trace bytes differ between identical runs"
+    assert trace_a == trace_b, "recordings differ between identical runs"
     assert log_a == log_b
     assert report_a.faults_injected == report_b.faults_injected
     assert report_a.completions_after == report_b.completions_after

@@ -104,9 +104,11 @@ def test_fs_serves_known_document(sim):
     path = create_path(sim, server)
     result = run_file_read(sim, server, path, "/doc-1k")
     assert result is not None
-    size, message = result
+    size, buf = result
     assert size == 1024
-    assert message.body_len == 1024
+    # The cached IOBuffer itself, associated with the requesting path.
+    assert buf is server.fs.cache["/doc-1k"]
+    assert buf.payload == "/doc-1k" and path in buf.locks
     assert server.fs.disk_reads == 1
 
 

@@ -156,13 +156,18 @@ def test_fuzzed_spec_round_trips_or_is_a_value_error(spec):
 # ----------------------------------------------------------------------
 @pytest.fixture
 def no_runs(monkeypatch):
-    """Fail the test if any run is built (a cell or a child started)."""
+    """Fail the test if any run is built (a cell, a child or a
+    minimization started)."""
     def refuse(*args, **kwargs):
         raise AssertionError("a run was started")
 
+    import repro.perf.pool
+    import repro.resilience
     import repro.supervise
     monkeypatch.setattr(RunDriver, "__init__", refuse)
     monkeypatch.setattr(repro.supervise, "Supervisor", refuse)
+    monkeypatch.setattr(repro.perf.pool, "run_cells", refuse)
+    monkeypatch.setattr(repro.resilience, "Minimizer", refuse)
 
 
 @pytest.mark.parametrize("content,field", [
@@ -209,3 +214,61 @@ def test_sweeps_reject_out_of_range_flags_before_any_cell(capsys, no_runs,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["figure8", "--docs", "2KB"], "argument --docs: '2KB' is not one of"),
+    (["figure9", "--clients", "16,x"],
+     "argument --clients: 'x' is not an integer"),
+    (["defense", "--seeds", "1,x"], "argument --seeds: 'x' is not an integer"),
+    (["cluster", "--seeds", "x"], "argument --seeds: 'x' is not an integer"),
+    (["figure10", "--configs", "accounting,nope"],
+     "argument --configs: 'nope' is not one of"),
+    (["figure11", "--attackers", "-1"], "argument --attackers: -1 is below 0"),
+], ids=["figure8-docs", "figure9-clients", "defense-seeds", "cluster-seeds",
+        "figure10-configs", "figure11-attackers"])
+def test_list_flags_reject_bad_items_before_any_cell(capsys, no_runs, argv,
+                                                     message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "No such file"),
+    ("{\"case\": ", "Expecting"),
+    (json.dumps({"case": 5}), "a case must be a JSON object"),
+    (json.dumps({"case": {"target": "chaos"}}), "is missing"),
+], ids=["missing-file", "not-json", "not-an-object", "missing-field"])
+def test_minimize_rejects_a_bad_case_file_before_any_run(tmp_path, capsys,
+                                                         no_runs, content,
+                                                         message):
+    path = tmp_path / "case.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["resilience", "minimize", "--case-file", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {path}: ") and message in err
+    assert out == ""
+
+
+def test_minimize_reports_a_passing_case_on_stderr(tmp_path, capsys,
+                                                   monkeypatch):
+    import repro.resilience
+
+    class Passing:
+        def __init__(self, case, **kwargs):
+            pass
+
+        def run(self):
+            raise ValueError("case passes its oracle; nothing to minimize")
+
+    monkeypatch.setattr(repro.resilience, "Minimizer", Passing)
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"case": sample_case("chaos", 1)}))
+    assert main(["resilience", "minimize", "--case-file", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: case passes its oracle; nothing to minimize\n"
