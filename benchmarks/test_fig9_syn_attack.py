@@ -22,10 +22,8 @@ def fig9():
     counts = (1, 8, 16, 32, 64) \
         if os.environ.get("REPRO_FULL") == "1" else (64,)
     return {
-        "1B": run_figure9(client_counts=counts, document="/doc-1",
-                          doc_label="1B"),
-        "10KB": run_figure9(client_counts=counts, document="/doc-10k",
-                            doc_label="10KB"),
+        "1B": run_figure9(client_counts=counts, document="/doc-1"),
+        "10KB": run_figure9(client_counts=counts, document="/doc-10k"),
     }
 
 

@@ -53,9 +53,9 @@ def main() -> None:
     print("#" * 70)
     print("# Figure 9 — SYN attack")
     print("#" * 70)
-    for doc, label in (("/doc-1", "1B"), ("/doc-10k", "10KB")):
+    for doc in ("/doc-1", "/doc-10k"):
         fig9 = run_figure9(client_counts=(counts[-1],), document=doc,
-                           doc_label=label, measure_s=measure)
+                           measure_s=measure)
         print(fig9.format(), "\n")
 
     print("#" * 70)

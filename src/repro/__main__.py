@@ -1,67 +1,20 @@
-"""``python -m repro`` — a guided tour of the reproduction.
+"""``python -m repro`` — the reproduction's command line.
 
-Prints the system inventory, boots one of each server configuration for a
-quick sanity run, and points at the longer drivers.
-
-Subcommands:
-
-* ``chaos`` — run the seeded chaos scenarios (``--list``), optionally
-  writing one run journal with a checkpoint record every S simulated
-  seconds (``--checkpoint-every``) and resuming an interrupted run from
-  it (``--resume``); ``--workers N`` fans the scenario matrix over a
-  process pool;
-* ``experiment`` — one parameterized figure-style measurement cell, with
-  the same checkpoint/resume support;
-* ``figure8`` / ``figure9`` / ``figure10`` / ``figure11`` — the paper's
-  sweeps; all take ``--workers N`` (parallel cells, byte-identical to
-  serial) and ``--profile`` (cProfile the run); figure9 additionally has
-  a per-cell resume cache (``--checkpoint-dir``) so a crashed sweep
-  restarts where it died;
-* ``defense`` — the closed-loop adaptive-defense comparison: legitimate
-  goodput under a ramping SYN flood / runaway CGI with static policies vs
-  the escalating mitigation ladder, plus a record/replay fingerprint
-  self-check (``--replay-check``);
-* ``cluster`` — the replicated-Escort comparison: 1 vs N replicas behind
-  the health-checked dispatcher under a ramping SYN flood with a
-  mid-window replica crash, reporting goodput recovery and failover
-  latency (``--replay-check`` runs the record/replay self-check);
-* ``ablation`` — the domain-grouping / crossing-cost / early-drop sweeps;
-* ``bench`` — the wall-clock benchmark suite; writes ``BENCH_sim.json``;
-  ``--baseline`` diffs against a committed report and fails on end-to-end
-  events/sec regression;
-* ``record`` / ``replay`` — deterministic-replay tooling: record a run's
-  event-level fingerprint journal, then re-execute and pinpoint the first
-  divergent event (exit 1 on divergence);
-* ``resilience`` — the fault-space campaign runner: ``explore`` samples
-  seeded fault schedules against the chaos/defense/cluster targets, fans
-  them over the worker pool (crash-resumable via ``--cache-dir``), and
-  delta-debugs every failure to a certified 1-minimal reproducer;
-  ``minimize`` shrinks one case; ``corpus`` replays the banked regression
-  corpus exactly (exit 1 on any fingerprint or digest drift);
-* ``obs`` — query the telemetry a run with ``--obs`` left behind:
-  ``summary`` / ``series`` / ``explain --kill <path>`` (the causal chain
-  monitor signal → defense rung → watchdog detection → pathKill) /
-  ``diff`` (byte-level determinism check between two runs' telemetry);
-  the ``chaos``/``experiment``/``defense``/``cluster``/``supervise``
-  entry points all take ``--obs [--obs-dir DIR]`` to record it;
-* ``supervise`` — crash-only execution of any replayable run spec in a
-  supervised child process: heartbeat-based hang detection, SIGKILL-
-  anywhere resume from the write-ahead run journal, bounded
-  backoff retries; ``--selftest`` runs the deterministic crash-injection
-  matrix gating on byte-identical digests after resume.  ``figure9
-  --supervised`` and ``resilience explore --supervised`` route their
-  cells through the same machinery.
+With no command it runs a guided tour: the system inventory, one quick
+sanity run of each server configuration, and pointers to the longer
+drivers.  Every command is one :data:`COMMANDS` entry; ``python -m repro
+-h`` lists them and ``python -m repro COMMAND -h`` shows one command's
+flags.  A bad flag or spec exits 2 with ``error: ...`` before anything
+runs; a sweep cell that produced no result exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, Dict, NamedTuple, Tuple
 
-
-def _print_error(exc) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return 2
+from repro.obs.cli import add_obs_commands, run_obs_command
 
 
 def _comma_list(names=None, low=None):
@@ -98,8 +51,11 @@ def _configs_arg(parser, default) -> None:
                              f"{','.join(CONFIGS)})")
 
 
-def _add_obs_args(parser) -> None:
-    """The shared ``--obs`` / ``--obs-dir`` options."""
+# ----------------------------------------------------------------------
+# Shared flag groups
+# ----------------------------------------------------------------------
+def _obs_flags(parser) -> None:
+    """``--obs`` / ``--obs-dir``: record one instrumented cell."""
     parser.add_argument("--obs", action="store_true",
                         help="record deterministic telemetry (metrics "
                              "series, causal spans, flight-recorder "
@@ -110,8 +66,9 @@ def _add_obs_args(parser) -> None:
                              "dumps (default: ./obs-out)")
 
 
-def _add_perf_args(parser) -> None:
-    """The shared ``--workers`` / ``--profile`` options of the sweeps."""
+def _perf_flags(parser) -> None:
+    """``--workers`` / ``--profile``: the sweeps' process pool and
+    cProfile hook."""
     parser.add_argument("--workers", "-j", type=int, default=0,
                         help="fan sweep cells over N worker processes "
                              "(0/1 = serial; results are byte-identical "
@@ -121,20 +78,9 @@ def _add_perf_args(parser) -> None:
                              "frames to stderr")
 
 
-def chaos_main(argv) -> int:
-    """``python -m repro chaos [--scenario NAME] [--seed N] [--list] ...``"""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro chaos",
-        description="Run seeded chaos scenarios against the Escort server.")
-    parser.add_argument("--scenario", "-s", default=None,
-                        help="scenario name (default: run every scenario)")
-    parser.add_argument("--seed", "-n", type=int, default=1,
-                        help="fault-schedule seed (default 1); the same "
-                             "scenario+seed always reproduces the same run")
-    parser.add_argument("--list", "-l", action="store_true",
-                        dest="list_them", help="list scenarios and exit")
-    parser.add_argument("--rollback", action="store_true",
-                        help="arm the watchdog's snapshot/rollback rung")
+def _journal_flags(parser) -> None:
+    """``--checkpoint-every`` / ``--checkpoint-dir`` / ``--resume``: one
+    run journal per run (see :func:`_journaled`)."""
     parser.add_argument("--checkpoint-every", type=float, default=None,
                         metavar="S",
                         help="journal the run to <checkpoint-dir>/"
@@ -147,15 +93,58 @@ def chaos_main(argv) -> int:
                         help="resume a journaled run from its furthest "
                              "record (digest-verified) instead of "
                              "starting fresh")
+
+
+def _journaled(driver, args, stem: str):
+    """Run ``driver`` to its end; with ``--checkpoint-every``, journaled
+    to ``<checkpoint-dir>/<stem>.jrnl``."""
+    if not args.checkpoint_every:
+        return driver.run_all()
+    result, journal = driver.run_with_checkpoints(
+        args.checkpoint_every, args.checkpoint_dir, stem)
+    print(f"(journal: {journal})")
+    return result
+
+
+def _replay_check(run, label: str) -> bool:
+    """Record ``run``, then replay it in per-event lockstep."""
+    from dataclasses import replace
+
+    from repro.snapshot import record, replay
+
+    _, recording = record(replace(run))
+    report = replay(recording)
+    if report.ok:
+        print(f"replay check OK: {label} reproduced "
+              f"{report.events_replayed} events bit for bit")
+        return True
+    print("REPLAY CHECK FAILED", file=sys.stderr)
+    print(report.divergence.describe(), file=sys.stderr)
+    return False
+
+
+# ----------------------------------------------------------------------
+# chaos / experiment
+# ----------------------------------------------------------------------
+def _chaos_flags(parser) -> None:
+    parser.add_argument("--scenario", "-s", default=None,
+                        help="scenario name (default: run every scenario)")
+    parser.add_argument("--seed", "-n", type=int, default=1,
+                        help="fault-schedule seed (default 1); the same "
+                             "scenario+seed always reproduces the same run")
+    parser.add_argument("--list", "-l", action="store_true",
+                        dest="list_them", help="list scenarios and exit")
+    parser.add_argument("--rollback", action="store_true",
+                        help="arm the watchdog's snapshot/rollback rung")
     parser.add_argument("--workers", "-j", type=int, default=0,
                         help="run the scenario matrix on N worker "
                              "processes (ignored with --checkpoint-every "
                              "or --resume)")
-    _add_obs_args(parser)
-    args = parser.parse_args(argv)
 
+
+def _chaos(args) -> int:
     from repro.chaos import ChaosRun, list_scenarios
-    from repro.snapshot import JournalError, RunDriver
+    from repro.snapshot import RunDriver
 
     if args.list_them:
         for name, description in list_scenarios():
@@ -164,27 +153,17 @@ def chaos_main(argv) -> int:
         return 0
 
     if args.resume:
-        try:
-            driver, record = RunDriver.resume(args.resume)
-        except (JournalError, ValueError) as exc:
-            return _print_error(exc)
+        driver, record = RunDriver.resume(args.resume)
         print(f"resumed {driver.run.spec()} at tick {record['tick']} "
               f"({record['events']} events); continuing...")
-        if args.checkpoint_every:
-            report, _ = driver.run_with_checkpoints(
-                args.checkpoint_every, args.checkpoint_dir, "chaos")
-        else:
-            report = driver.run_all()
+        report = _journaled(driver, args, "chaos")
         print(report.summary())
         return 0 if report.ok else 1
 
     names = ([args.scenario] if args.scenario
              else [n for n, _ in list_scenarios()])
-    try:
-        runs = [ChaosRun(name, args.seed, use_rollback=args.rollback)
-                for name in names]
-    except ValueError as exc:
-        return _print_error(exc)
+    runs = [ChaosRun(name, args.seed, use_rollback=args.rollback)
+            for name in names]
 
     if args.obs:
         from repro.obs import run_with_obs
@@ -195,43 +174,28 @@ def chaos_main(argv) -> int:
         return 0 if report.ok else 1
 
     if args.workers > 1 and not args.checkpoint_every and len(names) > 1:
-        from repro.perf.pool import SweepCell, run_cells
-        cells = [SweepCell(key=name, runner="chaos",
-                           params=dict(scenario=name, seed=args.seed,
-                                       rollback=args.rollback))
-                 for name in names]
-        merged = run_cells(cells, workers=args.workers)
-        failed = 0
+        from repro.perf.pool import SweepCell, completed, run_cells
+        merged = completed(run_cells(
+            [SweepCell(key=name, runner="chaos",
+                       params=dict(scenario=name, seed=args.seed,
+                                   rollback=args.rollback))
+             for name in names], workers=args.workers))
         for name in names:
             print(merged[name]["summary"])
             print()
-            if not merged[name]["ok"]:
-                failed += 1
-        return 1 if failed else 0
+        return 0 if all(cell["ok"] for cell in merged.values()) else 1
 
     failed = 0
     for run in runs:
-        driver = RunDriver(run)
-        if args.checkpoint_every:
-            report, journal = driver.run_with_checkpoints(
-                args.checkpoint_every, args.checkpoint_dir,
-                f"chaos-{run.scenario}-{args.seed}")
-            print(f"(journal: {journal})")
-        else:
-            report = driver.run_all()
+        report = _journaled(RunDriver(run), args,
+                            f"chaos-{run.scenario}-{args.seed}")
         print(report.summary())
         print()
-        if not report.ok:
-            failed += 1
+        failed += not report.ok
     return 1 if failed else 0
 
 
-def experiment_main(argv) -> int:
-    """One parameterized measurement cell with checkpoint/resume."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro experiment",
-        description="Run one figure-style measurement (e.g. a Figure-9 "
-                    "SYN-flood cell), optionally journaled for resume.")
+def _experiment_flags(parser) -> None:
     parser.add_argument("--config", default="accounting",
                         choices=["scout", "accounting", "accounting_pd"])
     parser.add_argument("--clients", type=int, default=16)
@@ -239,46 +203,36 @@ def experiment_main(argv) -> int:
     parser.add_argument("--syn-rate", type=int, default=0,
                         help="SYN flood rate/s (0 = no attack)")
     parser.add_argument("--untrusted-cap", type=int, default=16)
-    parser.add_argument("--cgi-attackers", type=int, default=0)
-    parser.add_argument("--qos", action="store_true")
+    parser.add_argument("--cgi-attackers", type=int, default=0,
+                        help="runaway-CGI attackers, met by the 2 ms kill")
+    parser.add_argument("--qos", action="store_true",
+                        help="add the 1 MBps stream and its CPU "
+                             "reservation")
     parser.add_argument("--warmup", type=float, default=1.0)
     parser.add_argument("--measure", type=float, default=5.0)
-    parser.add_argument("--checkpoint-every", type=float, default=None,
-                        metavar="S")
-    parser.add_argument("--checkpoint-dir", default="checkpoints")
-    parser.add_argument("--resume", default=None, metavar="JOURNAL")
-    _add_obs_args(parser)
-    args = parser.parse_args(argv)
 
-    from repro.snapshot import ExperimentRun, JournalError, RunDriver
 
-    try:
-        if args.resume:
-            driver, record = RunDriver.resume(args.resume)
-            print(f"resumed at tick {record['tick']} "
-                  f"({record['events']} events, digest verified)")
-        else:
-            run = ExperimentRun(
-                args.config, clients=args.clients, document=args.document,
-                syn_rate=args.syn_rate, untrusted_cap=args.untrusted_cap,
-                cgi_attackers=args.cgi_attackers, qos=args.qos,
-                warmup_s=args.warmup, measure_s=args.measure)
-            driver = RunDriver(run)
-        session = None
-        if args.obs:
-            from repro.obs import attach_obs
-            session = attach_obs(driver, args.obs_dir)
-        if args.checkpoint_every:
-            result, journal = driver.run_with_checkpoints(
-                args.checkpoint_every, args.checkpoint_dir, "experiment")
-            print(f"(journal: {journal})")
-        else:
-            result = driver.run_all()
-        if session is not None:
-            session.finish()
-            print(session.describe())
-    except (JournalError, ValueError) as exc:
-        return _print_error(exc)
+def _experiment(args) -> int:
+    from repro.snapshot import ExperimentRun, RunDriver
+
+    if args.resume:
+        driver, record = RunDriver.resume(args.resume)
+        print(f"resumed at tick {record['tick']} "
+              f"({record['events']} events, digest verified)")
+    else:
+        driver = RunDriver(ExperimentRun(
+            args.config, clients=args.clients, document=args.document,
+            syn_rate=args.syn_rate, untrusted_cap=args.untrusted_cap,
+            cgi_attackers=args.cgi_attackers, qos=args.qos,
+            warmup_s=args.warmup, measure_s=args.measure))
+    session = None
+    if args.obs:
+        from repro.obs import attach_obs
+        session = attach_obs(driver, args.obs_dir)
+    result = _journaled(driver, args, "experiment")
+    if session is not None:
+        session.finish()
+        print(session.describe())
 
     print(f"{result.connections_per_second:.1f} conn/s "
           f"({result.client_completions} completed, "
@@ -289,66 +243,12 @@ def experiment_main(argv) -> int:
     return 0
 
 
-def figure9_main(argv) -> int:
-    """The Figure-9 sweep with a crash-resumable per-cell cache."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro figure9",
-        description="Figure 9: best-effort throughput under a SYN flood.")
-    parser.add_argument("--clients", default="16,64",
-                        type=_comma_list(low=0),
-                        help="comma-separated client counts")
-    _configs_arg(parser, "accounting,accounting_pd")
-    parser.add_argument("--document", default="/doc-1")
-    parser.add_argument("--doc-label", default="1B")
-    parser.add_argument("--syn-rate", type=int, default=1000)
-    parser.add_argument("--untrusted-cap", type=int, default=16)
-    parser.add_argument("--warmup", type=float, default=2.0)
-    parser.add_argument("--measure", type=float, default=2.0)
-    parser.add_argument("--checkpoint-dir", default=None,
-                        help="cache finished cells here and resume an "
-                             "interrupted sweep")
-    parser.add_argument("--checkpoint-every", type=float, default=None,
-                        metavar="S",
-                        help="also journal in-flight cells with a "
-                             "checkpoint record every S simulated "
-                             "seconds")
-    parser.add_argument("--supervised", action="store_true",
-                        help="run each cell in a crash-only supervised "
-                             "child process (hang detection, "
-                             "SIGKILL-anywhere resume, bounded retries)")
-    _add_perf_args(parser)
-    args = parser.parse_args(argv)
+# ----------------------------------------------------------------------
+# The paper's sweeps
+# ----------------------------------------------------------------------
+def _figure8_flags(parser) -> None:
+    from repro.experiments.figure8 import DOCUMENTS
 
-    from repro.experiments.figure9 import run_figure9
-    from repro.perf import maybe_profiled
-    from repro.snapshot import JournalError
-
-    try:
-        with maybe_profiled(args.profile):
-            result = run_figure9(
-                client_counts=args.clients, configs=args.configs,
-                document=args.document, doc_label=args.doc_label,
-                syn_rate=args.syn_rate, untrusted_cap=args.untrusted_cap,
-                warmup_s=args.warmup, measure_s=args.measure,
-                checkpoint_dir=args.checkpoint_dir,
-                checkpoint_every_s=args.checkpoint_every,
-                workers=args.workers, supervised=args.supervised)
-    except JournalError as exc:
-        return _print_error(exc)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(result.format())
-    return 0
-
-
-def figure8_main(argv) -> int:
-    """The base-performance sweep (Figure 8)."""
-    from repro.experiments.figure8 import DOCUMENTS, run_figure8
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro figure8",
-        description="Figure 8: web-server throughput vs parallel clients.")
     parser.add_argument("--clients", default="1,2,4,8,16,32,64",
                         type=_comma_list(low=0),
                         help="comma-separated client counts")
@@ -358,92 +258,124 @@ def figure8_main(argv) -> int:
                         help="document labels to sweep (of 1B,1KB,10KB)")
     parser.add_argument("--warmup", type=float, default=0.6)
     parser.add_argument("--measure", type=float, default=1.5)
-    _add_perf_args(parser)
-    args = parser.parse_args(argv)
 
-    from repro.perf import maybe_profiled
 
-    docs = {label: DOCUMENTS[label] for label in args.docs}
-    with maybe_profiled(args.profile):
-        result = run_figure8(
-            client_counts=args.clients, configs=args.configs,
-            docs=docs, warmup_s=args.warmup, measure_s=args.measure,
-            workers=args.workers)
-    print(result.format())
+def _figure8(args) -> int:
+    from repro.experiments.figure8 import DOCUMENTS, run_figure8
+
+    print(run_figure8(
+        client_counts=args.clients, configs=args.configs,
+        docs={label: DOCUMENTS[label] for label in args.docs},
+        warmup_s=args.warmup, measure_s=args.measure,
+        workers=args.workers).format())
     return 0
 
 
-def figure10_main(argv) -> int:
-    """The QoS-stream sweep (Figure 10)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro figure10",
-        description="Figure 10: best-effort throughput with and without "
-                    "a 1 MBps QoS stream.")
+def _figure_cell_flags(parser, warmup: float, measure: float) -> None:
+    """The flags Figures 9–11 share: configs, document and the window."""
+    _configs_arg(parser, "accounting,accounting_pd")
+    parser.add_argument("--document", default="/doc-1")
+    parser.add_argument("--warmup", type=float, default=warmup)
+    parser.add_argument("--measure", type=float, default=measure)
+
+
+def _figure9_flags(parser) -> None:
     parser.add_argument("--clients", default="16,64",
                         type=_comma_list(low=0),
                         help="comma-separated client counts")
-    _configs_arg(parser, "accounting,accounting_pd")
-    parser.add_argument("--document", default="/doc-1")
-    parser.add_argument("--doc-label", default="1B")
-    parser.add_argument("--warmup", type=float, default=2.0)
-    parser.add_argument("--measure", type=float, default=3.0)
-    _add_perf_args(parser)
-    args = parser.parse_args(argv)
+    _figure_cell_flags(parser, warmup=2.0, measure=2.0)
+    parser.add_argument("--syn-rate", type=int, default=1000)
+    parser.add_argument("--untrusted-cap", type=int, default=16)
+    parser.add_argument("--checkpoint-dir", default=None,
+                        help="cache finished cells here and resume an "
+                             "interrupted sweep (with --supervised, "
+                             "in-flight cells too)")
+    parser.add_argument("--supervised", action="store_true",
+                        help="run each cell in a crash-only supervised "
+                             "child process (hang detection, "
+                             "SIGKILL-anywhere resume, bounded retries)")
 
-    from repro.experiments.figure10 import run_figure10
-    from repro.perf import maybe_profiled
 
-    with maybe_profiled(args.profile):
-        result = run_figure10(
-            client_counts=args.clients, configs=args.configs,
-            document=args.document, doc_label=args.doc_label,
-            warmup_s=args.warmup, measure_s=args.measure,
-            workers=args.workers)
-    print(result.format())
+def _figure9(args) -> int:
+    from repro.experiments.figure9 import run_figure9
+
+    print(run_figure9(
+        client_counts=args.clients, configs=args.configs,
+        document=args.document, syn_rate=args.syn_rate,
+        untrusted_cap=args.untrusted_cap, warmup_s=args.warmup,
+        measure_s=args.measure, checkpoint_dir=args.checkpoint_dir,
+        workers=args.workers, supervised=args.supervised).format())
     return 0
 
 
-def figure11_main(argv) -> int:
-    """The runaway-CGI sweep (Figure 11)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro figure11",
-        description="Figure 11: runaway-CGI attackers against 64 clients "
-                    "plus the QoS stream.")
+def _figure10_flags(parser) -> None:
+    parser.add_argument("--clients", default="16,64",
+                        type=_comma_list(low=0),
+                        help="comma-separated client counts")
+    _figure_cell_flags(parser, warmup=2.0, measure=3.0)
+
+
+def _figure10(args) -> int:
+    from repro.experiments.figure10 import run_figure10
+
+    print(run_figure10(
+        client_counts=args.clients, configs=args.configs,
+        document=args.document, warmup_s=args.warmup,
+        measure_s=args.measure, workers=args.workers).format())
+    return 0
+
+
+def _figure11_flags(parser) -> None:
     parser.add_argument("--attackers", default="0,1,10,50",
                         type=_comma_list(low=0),
                         help="comma-separated CGI attacker counts")
-    _configs_arg(parser, "accounting,accounting_pd")
     parser.add_argument("--clients", type=int, default=64)
-    parser.add_argument("--document", default="/doc-1")
-    parser.add_argument("--doc-label", default="1B")
-    parser.add_argument("--warmup", type=float, default=1.5)
-    parser.add_argument("--measure", type=float, default=3.0)
-    _add_perf_args(parser)
-    args = parser.parse_args(argv)
+    _figure_cell_flags(parser, warmup=1.5, measure=3.0)
 
+
+def _figure11(args) -> int:
     from repro.experiments.figure11 import run_figure11
-    from repro.perf import maybe_profiled
 
-    with maybe_profiled(args.profile):
-        result = run_figure11(
-            attacker_counts=args.attackers, configs=args.configs,
-            clients=args.clients, document=args.document,
-            doc_label=args.doc_label,
-            warmup_s=args.warmup, measure_s=args.measure,
-            workers=args.workers)
-    print(result.format())
+    print(run_figure11(
+        attacker_counts=args.attackers, configs=args.configs,
+        clients=args.clients, document=args.document,
+        warmup_s=args.warmup, measure_s=args.measure,
+        workers=args.workers).format())
     return 0
 
 
-def defense_main(argv) -> int:
-    """The static-vs-adaptive defense comparison."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro defense",
-        description="Compare legitimate goodput under attack with static "
-                    "policies vs the closed-loop mitigation ladder.")
-    parser.add_argument("--attacks", default="synflood,runaway-cgi",
-                        help="comma-separated attack profiles (of "
-                             "synflood,runaway-cgi,mixed)")
+def _ablation_flags(parser) -> None:
+    parser.add_argument("--sweep", default="all",
+                        choices=["all", "domains", "crossing", "early-drop"])
+    parser.add_argument("--clients", type=int, default=64)
+
+
+def _ablation(args) -> int:
+    from repro.experiments.ablation import (
+        run_crossing_cost_sweep,
+        run_domain_sweep,
+        run_early_drop_ablation,
+    )
+
+    if args.sweep in ("all", "domains"):
+        print(run_domain_sweep(clients=args.clients,
+                               workers=args.workers).format())
+        print()
+    if args.sweep in ("all", "crossing"):
+        print(run_crossing_cost_sweep(clients=args.clients,
+                                      workers=args.workers).format())
+        print()
+    if args.sweep in ("all", "early-drop"):
+        print(run_early_drop_ablation(clients=min(args.clients, 32),
+                                      workers=args.workers).format())
+    return 0
+
+
+# ----------------------------------------------------------------------
+# defense / cluster
+# ----------------------------------------------------------------------
+def _attack_ramp_flags(parser) -> None:
+    """The flags defense and cluster share: load and the SYN ramp."""
     parser.add_argument("--seeds", default="1", type=_comma_list(),
                         help="comma-separated seeds (default 1)")
     parser.add_argument("--clients", type=int, default=12)
@@ -453,24 +385,30 @@ def defense_main(argv) -> int:
     parser.add_argument("--syn-ramp-to", type=int, default=4000,
                         help="flood rate at the end of the ramp")
     parser.add_argument("--syn-ramp-s", type=float, default=1.5)
+
+
+def _defense_flags(parser) -> None:
+    parser.add_argument("--attacks", default="synflood,runaway-cgi",
+                        help="comma-separated attack profiles (of "
+                             "synflood,runaway-cgi,mixed)")
+    _attack_ramp_flags(parser)
     parser.add_argument("--cgi-attackers", type=int, default=8)
     parser.add_argument("--warmup", type=float, default=0.5)
     parser.add_argument("--measure", type=float, default=2.0)
     parser.add_argument("--replay-check", action="store_true",
-                        help="record one adaptive cell, re-execute it, "
-                             "and verify identical digests")
+                        help="record one adaptive cell, replay it in "
+                             "lockstep, and verify per-event "
+                             "fingerprints match")
     parser.add_argument("--strict", action="store_true",
                         help="exit 1 unless adaptive meets the 80%% "
                              "recovery target on every attack")
-    _add_obs_args(parser)
-    _add_perf_args(parser)
-    args = parser.parse_args(argv)
 
+
+def _defense(args) -> int:
     from dataclasses import replace
 
     from repro.defense.run import DefenseRun
     from repro.experiments.defense import run_defense
-    from repro.perf import maybe_profiled
 
     attacks = [a.strip() for a in args.attacks.split(",") if a.strip()]
     seeds = args.seeds
@@ -479,17 +417,14 @@ def defense_main(argv) -> int:
                   syn_ramp_s=args.syn_ramp_s,
                   cgi_attackers=args.cgi_attackers,
                   warmup_s=args.warmup, measure_s=args.measure)
-    try:
-        # The instrumented cell; every flag is checked before a cell runs.
-        base = DefenseRun(attacks[0], adaptive=True, seed=seeds[0],
-                          **fields)
-        for attack in attacks[1:]:
-            replace(base, attack=attack)
-    except ValueError as exc:
-        return _print_error(exc)
+    # The instrumented cell; every flag is checked before a cell runs.
+    base = DefenseRun(attacks[0], adaptive=True, seed=seeds[0], **fields)
+    for attack in attacks[1:]:
+        replace(base, attack=attack)
 
     if args.replay_check:
-        if not _defense_replay_check(base):
+        if not _replay_check(base, f"{base.attack} seed={base.seed} "
+                                   f"adaptive cell"):
             return 1
         print()
 
@@ -500,9 +435,8 @@ def defense_main(argv) -> int:
         print(session.describe())
         print()
 
-    with maybe_profiled(args.profile):
-        result = run_defense(attacks=attacks, seeds=seeds,
-                             workers=args.workers, **fields)
+    result = run_defense(attacks=attacks, seeds=seeds,
+                         workers=args.workers, **fields)
     print(result.format())
     if args.strict:
         bad = [a for a in attacks if not result.adaptive_meets_target(a)]
@@ -513,44 +447,10 @@ def defense_main(argv) -> int:
     return 0
 
 
-def _defense_replay_check(base) -> bool:
-    """Run one adaptive defense cell twice; compare full-machine digests."""
-    from dataclasses import replace
-
-    from repro.snapshot.driver import RunDriver
-
-    digests = []
-    for attempt in (1, 2):
-        run = replace(base)
-        RunDriver(run).run_all()
-        digests.append(run.digest())
-    if digests[0] == digests[1]:
-        print(f"replay check OK: {base.attack} seed={base.seed} adaptive "
-              f"cell digests identical ({digests[0][:16]}...)")
-        return True
-    print(f"REPLAY CHECK FAILED: {digests[0][:16]} != {digests[1][:16]}",
-          file=sys.stderr)
-    return False
-
-
-def cluster_main(argv) -> int:
-    """The 1-vs-N replicated-cluster comparison."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro cluster",
-        description="Compare 1 vs N Escort replicas behind the "
-                    "health-checked dispatcher under a ramping SYN flood "
-                    "with a mid-window replica crash.")
+def _cluster_flags(parser) -> None:
     parser.add_argument("--sizes", default="1,3", type=_comma_list(low=0),
                         help="comma-separated replica counts (default 1,3)")
-    parser.add_argument("--seeds", default="1", type=_comma_list(),
-                        help="comma-separated seeds (default 1)")
-    parser.add_argument("--clients", type=int, default=12)
-    parser.add_argument("--document", default="/doc-1k")
-    parser.add_argument("--syn-rate", type=int, default=200,
-                        help="flood rate at the start of the ramp")
-    parser.add_argument("--syn-ramp-to", type=int, default=4000,
-                        help="flood rate at the end of the ramp")
-    parser.add_argument("--syn-ramp-s", type=float, default=1.5)
+    _attack_ramp_flags(parser)
     parser.add_argument("--chaos-at", type=float, default=0.5,
                         help="crash offset into the window (seconds)")
     parser.add_argument("--chaos-restore", type=float, default=1.7,
@@ -558,22 +458,20 @@ def cluster_main(argv) -> int:
     parser.add_argument("--warmup", type=float, default=0.5)
     parser.add_argument("--measure", type=float, default=2.5)
     parser.add_argument("--replay-check", action="store_true",
-                        help="record one attacked 3-replica cell, replay "
-                             "it in lockstep, and verify per-event "
-                             "fingerprints match")
+                        help="record one attacked cell at the largest "
+                             "size, replay it in lockstep, and verify "
+                             "per-event fingerprints match")
     parser.add_argument("--strict", action="store_true",
                         help="exit 1 unless the replicated cluster meets "
                              "the 70%% recovery target and the single "
                              "replica collapses")
-    _add_obs_args(parser)
-    _add_perf_args(parser)
-    args = parser.parse_args(argv)
 
+
+def _cluster(args) -> int:
     from dataclasses import replace
 
     from repro.cluster.run import ClusterRun
     from repro.experiments.cluster import run_cluster
-    from repro.perf import maybe_profiled
 
     sizes, seeds = args.sizes, args.seeds
     fields = dict(clients=args.clients, document=args.document,
@@ -581,17 +479,14 @@ def cluster_main(argv) -> int:
                   syn_ramp_s=args.syn_ramp_s, chaos_at_s=args.chaos_at,
                   chaos_restore_s=args.chaos_restore,
                   warmup_s=args.warmup, measure_s=args.measure)
-    try:
-        # The instrumented cell; every flag is checked before a cell runs.
-        base = ClusterRun("crash", replicas=max(sizes), seed=seeds[0],
-                          **fields)
-        for size in sizes:
-            replace(base, replicas=size)
-    except ValueError as exc:
-        return _print_error(exc)
+    # The instrumented cell; every flag is checked before a cell runs.
+    base = ClusterRun("crash", replicas=max(sizes), seed=seeds[0], **fields)
+    for size in sizes:
+        replace(base, replicas=size)
 
     if args.replay_check:
-        if not _cluster_replay_check(base):
+        if not _replay_check(base, f"crash cell (n={base.replicas}, "
+                                   f"seed={base.seed})"):
             return 1
         print()
 
@@ -602,9 +497,8 @@ def cluster_main(argv) -> int:
         print(session.describe())
         print()
 
-    with maybe_profiled(args.profile):
-        result = run_cluster(sizes=sizes, seeds=seeds,
-                             workers=args.workers, **fields)
+    result = run_cluster(sizes=sizes, seeds=seeds, workers=args.workers,
+                         **fields)
     print(result.format())
     if args.strict and not result.meets_target():
         print("\nFAIL: cluster recovery targets not met", file=sys.stderr)
@@ -612,65 +506,10 @@ def cluster_main(argv) -> int:
     return 0
 
 
-def _cluster_replay_check(base) -> bool:
-    """Record one attacked cluster cell and replay it in event lockstep."""
-    from dataclasses import replace
-
-    from repro.snapshot import record, replay
-
-    _, recording = record(replace(base))
-    report = replay(recording)
-    if report.ok:
-        print(f"replay check OK: crash cell (n={base.replicas}, "
-              f"seed={base.seed}) reproduced {report.events_replayed} "
-              f"events bit for bit")
-        return True
-    print("REPLAY CHECK FAILED", file=sys.stderr)
-    print(report.divergence.describe(), file=sys.stderr)
-    return False
-
-
-def ablation_main(argv) -> int:
-    """The design-choice ablations (domains / crossing cost / early drop)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro ablation",
-        description="Ablation sweeps: domain grouping, crossing cost, "
-                    "early vs late SYN drop.")
-    parser.add_argument("--sweep", default="all",
-                        choices=["all", "domains", "crossing", "early-drop"])
-    parser.add_argument("--clients", type=int, default=64)
-    _add_perf_args(parser)
-    args = parser.parse_args(argv)
-
-    from repro.experiments.ablation import (
-        run_crossing_cost_sweep,
-        run_domain_sweep,
-        run_early_drop_ablation,
-    )
-    from repro.perf import maybe_profiled
-
-    with maybe_profiled(args.profile):
-        if args.sweep in ("all", "domains"):
-            print(run_domain_sweep(clients=args.clients,
-                                   workers=args.workers).format())
-            print()
-        if args.sweep in ("all", "crossing"):
-            print(run_crossing_cost_sweep(clients=args.clients,
-                                          workers=args.workers).format())
-            print()
-        if args.sweep in ("all", "early-drop"):
-            print(run_early_drop_ablation(
-                clients=min(args.clients, 32),
-                workers=args.workers).format())
-    return 0
-
-
-def bench_main(argv) -> int:
-    """The wall-clock benchmark suite; writes BENCH_sim.json."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro bench",
-        description="Benchmark end-to-end run wall-clock, demux "
-                    "dispatch, and sweep scaling at 1/2/4 workers.")
+# ----------------------------------------------------------------------
+# bench
+# ----------------------------------------------------------------------
+def _bench_flags(parser) -> None:
     parser.add_argument("--quick", action="store_true",
                         help="smaller workloads (CI smoke run)")
     parser.add_argument("--output", "-o", default="BENCH_sim.json",
@@ -699,8 +538,9 @@ def bench_main(argv) -> int:
                         help="with --obs-overhead: allowed throughput "
                              "fraction lost obs-on (default 0.05 = 5%%); "
                              "exceeding it fails the run")
-    args = parser.parse_args(argv)
 
+
+def _bench(args) -> int:
     from repro.perf.bench import (
         alloc_profile, format_alloc_profile, format_report, run_bench)
 
@@ -796,27 +636,23 @@ def _bench_guard(report, baseline_path: str, max_regression: float) -> int:
     return 0
 
 
-def record_main(argv) -> int:
-    """Record a chaos run's event-level journal for later replay."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro record",
-        description="Execute a scenario while journaling per-event state "
-                    "fingerprints, for divergence-bisecting replay.")
+# ----------------------------------------------------------------------
+# record / replay
+# ----------------------------------------------------------------------
+def _record_flags(parser) -> None:
     parser.add_argument("--scenario", "-s", required=True)
     parser.add_argument("--seed", "-n", type=int, default=1)
     parser.add_argument("--every", type=int, default=2000,
                         help="full-digest journal cadence in events")
     parser.add_argument("--output", "-o", required=True)
-    args = parser.parse_args(argv)
 
+
+def _record(args) -> int:
     from repro.chaos import ChaosRun
     from repro.snapshot import record
 
-    try:
-        run = ChaosRun(args.scenario, args.seed)
-    except ValueError as exc:
-        return _print_error(exc)
-    report, recording = record(run, every_events=args.every)
+    report, recording = record(ChaosRun(args.scenario, args.seed),
+                               every_events=args.every)
     recording.save(args.output)
     print(f"recorded {recording.events_total} events "
           f"({len(recording.entries)} digest entries) -> {args.output}")
@@ -824,12 +660,7 @@ def record_main(argv) -> int:
     return 0
 
 
-def replay_main(argv) -> int:
-    """Replay a recording (or self-check a scenario); exit 1 on divergence."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro replay",
-        description="Re-execute a recorded run in lockstep and pinpoint "
-                    "the first divergent event, if any.")
+def _replay_flags(parser) -> None:
     parser.add_argument("recording", nargs="?", default=None,
                         help="recording file written by `record`")
     parser.add_argument("--scenario", "-s", default=None,
@@ -837,23 +668,21 @@ def replay_main(argv) -> int:
                              "in-process instead of reading a file")
     parser.add_argument("--seed", "-n", type=int, default=1)
     parser.add_argument("--every", type=int, default=2000)
-    args = parser.parse_args(argv)
 
-    from repro.snapshot import JournalError, Recording, record, replay
 
-    try:
-        if args.recording:
-            recording = Recording.load(args.recording)
-        elif args.scenario:
-            from repro.chaos import ChaosRun
-            print(f"recording {args.scenario} seed={args.seed}...")
-            _, recording = record(ChaosRun(args.scenario, args.seed),
-                                  every_events=args.every)
-        else:
-            parser.error("give a recording file or --scenario")
-        report = replay(recording)
-    except (JournalError, ValueError) as exc:
-        return _print_error(exc)
+def _replay(args) -> int:
+    from repro.snapshot import Recording, record, replay
+
+    if args.recording:
+        recording = Recording.load(args.recording)
+    elif args.scenario:
+        from repro.chaos import ChaosRun
+        print(f"recording {args.scenario} seed={args.seed}...")
+        _, recording = record(ChaosRun(args.scenario, args.seed),
+                              every_events=args.every)
+    else:
+        raise ValueError("give a recording file or --scenario")
+    report = replay(recording)
 
     if report.ok:
         print(f"replay OK: {report.events_replayed} events reproduced "
@@ -864,14 +693,11 @@ def replay_main(argv) -> int:
     return 1
 
 
-def resilience_main(argv) -> int:
-    """The fault-space campaign runner (explore / minimize / corpus)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro resilience",
-        description="Explore the fault space against the replayable run "
-                    "targets, shrink failures to 1-minimal reproducers, "
-                    "and replay the banked regression corpus.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# ----------------------------------------------------------------------
+# resilience
+# ----------------------------------------------------------------------
+def _resilience_flags(parser) -> None:
+    sub = parser.add_subparsers(dest="action", required=True)
 
     def add_target(p):
         p.add_argument("--target", "-t", default="chaos",
@@ -931,12 +757,13 @@ def resilience_main(argv) -> int:
     p_corpus.add_argument("--corpus-dir", default=None,
                           help="corpus directory (default: "
                                "./corpus/ESCORP-1)")
-    args = parser.parse_args(argv)
 
+
+def _resilience(args) -> int:
     from repro.resilience import (Minimizer, default_corpus_dir, explore,
                                   load_entries, replay_corpus)
 
-    if args.command == "explore":
+    if args.action == "explore":
         intensity = None
         if args.intensity:
             try:
@@ -958,7 +785,7 @@ def resilience_main(argv) -> int:
         print(report.format())
         return 1 if report.failures else 0
 
-    if args.command == "minimize":
+    if args.action == "minimize":
         import json as _json
         if args.case_file:
             from repro.resilience import case_to_spec
@@ -969,15 +796,11 @@ def resilience_main(argv) -> int:
                         if isinstance(payload, dict) else payload)
                 case_to_spec(case)  # a bad case fails here, not in a run
             except (OSError, ValueError) as exc:
-                return _print_error(f"{args.case_file}: {exc}")
+                raise ValueError(f"{args.case_file}: {exc}") from None
         else:
             from repro.resilience import FaultSpace
             case = FaultSpace(args.target).sample(args.seed)
-        try:
-            result = Minimizer(case, max_tests=args.max_tests,
-                               log=print).run()
-        except ValueError as exc:
-            return _print_error(exc)
+        result = Minimizer(case, max_tests=args.max_tests, log=print).run()
         print(result.summary())
         for entry in result.case["entries"]:
             print(f"  {entry}")
@@ -1004,20 +827,10 @@ def resilience_main(argv) -> int:
     return 1 if bad else 0
 
 
-def obs_main(argv) -> int:
-    """Query a run's telemetry sidecar (summary/series/explain/diff)."""
-    from repro.obs.cli import obs_main as run_obs
-    return run_obs(argv)
-
-
-def supervise_main(argv) -> int:
-    """Crash-only supervised execution of one replayable run spec."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro supervise",
-        description="Execute a replayable run spec in a supervised child "
-                    "process: heartbeat hang detection, SIGKILL-anywhere "
-                    "resume from the write-ahead run journal, and "
-                    "bounded backoff retries.")
+# ----------------------------------------------------------------------
+# supervise
+# ----------------------------------------------------------------------
+def _supervise_flags(parser) -> None:
     parser.add_argument("--spec-file", default=None, metavar="JSON",
                         help="file holding the run spec to execute "
                              "(any kind: experiment, chaos, defense, "
@@ -1069,9 +882,9 @@ def supervise_main(argv) -> int:
                              "kind (default 3)")
     parser.add_argument("--seed", type=int, default=990417,
                         help="with --selftest: the kill-point seed")
-    _add_obs_args(parser)
-    args = parser.parse_args(argv)
 
+
+def _supervise(args) -> int:
     import tempfile
 
     from repro.supervise import Supervisor, supervision_verdict
@@ -1098,12 +911,12 @@ def supervise_main(argv) -> int:
                 spec = json.load(fh)
             run_from_spec(spec)  # a bad spec fails here, not in a child
         except (OSError, ValueError) as exc:
-            return _print_error(f"{args.spec_file}: {exc}")
+            raise ValueError(f"{args.spec_file}: {exc}") from None
     elif args.kind:
         from repro.supervise.harness import selftest_spec
         spec = selftest_spec(args.kind)
     else:
-        parser.error("give --spec-file, --kind, or --selftest")
+        raise ValueError("give --spec-file, --kind, or --selftest")
 
     inject = None
     if args.inject_kill is not None:
@@ -1153,37 +966,96 @@ def supervise_main(argv) -> int:
     return 1
 
 
-_SUBCOMMANDS = {
-    "chaos": chaos_main,
-    "experiment": experiment_main,
-    "figure8": figure8_main,
-    "figure9": figure9_main,
-    "figure10": figure10_main,
-    "figure11": figure11_main,
-    "defense": defense_main,
-    "cluster": cluster_main,
-    "ablation": ablation_main,
-    "bench": bench_main,
-    "record": record_main,
-    "replay": replay_main,
-    "resilience": resilience_main,
-    "supervise": supervise_main,
-    "obs": obs_main,
+# ----------------------------------------------------------------------
+# The command table
+# ----------------------------------------------------------------------
+class Command(NamedTuple):
+    """One ``python -m repro`` command: its line in ``-h``, the function
+    adding its own flags, its handler (parsed args -> exit code) and the
+    shared flag groups it also takes."""
+
+    help: str
+    add_flags: Callable[[argparse.ArgumentParser], None]
+    handler: Callable[[argparse.Namespace], int]
+    groups: Tuple[Callable[[argparse.ArgumentParser], None], ...] = ()
+
+
+COMMANDS: Dict[str, Command] = {
+    "chaos": Command(
+        "seeded chaos scenarios (watchdog + invariant checker), "
+        "optionally journaled for resume", _chaos_flags, _chaos,
+        (_journal_flags, _obs_flags)),
+    "experiment": Command(
+        "one figure-style cell (an ExperimentRun spec), optionally "
+        "journaled for resume", _experiment_flags, _experiment,
+        (_journal_flags, _obs_flags)),
+    "figure8": Command(
+        "Figure 8: web-server throughput vs parallel clients",
+        _figure8_flags, _figure8, (_perf_flags,)),
+    "figure9": Command(
+        "Figure 9: best-effort throughput under a SYN flood (resumable "
+        "cell cache, --supervised crash-only cells)",
+        _figure9_flags, _figure9, (_perf_flags,)),
+    "figure10": Command(
+        "Figure 10: best-effort throughput with and without a 1 MBps "
+        "QoS stream", _figure10_flags, _figure10, (_perf_flags,)),
+    "figure11": Command(
+        "Figure 11: runaway-CGI attackers against the clients plus the "
+        "QoS stream", _figure11_flags, _figure11, (_perf_flags,)),
+    "defense": Command(
+        "legitimate goodput under attack: static policies vs the "
+        "closed-loop mitigation ladder", _defense_flags, _defense,
+        (_obs_flags, _perf_flags)),
+    "cluster": Command(
+        "1 vs N Escort replicas behind the health-checked dispatcher "
+        "under a ramping SYN flood with a mid-window crash",
+        _cluster_flags, _cluster, (_obs_flags, _perf_flags)),
+    "ablation": Command(
+        "ablation sweeps: domain grouping, crossing cost, early vs late "
+        "SYN drop", _ablation_flags, _ablation, (_perf_flags,)),
+    "bench": Command(
+        "wall-clock benchmark suite; writes BENCH_sim.json",
+        _bench_flags, _bench),
+    "record": Command(
+        "record a chaos run's per-event fingerprint journal",
+        _record_flags, _record),
+    "replay": Command(
+        "replay a recording in lockstep; exit 1 at the first divergent "
+        "event", _replay_flags, _replay),
+    "resilience": Command(
+        "fault-space campaigns (explore), reproducer shrinking "
+        "(minimize) and exact corpus replay (corpus)",
+        _resilience_flags, _resilience),
+    "supervise": Command(
+        "crash-only supervised execution of any run spec (--selftest: "
+        "the crash-injection matrix)", _supervise_flags, _supervise,
+        (_obs_flags,)),
+    "obs": Command(
+        "query a run's telemetry sidecar (summary, series, explain, "
+        "diff)", add_obs_commands, run_obs_command),
 }
 
 
-def main(argv=None) -> int:
-    """Run the guided tour; returns a process exit code."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in _SUBCOMMANDS:
-        return _SUBCOMMANDS[argv[0]](argv[1:])
-    if argv and argv[0] in ("-h", "--help"):
-        print(__doc__)
-        print("usage: python -m repro [--smoke]")
-        for name in _SUBCOMMANDS:
-            print(f"       python -m repro {name} [-h for options]")
-        return 0
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser: a subparser per :data:`COMMANDS` entry."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Escort reproduction. With no command: a guided tour "
+                    "and a quick sanity run of each configuration.")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                title="commands")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help,
+                           description=command.help)
+        command.add_flags(p)
+        for group in command.groups:
+            group(p)
+        p.set_defaults(handler=command.handler)
+    return parser
 
+
+def _tour() -> int:
+    """The guided tour: one quick sanity run per configuration."""
     from repro import __version__
     from repro.experiments.harness import Testbed
 
@@ -1208,6 +1080,33 @@ def main(argv=None) -> int:
     print("  python -m repro replay -s domain-crash determinism self-check")
     print("  pytest benchmarks/ --benchmark-only    assertions vs the paper")
     return 0
+
+
+def main(argv=None) -> int:
+    """Parse ``argv`` and run its command; returns a process exit code.
+
+    Bad input — a ``ValueError`` from a spec or flag, an unusable
+    journal — prints ``error: ...`` and returns 2; a sweep whose cells
+    did not all finish returns 1.  argparse exits 2 on its own for an
+    unknown command or flag.
+    """
+    args = build_parser().parse_args(argv)
+    if args.command is None:
+        return _tour()
+
+    from repro.perf import maybe_profiled
+    from repro.perf.pool import SweepError
+    from repro.snapshot.journal import JournalError
+
+    try:
+        with maybe_profiled(getattr(args, "profile", False)):
+            return args.handler(args)
+    except (JournalError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SweepError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -68,13 +68,13 @@ def run_domain_sweep(domain_counts: Sequence[int] = (1, 2, 4, 7),
                      measure_s: float = 1.0,
                      workers: int = 0) -> DomainSweepResult:
     """Measure throughput while grouping modules into fewer domains."""
-    from repro.perf.pool import SweepCell, run_cells
+    from repro.perf.pool import SweepCell, completed, run_cells
 
     cells = [SweepCell(key=f"domains/{n}", runner="ablation-domains",
                        params=dict(domains=n, clients=clients,
                                    warmup_s=warmup_s, measure_s=measure_s))
              for n in domain_counts]
-    merged = run_cells(cells, workers=workers)
+    merged = completed(run_cells(cells, workers=workers))
     return DomainSweepResult(
         domains=list(domain_counts),
         conn_per_second=[merged[f"domains/{n}"]["cps"]
@@ -102,13 +102,13 @@ def run_crossing_cost_sweep(factors: Sequence[float] = (1.0, 0.5, 0.25),
                             measure_s: float = 1.0,
                             workers: int = 0) -> CrossingCostResult:
     """Rerun Accounting_PD with cheaper protection-domain crossings."""
-    from repro.perf.pool import SweepCell, run_cells
+    from repro.perf.pool import SweepCell, completed, run_cells
 
     cells = [SweepCell(key=f"crossing/{factor}", runner="ablation-crossing",
                        params=dict(factor=factor, clients=clients,
                                    warmup_s=warmup_s, measure_s=measure_s))
              for factor in factors]
-    merged = run_cells(cells, workers=workers)
+    merged = completed(run_cells(cells, workers=workers))
     return CrossingCostResult(
         crossing_costs=[merged[f"crossing/{f}"]["crossing"]
                         for f in factors],
@@ -137,7 +137,7 @@ def run_early_drop_ablation(clients: int = 32, syn_rate: int = 1000,
                             measure_s: float = 1.5,
                             workers: int = 0) -> EarlyDropResult:
     """Compare demux-time vs passive-path SYN-cap enforcement."""
-    from repro.perf.pool import SweepCell, run_cells
+    from repro.perf.pool import SweepCell, completed, run_cells
 
     cells = [SweepCell(key=f"drop/{'early' if early else 'late'}",
                        runner="ablation-early-drop",
@@ -145,7 +145,7 @@ def run_early_drop_ablation(clients: int = 32, syn_rate: int = 1000,
                                    syn_rate=syn_rate, warmup_s=warmup_s,
                                    measure_s=measure_s))
              for early in (True, False)]
-    merged = run_cells(cells, workers=workers)
+    merged = completed(run_cells(cells, workers=workers))
     return EarlyDropResult(
         early_conn_per_second=merged["drop/early"]["cps"],
         late_conn_per_second=merged["drop/late"]["cps"],

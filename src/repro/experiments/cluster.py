@@ -121,20 +121,18 @@ def run_cluster(sizes: Sequence[int] = (1, 3),
     from dataclasses import replace
 
     from repro.cluster.run import ClusterRun
-    from repro.perf.pool import SweepCell, run_cells
+    from repro.perf.pool import run_specs
 
     base = ClusterRun(syn_rate=syn_rate, **fields)
-    cells = []
+    runs = {}
     for size in sizes:
         for seed in seeds:
             attacked = replace(base, replicas=size, seed=seed)
-            runs = {"none": replace(attacked, chaos="none", syn_rate=0),
-                    "attacked": attacked}
-            cells += [SweepCell(key=_cell_key(size, mode, seed),
-                                runner="run",
-                                params={"spec": runs[mode].spec()})
-                      for mode in MODES]
-    merged = run_cells(cells, workers=workers)
+            by_mode = {"none": replace(attacked, chaos="none", syn_rate=0),
+                       "attacked": attacked}
+            runs.update((_cell_key(size, mode, seed), by_mode[mode])
+                        for mode in MODES)
+    merged = run_specs(runs, workers)
 
     result = ClusterComparison(sizes=list(sizes), seeds=list(seeds))
     for size in sizes:

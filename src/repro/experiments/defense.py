@@ -160,20 +160,16 @@ def run_defense(attacks: Sequence[str] = ("synflood", "runaway-cgi"),
     from dataclasses import replace
 
     from repro.defense.run import DefenseRun
-    from repro.perf.pool import SweepCell, run_cells
+    from repro.perf.pool import run_specs
 
     base = DefenseRun(**fields)
-    cells = []
-    for attack in attacks:
-        for seed in seeds:
-            for mode in MODES:
-                run = replace(base,
-                              attack="none" if mode == "none" else attack,
-                              adaptive=(mode == "adaptive"), seed=seed)
-                cells.append(SweepCell(key=_cell_key(attack, mode, seed),
-                                       runner="run",
-                                       params={"spec": run.spec()}))
-    merged = run_cells(cells, workers=workers)
+    merged = run_specs(
+        {_cell_key(attack, mode, seed): replace(
+            base, attack="none" if mode == "none" else attack,
+            adaptive=(mode == "adaptive"), seed=seed)
+         for attack in attacks
+         for seed in seeds
+         for mode in MODES}, workers)
 
     result = DefenseComparison(attacks=list(attacks), seeds=list(seeds))
     for attack in attacks:

@@ -11,10 +11,11 @@ A 1 MBps TCP stream with a proportional-share CPU reservation runs while
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence
 
-from repro.experiments.report import format_table
+from repro.experiments.figure8 import document_label
+from repro.experiments.report import paired_table
 
 PAPER_SLOWDOWN = {"accounting": 0.15, "accounting_pd": 0.50}
 QOS_TARGET_BPS = 1_000_000
@@ -23,10 +24,9 @@ QOS_TARGET_BPS = 1_000_000
 @dataclass
 class Figure10Result:
     client_counts: List[int]
-    doc_label: str
+    document: str
     series: Dict[str, Dict[str, List[float]]] = field(default_factory=dict)
     qos_bandwidth: Dict[str, float] = field(default_factory=dict)
-    qos_windows: Dict[str, List[float]] = field(default_factory=dict)
 
     def slowdown(self, config: str) -> float:
         base = self.series[config]["base"][-1]
@@ -38,29 +38,20 @@ class Figure10Result:
             / QOS_TARGET_BPS
 
     def format(self) -> str:
-        headers = ["clients"]
-        for config in self.series:
-            headers += [config, f"{config}+QoS"]
-        rows = []
-        for i, n in enumerate(self.client_counts):
-            row = [n]
-            for config in self.series:
-                row += [self.series[config]["base"][i],
-                        self.series[config]["qos"][i]]
-            rows.append(row)
         notes = "; ".join(
             f"{c}: stream {self.qos_bandwidth[c] / 1e6:.3f} MB/s "
             f"(err {self.qos_error(c):.1%}), best-effort slowdown "
             f"{self.slowdown(c):.1%} (paper ~{PAPER_SLOWDOWN.get(c, 0):.0%})"
             for c in self.series)
-        return format_table(
-            f"Figure 10 — {self.doc_label} documents with a 1 MBps QoS "
-            f"stream (connections/second)", headers, rows, note=notes)
+        return paired_table(
+            f"Figure 10 — {document_label(self.document)} documents with a "
+            f"1 MBps QoS stream (connections/second)",
+            self.client_counts, self.series, "qos", "+QoS", notes)
 
 
 def run_figure10(client_counts: Sequence[int] = (16, 64),
                  configs: Sequence[str] = ("accounting", "accounting_pd"),
-                 document: str = "/doc-1", doc_label: str = "1B",
+                 document: str = "/doc-1",
                  warmup_s: float = 2.0,
                  measure_s: float = 3.0,
                  workers: int = 0) -> Figure10Result:
@@ -69,36 +60,26 @@ def run_figure10(client_counts: Sequence[int] = (16, 64),
     ``workers > 1`` runs the cells on a process pool; results are
     byte-identical to a serial sweep.
     """
-    from repro.perf.pool import SweepCell, run_cells
+    from repro.perf.pool import run_specs
+    from repro.snapshot.runs import ExperimentRun
 
-    def key(config: str, n: int, with_qos: bool) -> str:
-        return f"{config}/{n}/{'qos' if with_qos else 'base'}"
-
-    cells = [SweepCell(key=key(config, n, with_qos), runner="figure10",
-                       params=dict(config=config, clients=n,
-                                   with_qos=with_qos, document=document,
-                                   warmup_s=warmup_s, measure_s=measure_s))
-             for config in configs
-             for n in client_counts
-             for with_qos in (False, True)]
-    merged = run_cells(cells, workers=workers)
+    modes = ("base", "qos")
+    base = ExperimentRun(document=document, warmup_s=warmup_s,
+                         measure_s=measure_s)
+    merged = run_specs(
+        {f"{config}/{n}/{mode}": replace(base, config=config, clients=n,
+                                         qos=mode == "qos")
+         for config in configs for n in client_counts for mode in modes},
+        workers)
 
     result = Figure10Result(client_counts=list(client_counts),
-                            doc_label=doc_label)
+                            document=document)
     for config in configs:
-        base_series, qos_series = [], []
-        bw = 0.0
-        windows: List[float] = []
-        for n in client_counts:
-            for with_qos in (False, True):
-                cell = merged[key(config, n, with_qos)]
-                if with_qos:
-                    qos_series.append(cell["cps"])
-                    bw = cell["qos_bw"]
-                    windows = cell["qos_windows"]
-                else:
-                    base_series.append(cell["cps"])
-        result.series[config] = {"base": base_series, "qos": qos_series}
-        result.qos_bandwidth[config] = bw
-        result.qos_windows[config] = windows
+        result.series[config] = {
+            mode: [merged[f"{config}/{n}/{mode}"]["connections_per_second"]
+                   for n in client_counts]
+            for mode in modes}
+        last = (merged[f"{config}/{client_counts[-1]}/qos"]
+                if client_counts else {})
+        result.qos_bandwidth[config] = last.get("qos_bandwidth_bps", 0.0)
     return result

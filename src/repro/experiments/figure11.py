@@ -15,9 +15,10 @@ Paper shape targets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence
 
+from repro.experiments.figure8 import document_label
 from repro.experiments.report import format_table
 
 QOS_TARGET_BPS = 1_000_000
@@ -26,7 +27,8 @@ QOS_TARGET_BPS = 1_000_000
 @dataclass
 class Figure11Result:
     attacker_counts: List[int]
-    doc_label: str
+    document: str
+    clients: int
     #: config -> conn/s series over attacker counts.
     series: Dict[str, List[float]] = field(default_factory=dict)
     qos_series: Dict[str, List[float]] = field(default_factory=dict)
@@ -59,8 +61,9 @@ class Figure11Result:
             f"{self.max_qos_error(c):.1%}"
             for c in self.series)
         table = format_table(
-            f"Figure 11 — {self.doc_label} documents, 64 clients, 1 MBps "
-            f"QoS stream, runaway CGI attackers (connections/second)",
+            f"Figure 11 — {document_label(self.document)} documents, "
+            f"{self.clients} clients, 1 MBps QoS stream, runaway CGI "
+            f"attackers (connections/second)",
             headers, rows, note=notes)
         if len(self.attacker_counts) > 1:
             from repro.experiments.plotting import figure11_chart
@@ -71,7 +74,7 @@ class Figure11Result:
 def run_figure11(attacker_counts: Sequence[int] = (0, 1, 10, 50),
                  configs: Sequence[str] = ("accounting", "accounting_pd"),
                  clients: int = 64,
-                 document: str = "/doc-1", doc_label: str = "1B",
+                 document: str = "/doc-1",
                  warmup_s: float = 1.5,
                  measure_s: float = 3.0,
                  workers: int = 0) -> Figure11Result:
@@ -80,26 +83,21 @@ def run_figure11(attacker_counts: Sequence[int] = (0, 1, 10, 50),
     ``workers > 1`` runs the cells on a process pool; results are
     byte-identical to a serial sweep.
     """
-    from repro.perf.pool import SweepCell, run_cells
+    from repro.perf.pool import run_specs
+    from repro.snapshot.runs import ExperimentRun
 
-    cells = [SweepCell(key=f"{config}/{n_attackers}", runner="figure11",
-                       params=dict(config=config, attackers=n_attackers,
-                                   clients=clients, document=document,
-                                   warmup_s=warmup_s, measure_s=measure_s))
-             for config in configs
-             for n_attackers in attacker_counts]
-    merged = run_cells(cells, workers=workers)
+    base = ExperimentRun(clients=clients, document=document, qos=True,
+                         warmup_s=warmup_s, measure_s=measure_s)
+    merged = run_specs(
+        {f"{config}/{n}": replace(base, config=config, cgi_attackers=n)
+         for config in configs
+         for n in attacker_counts}, workers)
 
     result = Figure11Result(attacker_counts=list(attacker_counts),
-                            doc_label=doc_label)
+                            document=document, clients=clients)
     for config in configs:
-        series, qos_series, kills = [], [], []
-        for n_attackers in attacker_counts:
-            cell = merged[f"{config}/{n_attackers}"]
-            series.append(cell["cps"])
-            qos_series.append(cell["qos_bw"])
-            kills.append(cell["kills"])
-        result.series[config] = series
-        result.qos_series[config] = qos_series
-        result.kills[config] = kills
+        cells = [merged[f"{config}/{n}"] for n in attacker_counts]
+        result.series[config] = [m["connections_per_second"] for m in cells]
+        result.qos_series[config] = [m["qos_bandwidth_bps"] for m in cells]
+        result.kills[config] = [m["runaway_kills"] for m in cells]
     return result

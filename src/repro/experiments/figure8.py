@@ -17,7 +17,7 @@ Paper shape targets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence
 
 from repro.experiments.report import format_table
@@ -77,22 +77,28 @@ def run_figure8(client_counts: Sequence[int] = DEFAULT_CLIENTS,
     ``workers > 1`` runs the (document, config, clients) cells on a
     process pool; results are byte-identical to a serial sweep.
     """
-    from repro.perf.pool import SweepCell, run_cells
+    from repro.perf.pool import run_specs
+    from repro.snapshot.runs import ExperimentRun
 
     docs = docs or DOCUMENTS
-    cells = [SweepCell(key=f"{doc_label}/{config}/{n}", runner="figure8",
-                       params=dict(config=config, clients=n, document=uri,
-                                   warmup_s=warmup_s, measure_s=measure_s))
-             for doc_label, uri in docs.items()
-             for config in configs
-             for n in client_counts]
-    merged = run_cells(cells, workers=workers)
+    base = ExperimentRun(warmup_s=warmup_s, measure_s=measure_s)
+    runs = {f"{label}/{config}/{n}": replace(base, config=config, clients=n,
+                                             document=uri)
+            for label, uri in docs.items()
+            for config in configs
+            for n in client_counts}
+    merged = run_specs(runs, workers)
 
     result = Figure8Result(client_counts=list(client_counts))
-    for doc_label in docs:
-        per_config: Dict[str, List[float]] = {}
-        for config in configs:
-            per_config[config] = [merged[f"{doc_label}/{config}/{n}"]["cps"]
-                                  for n in client_counts]
-        result.series[doc_label] = per_config
+    for label in docs:
+        result.series[label] = {
+            config: [merged[f"{label}/{config}/{n}"]["connections_per_second"]
+                     for n in client_counts]
+            for config in configs}
     return result
+
+
+def document_label(document: str) -> str:
+    """A document's label in :data:`DOCUMENTS` (``"1B"``), else its URI."""
+    return {uri: label for label, uri in DOCUMENTS.items()}.get(document,
+                                                               document)

@@ -14,21 +14,24 @@ for both the 1-byte and 10 KB documents (1 KB within 3 % of 1-byte).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.harness import TRUSTED_SUBNET, Testbed
-from repro.experiments.report import format_table
-from repro.policy import SynFloodPolicy
+from repro.experiments.figure8 import document_label
+from repro.experiments.report import paired_table
 
 #: Slowdown bands from the paper's text.
 PAPER_MAX_SLOWDOWN = {"accounting": 0.05, "accounting_pd": 0.15}
+
+#: Record kind of the cell cache: ``{cell key: RunResult fields}``.
+CACHE_KIND = "figure9-runs"
 
 
 @dataclass
 class Figure9Result:
     client_counts: List[int]
-    doc_label: str
+    document: str
+    syn_rate: int
     #: config -> {"base": series, "attack": series}
     series: Dict[str, Dict[str, List[float]]] = field(default_factory=dict)
     syn_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -39,56 +42,35 @@ class Figure9Result:
         return 1 - attacked / base if base else 0.0
 
     def format(self) -> str:
-        headers = ["clients"]
-        for config in self.series:
-            headers += [config, f"{config}+SYN"]
-        rows = []
-        for i, n in enumerate(self.client_counts):
-            row = [n]
-            for config in self.series:
-                row += [self.series[config]["base"][i],
-                        self.series[config]["attack"][i]]
-            rows.append(row)
         notes = "; ".join(
             f"{c}: slowdown {self.slowdown(c):.1%} "
             f"(paper <{PAPER_MAX_SLOWDOWN.get(c, 0):.0%}), "
             f"{self.syn_stats[c]['dropped']}/{self.syn_stats[c]['sent']} "
             f"SYNs dropped at demux"
             for c in self.series)
-        return format_table(
-            f"Figure 9 — {self.doc_label} documents under a 1000 SYN/s "
-            f"attack (connections/second)", headers, rows, note=notes)
-
-
-def _cell_key(config: str, n: int, attack: bool, document: str,
-              syn_rate: int, untrusted_cap: int, warmup_s: float,
-              measure_s: float) -> str:
-    """The stable cache-key format of the per-cell resume cache."""
-    return (f"{config}/{n}/{'attack' if attack else 'base'}/{document}"
-            f"/{syn_rate}/{untrusted_cap}/{warmup_s}/{measure_s}")
+        return paired_table(
+            f"Figure 9 — {document_label(self.document)} documents under a "
+            f"{self.syn_rate} SYN/s attack (connections/second)",
+            self.client_counts, self.series, "attack", "+SYN", notes)
 
 
 def run_figure9(client_counts: Sequence[int] = (16, 64),
                 configs: Sequence[str] = ("accounting", "accounting_pd"),
-                document: str = "/doc-1", doc_label: str = "1B",
+                document: str = "/doc-1",
                 syn_rate: int = 1000,
                 untrusted_cap: int = 16,
                 warmup_s: float = 2.0,
                 measure_s: float = 2.0,
                 checkpoint_dir: Optional[str] = None,
-                checkpoint_every_s: Optional[float] = None,
                 workers: int = 0,
                 supervised: bool = False) -> Figure9Result:
     """Measure best-effort throughput with and without the SYN flood.
 
     With ``checkpoint_dir``, every finished (config, clients, attack) cell
     is persisted to a one-record ``figure9-cells.jrnl`` journal file there,
-    and a re-run after a crash skips the cells already done; with
-    ``checkpoint_every_s`` each in-flight cell additionally journals to
-    ``<cell>.jrnl`` with a checkpoint record at that cadence, so even a
-    single long cell survives an interruption (resume it with ``python -m
-    repro experiment --resume``).  A cache file that cannot be used — an
-    other format or format version, a corrupt record — raises
+    and a re-run after a crash skips the cells already done.  A cache file
+    that cannot be used — an other format or format version, a corrupt
+    record, a record of another kind — raises
     :class:`~repro.snapshot.journal.JournalError`.
 
     ``workers > 1`` fans the cells out over a process pool
@@ -98,12 +80,14 @@ def run_figure9(client_counts: Sequence[int] = (16, 64),
 
     ``supervised`` executes each cell in a crash-only supervised child
     process (:mod:`repro.supervise`): a cell killed or hung mid-run is
-    retried with journal resume, finished cells persist to
-    the same cache, and only after every recoverable cell has been
-    persisted does a cell that exhausted its retries raise.
+    retried with journal resume from ``<checkpoint_dir>/supervise/``,
+    finished cells persist to the same cache, and only after every
+    recoverable cell has been persisted does a cell that exhausted its
+    retries raise.
     """
-    from repro.perf.pool import SweepCell, run_cells
+    from repro.perf.pool import run_specs
     from repro.snapshot.journal import load_record, write_journal
+    from repro.snapshot.runs import ExperimentRun
 
     cache: Dict[str, Dict] = {}
     cache_path = None
@@ -111,111 +95,78 @@ def run_figure9(client_counts: Sequence[int] = (16, 64),
         os.makedirs(checkpoint_dir, exist_ok=True)
         cache_path = os.path.join(checkpoint_dir, "figure9-cells.jrnl")
         if os.path.exists(cache_path):
-            cache = load_record(cache_path, "figure9-cells")["cells"]
+            cache = load_record(cache_path, CACHE_KIND)["cells"]
 
-    cells = []
-    for config in configs:
-        for n in client_counts:
-            for attack in (False, True):
-                params = dict(config=config, clients=n, attack=attack,
-                              document=document, syn_rate=syn_rate,
-                              untrusted_cap=untrusted_cap,
-                              warmup_s=warmup_s, measure_s=measure_s)
-                if checkpoint_dir and checkpoint_every_s:
-                    params["checkpoint_dir"] = checkpoint_dir
-                    params["checkpoint_every_s"] = checkpoint_every_s
-                cells.append(SweepCell(
-                    key=_cell_key(config, n, attack, document, syn_rate,
-                                  untrusted_cap, warmup_s, measure_s),
-                    runner="figure9", params=params))
+    # A cell's cache key names the whole grid it was measured in.
+    grid = f"{document}/{syn_rate}/{untrusted_cap}/{warmup_s}/{measure_s}"
+    modes = ("base", "attack")
+    base = ExperimentRun(document=document, untrusted_cap=untrusted_cap,
+                         warmup_s=warmup_s, measure_s=measure_s)
+    runs = {f"{config}/{n}/{mode}/{grid}": replace(
+                base, config=config, clients=n,
+                syn_rate=syn_rate if mode == "attack" else 0)
+            for config in configs for n in client_counts for mode in modes}
 
-    def persist(cell: "SweepCell", value: Dict) -> None:
-        cache[cell.key] = value
+    def persist(cell_key: str, value: Dict) -> None:
+        cache[cell_key] = value
         if cache_path:
-            write_journal(cache_path, [{"kind": "figure9-cells",
+            write_journal(cache_path, [{"kind": CACHE_KIND,
                                         "cells": cache}])
 
     if supervised:
-        merged = _run_cells_supervised(cells, cache, persist,
-                                       checkpoint_dir)
+        merged = _run_supervised(runs, cache, persist, checkpoint_dir)
     else:
-        merged = run_cells(cells, workers=workers, cache=cache,
-                           on_cell_done=persist)
+        merged = run_specs(runs, workers, cache=cache,
+                           on_cell_done=lambda c, v: persist(c.key, v))
 
     result = Figure9Result(client_counts=list(client_counts),
-                           doc_label=doc_label)
+                           document=document, syn_rate=syn_rate)
     for config in configs:
-        base_series, attack_series = [], []
-        sent = dropped = 0
-        for n in client_counts:
-            for attack in (False, True):
-                cell = merged[_cell_key(config, n, attack, document,
-                                        syn_rate, untrusted_cap,
-                                        warmup_s, measure_s)]
-                if attack:
-                    attack_series.append(cell["cps"])
-                    sent = cell["syn_sent"]
-                    dropped = cell["syn_dropped"]
-                else:
-                    base_series.append(cell["cps"])
-        result.series[config] = {"base": base_series,
-                                 "attack": attack_series}
-        result.syn_stats[config] = {"sent": sent, "dropped": dropped}
+        cells = {mode: [merged[f"{config}/{n}/{mode}/{grid}"]
+                        for n in client_counts] for mode in modes}
+        result.series[config] = {
+            mode: [m["connections_per_second"] for m in cells[mode]]
+            for mode in cells}
+        last = cells["attack"][-1] if client_counts else {}
+        result.syn_stats[config] = {
+            "sent": last.get("syn_sent", 0),
+            "dropped": last.get("syn_dropped_at_demux", 0)}
     return result
 
 
-def _cell_spec(params: Dict) -> Dict:
-    """The spec of one cell (exactly the machine the ``figure9`` cell
-    runner builds)."""
-    from repro.perf.cells import figure9_run
+def _run_supervised(runs: Dict, cache: Dict, persist,
+                    checkpoint_dir: Optional[str]) -> Dict:
+    """Run the uncached cells in crash-only supervised children.
 
-    return figure9_run(**{k: v for k, v in params.items()
-                          if not k.startswith("checkpoint_")}).spec()
-
-
-def _run_cells_supervised(cells, cache: Dict, persist,
-                          checkpoint_dir: Optional[str]) -> Dict:
-    """Run figure9 cells through supervised children, degrade gracefully.
-
-    Every recoverable cell completes and is persisted before a cell that
-    exhausted its retry budget raises — so the re-run after fixing the
-    environment only faces the cells that actually failed.
+    A cell that exhausts its retry budget becomes a
+    :class:`~repro.perf.pool.CellFailure`, so every recoverable cell
+    completes and is persisted before :func:`~repro.perf.pool.completed`
+    raises — the re-run after fixing the environment only faces the cells
+    that actually failed.
     """
     import hashlib
     import tempfile
 
+    from repro.perf.pool import CellFailure, completed
     from repro.supervise import Supervisor
 
     state_root = (os.path.join(checkpoint_dir, "supervise")
                   if checkpoint_dir
                   else tempfile.mkdtemp(prefix="figure9-supervise-"))
     merged = {}
-    gave_up = []
-    for cell in cells:
-        if cell.key in cache:
-            merged[cell.key] = cache[cell.key]
-            continue
-        # Cell keys contain "/" (they are table coordinates); hash them
-        # into flat state-directory names.
-        digest = hashlib.sha1(cell.key.encode()).hexdigest()[:12]
-        sup = Supervisor(os.path.join(state_root, digest))
-        sres = sup.run(_cell_spec(cell.params))
-        if sres.gave_up:
-            gave_up.append((cell.key, sres))
-            continue
-        m = sres.result["measurement"]
-        value = {"cps": m["connections_per_second"],
-                 "syn_sent": m["syn_sent"],
-                 "syn_dropped": m["syn_dropped_at_demux"]}
-        merged[cell.key] = value
-        persist(cell, value)
-    if gave_up:
-        details = "; ".join(
-            f"{key}: {sres.classification} after "
-            f"{len(sres.attempts)} attempts (state in {sres.state_dir})"
-            for key, sres in gave_up)
-        raise RuntimeError(
-            f"{len(gave_up)} figure9 cell(s) exhausted their supervised "
-            f"retry budget — every other cell is persisted; re-run to "
-            f"retry only the failed ones.  {details}")
-    return merged
+    for key, run in runs.items():
+        if key not in cache:
+            # Cell keys contain "/" (they are table coordinates); hash
+            # them into flat state-directory names.
+            digest = hashlib.sha1(key.encode()).hexdigest()[:12]
+            sres = Supervisor(os.path.join(state_root, digest)).run(
+                run.spec())
+            if sres.gave_up:
+                merged[key] = CellFailure(
+                    key, "run", f"supervision:{sres.classification}",
+                    f"gave up after {len(sres.attempts)} attempts (state "
+                    f"in {sres.state_dir})")
+                continue
+            persist(key, sres.result["measurement"])
+        merged[key] = cache[key]
+    return completed(merged)

@@ -130,9 +130,11 @@ def figure8_chart(result, doc: str = "1B",
 
 def figure11_chart(result, width: int = 64, height: int = 14) -> str:
     """Render Figure 11 (best-effort conn/s vs attackers)."""
+    from repro.experiments.figure8 import document_label
+
     chart = AsciiChart(width=width, height=height,
-                       title=f"Figure 11 — {result.doc_label} documents "
-                             f"(conn/s vs CGI attackers)",
+                       title=f"Figure 11 — {document_label(result.document)}"
+                             f" documents (conn/s vs CGI attackers)",
                        x_label="attackers")
     for config, series in result.series.items():
         chart.add_series(config, result.attacker_counts, series)

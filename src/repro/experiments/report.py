@@ -32,6 +32,21 @@ def format_table(title: str, headers: Sequence[str],
     return "\n".join(lines)
 
 
+def paired_table(title: str, client_counts: Sequence[int],
+                 series: Dict[str, Dict[str, List[float]]], mode: str,
+                 suffix: str, note: str) -> str:
+    """Figures 9 and 10: each config's ``"base"`` series beside its
+    ``mode`` series (headed ``<config><suffix>``), a row per client
+    count."""
+    headers = ["clients"]
+    for config in series:
+        headers += [config, f"{config}{suffix}"]
+    rows = [[n] + [v for per_mode in series.values()
+                   for v in (per_mode["base"][i], per_mode[mode][i])]
+            for i, n in enumerate(client_counts)]
+    return format_table(title, headers, rows, note=note)
+
+
 def _fmt(cell: object) -> str:
     if isinstance(cell, float):
         return f"{cell:,.1f}"

@@ -106,6 +106,3 @@ class FsModule(Module):
 
     def destroy_stage(self, stage: Stage) -> None:
         pass
-
-    def cache_bytes(self) -> int:
-        return sum(b.nbytes for b in self.cache.values() if not b.freed)

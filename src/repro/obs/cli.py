@@ -22,9 +22,8 @@ import sys
 from repro.obs.recorder import SIDECAR_NAME, ObsScan, scan_obs
 from repro.obs.spans import SpanLog
 from repro.sim.clock import TICKS_PER_SECOND
-from repro.snapshot.journal import JournalError
 
-__all__ = ["obs_main"]
+__all__ = ["add_obs_commands", "run_obs_command", "obs_main"]
 
 
 def _load(obs_dir: str) -> ObsScan:
@@ -165,18 +164,17 @@ def _diff_cmd(args) -> int:
     return 1
 
 
-def obs_main(argv) -> int:
-    """``python -m repro obs {summary,series,explain,diff} ...``"""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro obs",
-        description="Query the telemetry sidecar a run with --obs wrote.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def add_obs_commands(parser: argparse.ArgumentParser) -> None:
+    """Add ``summary`` / ``series`` / ``explain`` / ``diff`` to the
+    ``python -m repro obs`` subparser."""
+    sub = parser.add_subparsers(dest="obs_command", required=True)
 
     p_sum = sub.add_parser("summary",
                            help="record counts and final metric values")
     p_sum.add_argument("--obs-dir", default="obs-out")
     p_sum.add_argument("--prefix", default="",
                        help="only show metrics starting with this prefix")
+    p_sum.set_defaults(obs_handler=_summary_cmd)
 
     p_ser = sub.add_parser("series",
                            help="one metric's tick-stamped series")
@@ -184,6 +182,7 @@ def obs_main(argv) -> int:
                                    "'defense.half_open' or "
                                    "'sim.events_processed'")
     p_ser.add_argument("--obs-dir", default="obs-out")
+    p_ser.set_defaults(obs_handler=_series_cmd)
 
     p_exp = sub.add_parser(
         "explain",
@@ -192,6 +191,7 @@ def obs_main(argv) -> int:
                        help="substring of the killed path's name "
                             "(default: every kill in the run)")
     p_exp.add_argument("--obs-dir", default="obs-out")
+    p_exp.set_defaults(obs_handler=_explain_cmd)
 
     p_diff = sub.add_parser(
         "diff", help="compare two runs' final metrics (exit 1 on drift)")
@@ -199,16 +199,20 @@ def obs_main(argv) -> int:
     p_diff.add_argument("dir_b")
     p_diff.add_argument("--limit", type=int, default=40,
                         help="max differing keys to print (default 40)")
+    p_diff.set_defaults(obs_handler=_diff_cmd)
 
-    args = parser.parse_args(argv)
-    handler = {"summary": _summary_cmd, "series": _series_cmd,
-               "explain": _explain_cmd, "diff": _diff_cmd}[args.command]
+
+def run_obs_command(args: argparse.Namespace) -> int:
+    """Run the parsed ``obs`` subcommand."""
     try:
-        return handler(args)
-    except JournalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return args.obs_handler(args)
     except BrokenPipeError:
         # Piped into `head` and the reader closed early — normal use.
         sys.stderr.close()
         return 0
+
+
+def obs_main(argv) -> int:
+    """``python -m repro obs ...``; an unusable sidecar exits 2."""
+    from repro.__main__ import main
+    return main(["obs", *argv])

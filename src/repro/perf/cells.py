@@ -1,11 +1,18 @@
 """Registered sweep-cell runners.
 
 Each runner is a module-level function (picklable by name across the
-process-pool boundary) that builds one simulated machine from plain
-parameters, runs one measurement, and returns a JSON-able dict.  The
-experiment drivers in :mod:`repro.experiments` express their sweeps as
-lists of :class:`repro.perf.pool.SweepCell` naming these runners, so the
-same cell code serves both the serial and the parallel path.
+process-pool boundary) that builds one simulated machine, runs it, and
+returns a JSON-able dict.  The experiment drivers in
+:mod:`repro.experiments` express their sweeps as lists of
+:class:`repro.perf.pool.SweepCell` naming these runners, so the same cell
+code serves both the serial and the parallel path.
+
+Most cells are a run spec (:mod:`repro.snapshot.runs`) handed to the
+``run`` runner: every Figure 8–11 cell is an ``ExperimentRun``, and the
+defense and cluster matrices use their own run kinds.  The ablation
+runners keep plain parameters because they change the machine in ways no
+spec field describes; the campaign, crash-injection and chaos-matrix
+runners return verdicts rather than run results.
 
 Every cell starts from :func:`repro.snapshot.runs.reset_ids`: object ids
 restart at 1 for each cell, in workers and in-process alike, which is what
@@ -36,91 +43,6 @@ def run_cell(runner: str, params: Dict[str, Any]) -> Any:
     from repro.snapshot.runs import reset_ids
     reset_ids()
     return fn(**params)
-
-
-# ----------------------------------------------------------------------
-# Figure cells (the measurement bodies match the serial drivers exactly)
-# ----------------------------------------------------------------------
-@cell_runner("figure8")
-def figure8_cell(config: str, clients: int, document: str,
-                 warmup_s: float, measure_s: float) -> Dict[str, Any]:
-    """One Figure-8 cell: N clients fetching one document, no attack."""
-    from repro.experiments.harness import Testbed
-    bed = Testbed.by_name(config)
-    bed.add_clients(clients, document=document)
-    run = bed.run(warmup_s=warmup_s, measure_s=measure_s)
-    return {"cps": run.connections_per_second}
-
-
-def figure9_run(config: str, clients: int, attack: bool, document: str,
-                syn_rate: int, untrusted_cap: int, warmup_s: float,
-                measure_s: float):
-    """The replayable run of one Figure-9 cell (no flood unless
-    ``attack``)."""
-    from repro.snapshot.runs import ExperimentRun
-
-    return ExperimentRun(config, clients=clients, document=document,
-                         syn_rate=syn_rate if attack else 0,
-                         untrusted_cap=untrusted_cap,
-                         warmup_s=warmup_s, measure_s=measure_s)
-
-
-@cell_runner("figure9")
-def figure9_cell(checkpoint_dir: str = None,
-                 checkpoint_every_s: float = None,
-                 **cell) -> Dict[str, Any]:
-    """One Figure-9 cell (``cell``: :func:`figure9_run`'s arguments)."""
-    from repro.snapshot.driver import RunDriver
-
-    driver = RunDriver(figure9_run(**cell))
-    if checkpoint_dir and checkpoint_every_s:
-        stem = (f"fig9-{cell['config']}-{cell['clients']}-"
-                f"{'attack' if cell['attack'] else 'base'}")
-        res, _ = driver.run_with_checkpoints(checkpoint_every_s,
-                                             checkpoint_dir, stem)
-    else:
-        res = driver.run_all()
-    return {"cps": res.connections_per_second,
-            "syn_sent": res.syn_sent,
-            "syn_dropped": res.syn_dropped_at_demux}
-
-
-@cell_runner("figure10")
-def figure10_cell(config: str, clients: int, with_qos: bool, document: str,
-                  warmup_s: float, measure_s: float) -> Dict[str, Any]:
-    """One Figure-10 cell: client load with or without the QoS stream."""
-    from repro.experiments.figure10 import QOS_TARGET_BPS
-    from repro.experiments.harness import Testbed
-    from repro.policy import QosPolicy
-
-    bed = Testbed.by_name(config, policies=[QosPolicy(QOS_TARGET_BPS)])
-    bed.add_clients(clients, document=document)
-    if with_qos:
-        bed.add_qos_receiver()
-    run = bed.run(warmup_s=warmup_s, measure_s=measure_s)
-    return {"cps": run.connections_per_second,
-            "qos_bw": run.qos_bandwidth_bps,
-            "qos_windows": list(run.qos_windows)}
-
-
-@cell_runner("figure11")
-def figure11_cell(config: str, attackers: int, clients: int, document: str,
-                  warmup_s: float, measure_s: float) -> Dict[str, Any]:
-    """One Figure-11 cell: QoS stream + clients + N CGI attackers."""
-    from repro.experiments.figure11 import QOS_TARGET_BPS
-    from repro.experiments.harness import Testbed
-    from repro.policy import QosPolicy, RunawayPolicy
-
-    bed = Testbed.by_name(config, policies=[
-        QosPolicy(QOS_TARGET_BPS), RunawayPolicy(2.0)])
-    bed.add_clients(clients, document=document)
-    bed.add_qos_receiver()
-    if attackers:
-        bed.add_cgi_attackers(attackers)
-    run = bed.run(warmup_s=warmup_s, measure_s=measure_s)
-    return {"cps": run.connections_per_second,
-            "qos_bw": run.qos_bandwidth_bps,
-            "kills": run.runaway_kills}
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +121,7 @@ def ablation_early_drop_cell(early: bool, clients: int, syn_rate: int,
 
 
 # ----------------------------------------------------------------------
-# Replayable-run cell (the defense and cluster matrices)
+# Replayable-run cell (the figure, defense and cluster sweeps)
 # ----------------------------------------------------------------------
 @cell_runner("run")
 def spec_cell(spec: Dict[str, Any]) -> Dict[str, Any]:

@@ -30,7 +30,11 @@ once into its own fresh single-worker pool — innocent victims of a
 neighbour's crash complete normally there — and a cell whose worker dies
 twice (or that raises) is surfaced as a :class:`CellFailure` value in
 the result mapping.  Failures are never cached and never passed to
-``on_cell_done``.
+``on_cell_done``.  A sweep that needs every cell — the figure, ablation,
+defense and cluster drivers — passes the mapping through
+:func:`completed`, which raises one :class:`SweepError` naming every
+failed cell once the rest have finished; the resilience campaign instead
+grades each failure as a verdict.
 """
 
 from __future__ import annotations
@@ -53,20 +57,42 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class CellFailure:
-    """A cell that could not produce a result — surfaced, not raised.
-
-    Appears as the cell's value in the mapping :func:`run_cells` returns,
-    so one dying worker (OOM-killed, segfaulted) costs its own cell, not
-    the whole sweep.  ``kind`` is ``"worker-crash"`` when the hosting
-    process died (the cell was requeued once into a fresh single-worker
-    pool first) or ``"exception"`` when the cell itself raised.
-    """
+    """A cell that could not produce a result, as its value in the mapping
+    :func:`run_cells` returns.  ``kind`` is ``"worker-crash"`` when the
+    hosting process died twice, ``"exception"`` when the cell raised,
+    ``"supervision:<how>"`` when a supervised cell gave up."""
 
     key: str
     runner: str
     kind: str
     error: str
     requeued: bool = False
+
+
+class SweepError(RuntimeError):
+    """One or more cells of a sweep that needs them all produced no
+    result; the message names each one."""
+
+
+def completed(results: Dict[str, Any]) -> Dict[str, Any]:
+    """``results`` unchanged if no cell failed, else raise
+    :class:`SweepError` naming every failed cell's key, kind and error."""
+    failures = [v for v in results.values() if isinstance(v, CellFailure)]
+    if failures:
+        raise SweepError(
+            f"{len(failures)} of {len(results)} sweep cell(s) failed: "
+            + "; ".join(f"{f.key} ({f.runner}, {f.kind}): {f.error}"
+                        for f in failures))
+    return results
+
+
+def run_specs(runs: Dict[str, Any], workers: int = 0, cache=None,
+              on_cell_done=None) -> Dict[str, Any]:
+    """Run ``{key: replayable run}`` as ``run``-runner cells; every cell
+    must finish (``cache`` and ``on_cell_done`` as for :func:`run_cells`)."""
+    cells = [SweepCell(key, "run", {"spec": run.spec()})
+             for key, run in runs.items()]
+    return completed(run_cells(cells, workers, cache, on_cell_done))
 
 
 def _run_cell_job(runner: str, params: Dict[str, Any]) -> Any:
@@ -94,6 +120,12 @@ def run_cells(cells_seq: Sequence[SweepCell], workers: int = 0,
     todo = [c for c in cells_list if c.key not in cache]
 
     results: Dict[str, Any] = {}
+
+    def finished(cell: SweepCell, result: Any) -> None:
+        results[cell.key] = result
+        if on_cell_done is not None:
+            on_cell_done(cell, result)
+
     if workers and workers > 1 and todo:
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
         from concurrent.futures import wait as futures_wait
@@ -127,9 +159,7 @@ def run_cells(cells_seq: Sequence[SweepCell], workers: int = 0,
                             cell.key, cell.runner, "exception",
                             repr(exc)[:500])
                         continue
-                    results[cell.key] = result
-                    if on_cell_done is not None:
-                        on_cell_done(cell, result)
+                    finished(cell, result)
         # Requeue each broken-pool cell once, isolated in its own
         # single-worker pool: an innocent victim completes normally, a
         # repeat-killer can only abandon itself.
@@ -149,15 +179,10 @@ def run_cells(cells_seq: Sequence[SweepCell], workers: int = 0,
                     cell.key, cell.runner, "exception", repr(exc)[:500],
                     requeued=True)
                 continue
-            results[cell.key] = result
-            if on_cell_done is not None:
-                on_cell_done(cell, result)
+            finished(cell, result)
     else:
         for cell in todo:
-            result = _run_cell_job(cell.runner, cell.params)
-            results[cell.key] = result
-            if on_cell_done is not None:
-                on_cell_done(cell, result)
+            finished(cell, _run_cell_job(cell.runner, cell.params))
 
     return {c.key: (cache[c.key] if c.key in cache else results[c.key])
             for c in cells_list}

@@ -19,8 +19,8 @@ kind and the field, whether the run is built in code, by
 :func:`run_from_spec` or by ``RunDriver.resume``.  ``build()`` constructs
 the machine, ``milestones()`` lists ``(tick, action)`` pairs and
 ``perform(action)`` executes one.  :class:`WindowedRun` is the measurement
-timeline the experiment (:class:`ExperimentRun`; one Figure-9 cell is one
-spec), defense and cluster kinds share; the chaos scenarios provide
+timeline the experiment (:class:`ExperimentRun`; every Figure 8–11 cell
+is one spec), defense and cluster kinds share; the chaos scenarios provide
 :class:`~repro.chaos.scenarios.ChaosRun`.
 
 :func:`reset_ids` re-seeds every global object-id counter, so a machine
@@ -279,14 +279,17 @@ class WindowedRun(ReplayableRun):
 
 @dataclass(eq=False)
 class ExperimentRun(WindowedRun):
-    """One figure-style measurement cell as a replayable spec.
+    """One figure cell as a replayable spec.
 
     Mirrors :meth:`repro.experiments.harness.Testbed.run` exactly —
     boot, settle, start load, warm up, measure — but expressed as fixed-
     tick milestones, so the run can be checkpointed mid-flight and
-    restored in a fresh process.  ``config='accounting'`` with a SYN
-    attacker is one cell of Figure 9; ``cgi_attackers`` gives Figure 10's
-    shape.
+    restored in a fresh process.  Every cell of Figures 8–11 is one
+    spec: N clients fetching one document, plus at most one attack or
+    stream met by the paper's policy for it — ``syn_rate`` with the
+    ``untrusted_cap`` SYN_RCVD cap (Figure 9, §4.4.1), ``qos`` with the
+    1 MBps CPU reservation (Figure 10, §4.4.2), ``cgi_attackers`` with
+    the 2 ms runaway kill (Figure 11, §4.4.3).
     """
 
     KIND = "experiment"
@@ -304,12 +307,18 @@ class ExperimentRun(WindowedRun):
 
     def build(self) -> None:
         from repro.experiments.harness import TRUSTED_SUBNET, Testbed
+        from repro.policy.qos import QosPolicy
+        from repro.policy.runaway import RunawayPolicy
         from repro.policy.synflood import SynFloodPolicy
 
         policies = []
         if self.untrusted_cap is not None:
             policies.append(SynFloodPolicy(TRUSTED_SUBNET,
                                            untrusted_cap=self.untrusted_cap))
+        if self.qos:
+            policies.append(QosPolicy())
+        if self.cgi_attackers:
+            policies.append(RunawayPolicy())
         self.bed = Testbed.by_name(self.config, policies=policies or None)
         self.bed.add_clients(self.clients, document=self.document)
         if self.cgi_attackers:

@@ -110,17 +110,17 @@ def test_listing_matches_registry():
 
 
 def test_cli_list_and_unknown(capsys):
-    from repro.__main__ import chaos_main
-    assert chaos_main(["--list"]) == 0
+    from repro.__main__ import main
+    assert main(["chaos", "--list"]) == 0
     out = capsys.readouterr().out
     for name in SCENARIOS:
         assert name in out
-    assert chaos_main(["--scenario", "bogus"]) == 2
+    assert main(["chaos", "--scenario", "bogus"]) == 2
 
 
 @pytest.mark.chaos
 def test_cli_runs_one_scenario(capsys):
-    from repro.__main__ import chaos_main
-    assert chaos_main(["--scenario", "domain-crash", "--seed", "2"]) == 0
+    from repro.__main__ import main
+    assert main(["chaos", "--scenario", "domain-crash", "--seed", "2"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] domain-crash seed=2" in out

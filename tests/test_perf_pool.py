@@ -7,15 +7,17 @@ import json
 import pytest
 
 from repro.perf.cells import CELL_RUNNERS, run_cell
-from repro.perf.pool import CellFailure, SweepCell, parse_workers, run_cells
+from repro.perf.pool import (CellFailure, SweepCell, SweepError,
+                             parse_workers, run_cells)
+from repro.snapshot.runs import ExperimentRun
 
 TINY = dict(document="/doc-1", warmup_s=0.05, measure_s=0.1)
 
 
 def _tiny_cells():
     return [
-        SweepCell(key=f"accounting/{n}", runner="figure8",
-                  params=dict(config="accounting", clients=n, **TINY))
+        SweepCell(key=f"accounting/{n}", runner="run",
+                  params={"spec": ExperimentRun(clients=n, **TINY).spec()})
         for n in (1, 2, 3)
     ]
 
@@ -58,8 +60,8 @@ def test_fully_cached_sweep_runs_nothing():
 
 
 def test_duplicate_keys_are_rejected():
-    cells = [SweepCell(key="same", runner="figure8", params={}),
-             SweepCell(key="same", runner="figure8", params={})]
+    cells = [SweepCell(key="same", runner="run", params={}),
+             SweepCell(key="same", runner="run", params={})]
     with pytest.raises(ValueError, match="same"):
         run_cells(cells)
 
@@ -70,10 +72,11 @@ def test_unknown_runner_raises():
 
 
 def test_registry_covers_every_experiment_family():
-    for name in ("figure8", "figure9", "figure10", "figure11",
-                 "ablation-domains", "ablation-crossing",
-                 "ablation-early-drop", "chaos"):
+    for name in ("run", "ablation-domains", "ablation-crossing",
+                 "ablation-early-drop", "chaos", "resilience"):
         assert name in CELL_RUNNERS
+    # Figure cells are ExperimentRun specs run by the ``run`` runner.
+    assert not [name for name in CELL_RUNNERS if name.startswith("figure")]
 
 
 def test_parse_workers():
@@ -141,6 +144,48 @@ def test_raising_cell_is_surfaced_not_raised():
     assert isinstance(failure, CellFailure)
     assert failure.kind == "exception"
     assert "RuntimeError" in failure.error
+
+
+@pytest.fixture
+def failing_run_runner(monkeypatch):
+    """Make every ``run`` cell raise; forked workers inherit the patch."""
+    def boom(spec):
+        raise RuntimeError(f"injected failure in a {spec['run']} cell")
+
+    monkeypatch.setitem(CELL_RUNNERS, "run", boom)
+
+
+def test_failed_parallel_cells_are_reported_by_name(failing_run_runner):
+    from repro.experiments.defense import run_defense
+    from repro.experiments.figure8 import run_figure8
+
+    with pytest.raises(SweepError) as figure8:
+        run_figure8(client_counts=(1, 2), configs=("accounting",),
+                    docs={"1B": "/doc-1"}, warmup_s=0.05, measure_s=0.1,
+                    workers=2)
+    message = str(figure8.value)
+    assert message.startswith("2 of 2 sweep cell(s) failed")
+    for key in ("1B/accounting/1", "1B/accounting/2"):
+        assert f"{key} (run, exception): RuntimeError" in message
+
+    with pytest.raises(SweepError) as defense:
+        run_defense(attacks=("synflood",), clients=2, warmup_s=0.05,
+                    measure_s=0.1, workers=2)
+    for key in ("synflood/none/1", "synflood/static/1",
+                "synflood/adaptive/1"):
+        assert f"{key} (run, exception)" in str(defense.value)
+    assert "injected failure in a defense cell" in str(defense.value)
+
+
+def test_cli_reports_failed_cells_and_exits_1(failing_run_runner, capsys):
+    from repro.__main__ import main
+
+    assert main(["figure8", "--clients", "1,2", "--configs", "accounting",
+                 "--docs", "1B", "--warmup", "0.05", "--measure", "0.1",
+                 "-j", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: 2 of 2 sweep cell(s) failed")
 
 
 def test_figure9_parallel_sweep_matches_serial_and_resumes(tmp_path):

@@ -307,6 +307,21 @@ def test_figure9_resumes_from_cell_cache(tmp_path, monkeypatch):
     assert second.syn_stats == first.syn_stats
 
 
+def test_figure9_cache_of_another_value_shape_errors(tmp_path):
+    from repro.experiments.figure9 import run_figure9
+
+    # The cache before its cells became whole RunResults: a projection
+    # under another record kind.
+    path = tmp_path / "figure9-cells.jrnl"
+    write_journal(str(path), [{"kind": "figure9-cells", "cells": {
+        "accounting/2/base": {"cps": 1.0, "syn_sent": 0,
+                              "syn_dropped": 0}}}])
+    with pytest.raises(JournalError, match="figure9-cells.jrnl"):
+        run_figure9(client_counts=[2], configs=["accounting"],
+                    warmup_s=0.1, measure_s=0.2,
+                    checkpoint_dir=str(tmp_path))
+
+
 def test_figure9_version_skewed_cache_errors(tmp_path):
     from repro.experiments.figure9 import run_figure9
 

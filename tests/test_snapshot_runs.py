@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.__main__ import main
+from repro.__main__ import COMMANDS, main
 from repro.resilience.space import case_to_spec, sample_case
 from repro.snapshot import (ExperimentRun, Recording, RunDriver,
                             run_from_spec)
@@ -52,6 +52,23 @@ def test_good_spec_round_trips():
     for kind in KINDS:
         assert run_from_spec(selftest_spec(kind)).spec() == \
             selftest_spec(kind)
+
+
+def test_experiment_qos_applies_the_cpu_reservation():
+    from repro.policy import QosPolicy
+
+    run = ExperimentRun(qos=True)
+    run.build()
+    assert run.bed.server.http.stream_tickets == QosPolicy().tickets(False)
+
+
+def test_experiment_cgi_attackers_apply_the_runaway_kill():
+    from repro.policy import RunawayPolicy
+
+    run = ExperimentRun(cgi_attackers=1)
+    run.build()
+    assert run.bed.server.tcp.active_path_runtime_limit == \
+        RunawayPolicy().limit_cycles
 
 
 @pytest.mark.parametrize("kind,name,value", BAD_VALUES, ids=BAD_IDS)
@@ -207,8 +224,13 @@ def test_replay_reports_a_malformed_recording_spec(tmp_path, capsys, spec,
     (["cluster", "--sizes", "0"], "cluster spec field 'replicas'"),
     (["cluster", "--sizes", "1,0", "--replay-check"],
      "cluster spec field 'replicas'"),
+    (["figure8", "--measure", "0"], "experiment spec field 'measure_s'"),
+    (["figure9", "--warmup", "-1"], "experiment spec field 'warmup_s'"),
+    (["figure10", "--measure", "-1"], "experiment spec field 'measure_s'"),
+    (["figure11", "--clients", "-1"], "experiment spec field 'clients'"),
 ], ids=["defense-measure", "defense-attack", "defense-later-attack",
-        "cluster-size", "cluster-later-size"])
+        "cluster-size", "cluster-later-size", "figure8-measure",
+        "figure9-warmup", "figure10-measure", "figure11-clients"])
 def test_sweeps_reject_out_of_range_flags_before_any_cell(capsys, no_runs,
                                                           argv, field):
     assert main(argv) == 2
@@ -234,6 +256,24 @@ def test_list_flags_reject_bad_items_before_any_cell(capsys, no_runs, argv,
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "error: " in err and message in err
+
+
+@pytest.mark.parametrize("argv", [["figure12"], ["--smoke"]],
+                         ids=["unknown-command", "unknown-flag"])
+def test_unknown_command_or_flag_exits_2(capsys, no_runs, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_every_command_has_help(capsys, name):
+    with pytest.raises(SystemExit) as exit_info:
+        main([name, "-h"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(
+        f"usage: python -m repro {name}")
 
 
 @pytest.mark.parametrize("content,message", [
