@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim.clock import seconds_to_ticks, ticks_to_seconds
-from repro.snapshot.runs import WindowedRun, spec_field
+from repro.snapshot.runs import DOCUMENTS, WindowedRun, spec_field
 
 CHAOS_KINDS = ("none", "crash", "partition", "flap")
 
@@ -87,7 +87,7 @@ class ClusterRun(WindowedRun):
     adaptive: bool = True
     seed: int = spec_field(1, low=None)
     clients: int = 12
-    document: str = "/doc-1k"
+    document: str = spec_field("/doc-1k", choices=DOCUMENTS)
     retry: bool = True
     syn_rate: int = 0
     syn_ramp_to: int = 4000

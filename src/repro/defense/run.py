@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.snapshot.runs import WindowedRun, spec_field
+from repro.snapshot.runs import CONFIGS, DOCUMENTS, WindowedRun, spec_field
 
 ATTACKS = ("none", "synflood", "runaway-cgi", "mixed")
 
@@ -69,9 +69,12 @@ class DefenseRun(WindowedRun):
     attack: str = spec_field("synflood", choices=ATTACKS)
     adaptive: bool = True
     seed: int = spec_field(1, low=None)
-    config: str = "accounting"
+    #: The controller drives an Escort kernel: any configuration but Linux.
+    config: str = spec_field("accounting",
+                             choices=tuple(c for c in CONFIGS
+                                           if c != "linux"))
     clients: int = 12
-    document: str = "/doc-1k"
+    document: str = spec_field("/doc-1k", choices=DOCUMENTS)
     syn_rate: int = 200
     syn_ramp_to: int = 4000
     syn_ramp_s: float = 1.5

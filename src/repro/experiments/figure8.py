@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence
 
 from repro.experiments.report import format_table
+from repro.snapshot.runs import CONFIGS
 
-CONFIGS = ("linux", "scout", "accounting", "accounting_pd")
 DOCUMENTS = {"1B": "/doc-1", "1KB": "/doc-1k", "10KB": "/doc-10k"}
 DEFAULT_CLIENTS = (1, 2, 4, 8, 16, 32, 64)
 

@@ -43,10 +43,23 @@ class CycleLedger:
 
     Categorizes owners the way Table 1 does: Idle, the passive paths, the
     active (connection) paths, the protection domains, and the kernel.
+
+    ``by_owner`` holds only owners that are still alive.  On an owner's
+    first charge in the window the ledger registers an ``on_destroy``
+    callback; when the owner dies, its tally moves into its category's
+    total and the key is dropped, so a destroyed path is not kept
+    reachable by the ledger and a run's memory does not grow with the
+    number of requests it served.  A charge that arrives after its owner
+    was destroyed (an interrupt posted before the kill) goes straight to
+    the category.
     """
 
     def __init__(self) -> None:
         self.by_owner: Dict[Owner, int] = {}
+        #: Cycles of destroyed owners, per category.  Every category is
+        #: entered on its first owner's first charge, so the key order of
+        #: :meth:`by_category` is the order categories were first charged.
+        self._folded: Dict[str, int] = {}
         self.recording = False
         self._cpu = None
 
@@ -59,10 +72,34 @@ class CycleLedger:
     def _on_charge(self, owner, cycles: int) -> None:
         if not self.recording or owner is None:
             return
-        self.by_owner[owner] = self.by_owner.get(owner, 0) + cycles
+        tally = self.by_owner.get(owner)
+        if tally is not None:
+            self.by_owner[owner] = tally + cycles
+        else:
+            self._first_charge(owner, cycles)
+
+    def _first_charge(self, owner, cycles: int) -> None:
+        on_destroy = getattr(owner, "on_destroy", None)
+        if on_destroy is None:          # a duck-typed owner: tally only
+            self.by_owner[owner] = cycles
+            return
+        category = self.category(owner)
+        if owner.destroyed:
+            self._folded[category] = self._folded.get(category, 0) + cycles
+            return
+        self._folded.setdefault(category, 0)
+        self.by_owner[owner] = cycles
+        on_destroy(self._fold)
+
+    def _fold(self, owner) -> None:
+        # A callback left over from an earlier window finds no tally.
+        tally = self.by_owner.pop(owner, None)
+        if tally is not None:
+            self._folded[self.category(owner)] += tally
 
     def start(self) -> None:
         self.by_owner.clear()
+        self._folded.clear()
         if not self.recording and self._cpu is not None:
             self._cpu.charge_listeners.append(self._on_charge)
         self.recording = True
@@ -77,13 +114,13 @@ class CycleLedger:
 
     # ------------------------------------------------------------------
     def total(self) -> int:
-        return sum(self.by_owner.values())
+        return sum(self.by_owner.values()) + sum(self._folded.values())
 
     def by_category(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
+        out = dict(self._folded)
         for owner, cycles in self.by_owner.items():
-            out[self.category(owner)] = \
-                out.get(self.category(owner), 0) + cycles
+            category = self.category(owner)
+            out[category] = out.get(category, 0) + cycles
         return out
 
     @staticmethod

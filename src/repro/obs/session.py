@@ -29,7 +29,6 @@ milestone samples and kill spans; runs with them get a dense series.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from typing import Dict, List, Optional, Tuple
@@ -511,6 +510,8 @@ class ObsSession:
 
     def finish(self) -> Dict:
         """Final sample, final record, dump files; returns a summary."""
+        import hashlib  # here, not at module load: it maps OpenSSL
+
         if self._finished:
             return self._summary()
         self._finished = True

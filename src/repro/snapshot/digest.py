@@ -20,7 +20,6 @@ pinpointed divergence).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Dict, List, Optional
 
@@ -53,6 +52,8 @@ def machine_digest(bed) -> str:
 
 def summary_digest(summary: Dict) -> str:
     """SHA-256 digest of one canonical summary."""
+    import hashlib  # here, not at module load: it maps OpenSSL
+
     return hashlib.sha256(canonical_json(summary).encode()).hexdigest()
 
 

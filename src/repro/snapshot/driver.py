@@ -201,7 +201,10 @@ class RunDriver:
         point even when a milestone sits on the recorded tick; the
         trailing ``finish_until`` restores the clock across any idle gap
         before the cut.  Then events, seq and the digest must match the
-        record, or :class:`RestoreMismatchError` is raised.
+        record, or :class:`RestoreMismatchError` is raised.  So is a
+        recorded tick past the run's end, before anything re-executes:
+        no position of this run lies there, and the clock would run on
+        to it.
 
         ``progress`` (optional, zero-argument) is invoked out-of-band
         every ~1000 re-executed events so a supervising parent can tell a
@@ -209,6 +212,10 @@ class RunDriver:
         simulated state.
         """
         sim = self.sim
+        if target["tick"] > self.end_tick:
+            raise RestoreMismatchError(
+                f"{source}: recorded tick {target['tick']} lies past the "
+                f"end of this run (tick {self.end_tick})")
         if progress is not None:
             sim.set_progress_hook(progress, every_events=1000)
         try:

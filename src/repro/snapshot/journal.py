@@ -138,15 +138,43 @@ def read_records(path: str, what: str = "run journal"
     return records, pos, False
 
 
+def _position_problem(record: Dict) -> Optional[str]:
+    """What is wrong with a milestone or checkpoint record, if anything."""
+    counters = ("tick", "seq", "events", "milestones_done")
+    for key in (*counters, "digest"):
+        if key not in record:
+            return f"field {key!r} is missing"
+    for key in counters:
+        value = record[key]
+        if type(value) is not int or value < 0:
+            return f"field {key!r} must be an int >= 0, got {value!r:.60}"
+    if type(record["digest"]) is not str:
+        return f"field 'digest' must be a string, got " \
+               f"{record['digest']!r:.60}"
+    if type(record.get("summary", {})) is not dict:
+        return f"field 'summary' must be an object, got " \
+               f"{record['summary']!r:.60}"
+    return None
+
+
 def scan_journal(path: str) -> JournalScan:
-    """Read the trustworthy prefix of a run journal."""
+    """Read the trustworthy prefix of a run journal.
+
+    A position record that passed its CRC but does not hold the fields a
+    restore reads (:func:`_position_problem`) raises
+    :class:`JournalError` naming the file, the record and the field.
+    """
     records, _, torn = read_records(path)
     scan = JournalScan(torn_tail=torn, records=len(records))
-    for record in records:
+    for number, record in enumerate(records, 1):
         kind = record.get("kind")
         if kind == "spec" and scan.spec is None:
             scan.spec = record.get("spec")
         elif kind in ("milestone", "checkpoint"):
+            problem = _position_problem(record)
+            if problem is not None:
+                raise JournalError(
+                    f"{path}: record {number} ({kind}) {problem}")
             scan.positions.append(record)
     return scan
 

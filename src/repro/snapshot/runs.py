@@ -32,7 +32,6 @@ restore all depend on it.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields
@@ -46,6 +45,16 @@ __all__ = ["ReplayableRun", "WindowedRun", "ExperimentRun", "spec_field",
 #: Module-init settle time used by every driver-based run (the harness has
 #: always waited this long after boot so passive paths exist before SYNs).
 SETTLE_S = 0.01
+
+#: The server configurations :meth:`repro.experiments.harness.Testbed.
+#: by_name` builds, in Figure 8's order.
+CONFIGS = ("linux", "scout", "accounting", "accounting_pd")
+#: The documents every server serves: the keys of
+#: :data:`repro.server.webserver.DEFAULT_DOCUMENTS`, spelled out so that
+#: loading a spec does not import the server.
+DOCUMENTS = ("/doc-1", "/doc-1k", "/doc-10k", "/stream-meta")
+#: The CGI scripts the testbed installs: a runaway loop and a busy one.
+CGI_SCRIPTS = ("loop", "busy")
 
 
 def reset_ids() -> None:
@@ -71,6 +80,8 @@ def reset_ids() -> None:
 
 def rng_fingerprint(rng) -> str:
     """Stable fingerprint of a ``random.Random``'s internal state."""
+    import hashlib  # here, not at module load: it maps OpenSSL
+
     return hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()[:16]
 
 
@@ -294,13 +305,13 @@ class ExperimentRun(WindowedRun):
 
     KIND = "experiment"
 
-    config: str = "accounting"
+    config: str = spec_field("accounting", choices=CONFIGS)
     clients: int = 4
-    document: str = "/doc-1k"
+    document: str = spec_field("/doc-1k", choices=DOCUMENTS)
     syn_rate: int = 0
     untrusted_cap: Optional[int] = None
     cgi_attackers: int = 0
-    cgi_script: str = "loop"
+    cgi_script: str = spec_field("loop", choices=CGI_SCRIPTS)
     qos: bool = False
     warmup_s: float = 1.0
     measure_s: float = spec_field(5.0, above=0)

@@ -97,3 +97,98 @@ def test_multiple_runs_accumulate_windows():
 def test_documents_parameter_overrides_default():
     bed = Testbed.escort(documents={"/only": 512})
     assert bed.server.fs.documents == {"/only": 512}
+
+
+# ----------------------------------------------------------------------
+# Fold-on-destroy: the ledger keeps no destroyed owner alive
+# ----------------------------------------------------------------------
+def _destroy(owner):
+    """What ``Kernel.kill_owner`` does to an owner's bookkeeping."""
+    owner.destroyed = True
+    owner.run_destroy_callbacks()
+
+
+def test_ledger_keeps_a_destroyed_owners_cycles():
+    from repro.kernel.owner import Owner, OwnerType
+    ledger = CycleLedger()
+    idle, conn = Owner(OwnerType.IDLE), Owner(OwnerType.PATH, "conn-1")
+    ledger.start()
+    ledger._on_charge(idle, 5)
+    ledger._on_charge(conn, 100)
+    ledger._on_charge(conn, 20)
+    _destroy(conn)
+    ledger._on_charge(idle, 5)
+    assert conn not in ledger.by_owner
+    assert ledger.by_category() == {"idle": 10, "active-path": 120}
+    assert ledger.total() == 130
+
+
+def test_ledger_releases_a_destroyed_owner():
+    import gc
+    import weakref
+
+    from repro.kernel.owner import Owner, OwnerType
+    ledger = CycleLedger()
+    ledger.start()
+    conn = Owner(OwnerType.PATH, "conn-1")
+    ledger._on_charge(conn, 100)
+    _destroy(conn)
+    ref = weakref.ref(conn)
+    del conn
+    gc.collect()
+    assert ref() is None
+    assert ledger.by_category() == {"active-path": 100}
+
+
+def test_ledger_counts_a_charge_after_destruction():
+    """An interrupt posted before the kill lands after it."""
+    from repro.kernel.owner import Owner, OwnerType
+    ledger = CycleLedger()
+    ledger.start()
+    early, late = (Owner(OwnerType.PATH, name)
+                   for name in ("conn-1", "passive-trusted"))
+    ledger._on_charge(early, 100)
+    _destroy(early)
+    _destroy(late)
+    ledger._on_charge(early, 7)
+    ledger._on_charge(late, 3)
+    assert not ledger.by_owner
+    assert ledger.by_category() == {"active-path": 107, "passive-path": 3}
+    assert ledger.total() == 110
+
+
+def test_ledger_second_window_counts_only_itself():
+    from repro.kernel.owner import Owner, OwnerType
+    ledger = CycleLedger()
+    kernel, gone, both = (Owner(OwnerType.KERNEL, "kernel"),
+                          Owner(OwnerType.PATH, "conn-1"),
+                          Owner(OwnerType.PATH, "conn-2"))
+    ledger.start()
+    for owner in (kernel, gone, both):
+        ledger._on_charge(owner, 100)
+    _destroy(gone)
+    ledger.stop()
+    ledger.start()
+    ledger._on_charge(both, 30)
+    ledger._on_charge(kernel, 1)
+    # ``both`` carries a callback from each window; the first to run
+    # folds its second-window tally, the other finds nothing.
+    _destroy(both)
+    ledger.stop()
+    assert ledger.by_category() == {"active-path": 30, "kernel": 1}
+    assert ledger.total() == 31
+
+
+def test_ledger_category_order_is_first_charge_order():
+    """``cycles_by_category`` keeps the key order the ledger had when it
+    held every owner it charged."""
+    from repro.kernel.owner import Owner, OwnerType
+    ledger = CycleLedger()
+    ledger.start()
+    conn, pd, idle = (Owner(OwnerType.PATH, "conn-1"),
+                      Owner(OwnerType.PROTECTION_DOMAIN, "pd-tcp"),
+                      Owner(OwnerType.IDLE))
+    for owner in (conn, pd, idle):
+        ledger._on_charge(owner, 1)
+    _destroy(conn)
+    assert list(ledger.by_category()) == ["active-path", "pd:pd-tcp", "idle"]

@@ -1,0 +1,86 @@
+"""A run's memory follows its live state, not the requests it served.
+
+Escort's claim is that destroying a path reclaims everything charged to
+it (§2.2, Table 2); the simulator has to keep that promise for its own
+Python objects, or a long run's RSS grows with every connection.  Two
+holders may still reach a destroyed path after a run, and both are
+bounded: a cancelled softclock entry waiting for its lazy purge
+(``Softclock.note_cancel``), and each TCP module's one reusable TO_PATH
+demux result, which keeps the last path it routed to.  Dropping both
+must leave no destroyed path alive.
+
+A bare run computes no digest, so it must not load OpenSSL either.
+"""
+
+from __future__ import annotations
+
+import gc
+import os
+import subprocess
+import sys
+
+import pytest
+
+from repro.cluster.run import ClusterRun
+from repro.core.path import Path
+from repro.defense.run import DefenseRun
+from repro.snapshot import ExperimentRun, RunDriver
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+RUNS = {
+    "experiment-synflood": lambda: ExperimentRun(
+        "accounting", clients=4, syn_rate=1000, untrusted_cap=8,
+        warmup_s=0.3, measure_s=0.6),
+    "defense-mixed": lambda: DefenseRun("mixed", warmup_s=0.3,
+                                        measure_s=0.6),
+    "cluster-crash": lambda: ClusterRun("crash", warmup_s=0.3,
+                                        measure_s=1.5, chaos_at_s=0.4,
+                                        chaos_restore_s=1.0),
+}
+
+
+def _servers(bed):
+    replicas = getattr(bed, "replicas", None)
+    return [r.server for r in replicas] if replicas else [bed.server]
+
+
+def _destroyed_paths(kernels) -> int:
+    mine = {id(kernel) for kernel in kernels}
+    return sum(1 for obj in gc.get_objects()
+               if isinstance(obj, Path) and obj.destroyed
+               and id(obj.kernel) in mine)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_no_destroyed_path_outlives_its_bounded_holders(name):
+    driver = RunDriver(RUNS[name]())
+    driver.run_all()
+    servers = _servers(driver.run.bed)
+    destroyed = sum(s.path_manager.paths_created - len(s.path_manager.paths)
+                    for s in servers)
+    assert destroyed > 20          # the run did destroy paths
+    for server in servers:
+        wheel = server.kernel.softclock._wheel
+        wheel[:] = [entry for entry in wheel if not entry[2].cancelled]
+        server.tcp._topath.refit_path(None)
+    gc.collect()
+    assert _destroyed_paths(s.kernel for s in servers) == 0
+
+
+def test_a_bare_run_loads_openssl_only_to_digest():
+    script = (
+        "import sys\n"
+        "from repro.snapshot import ExperimentRun, RunDriver\n"
+        "run = ExperimentRun(clients=2, syn_rate=200, untrusted_cap=8,\n"
+        "                    warmup_s=0.05, measure_s=0.1)\n"
+        "RunDriver(run).run_all()\n"
+        "print('_hashlib' in sys.modules)\n"
+        "run.digest()\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

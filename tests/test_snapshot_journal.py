@@ -11,9 +11,14 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.snapshot import (ExperimentRun, JournalError, RunDriver,
-                            RunJournal, scan_journal)
+from repro.snapshot import (ExperimentRun, JournalError,
+                            RestoreMismatchError, RunDriver, RunJournal,
+                            scan_journal)
+from repro.snapshot.journal import write_journal
+from tests.test_snapshot_runs import JSON
 
 
 def small_experiment() -> ExperimentRun:
@@ -180,3 +185,78 @@ def test_journal_fast_forward_reproduces_digest(tmp_path):
     fresh.sim.finish_until(last["tick"])
     assert fresh.sim.seq == last["seq"]
     assert fresh.run.digest() == last["digest"]
+
+
+# ----------------------------------------------------------------------
+# Position records are validated where the format is read
+# ----------------------------------------------------------------------
+#: A run short enough to re-execute once per fuzzed record.
+TINY = ExperimentRun("accounting", clients=1, warmup_s=0.0,
+                     measure_s=0.02).spec()
+POSITION = {"kind": "milestone", "tick": 0, "seq": 2, "events": 0,
+            "milestones_done": 1, "digest": "0" * 64}
+
+
+@pytest.mark.parametrize("record,field", [
+    ({"kind": "milestone", "tick": 0}, "'seq' is missing"),
+    ({**POSITION, "events": "x"}, "'events' must be an int >= 0"),
+    ({**POSITION, "tick": None}, "'tick' must be an int >= 0"),
+    ({**POSITION, "seq": -1}, "'seq' must be an int >= 0"),
+    ({**POSITION, "milestones_done": True},
+     "'milestones_done' must be an int >= 0"),
+    ({**POSITION, "digest": 7}, "'digest' must be a string"),
+    ({**POSITION, "kind": "checkpoint", "summary": []},
+     "'summary' must be an object"),
+], ids=["missing-seq", "events-str", "tick-null", "seq-negative",
+        "milestones-bool", "digest-int", "summary-list"])
+def test_malformed_position_is_a_journal_error(tmp_path, capsys, record,
+                                               field):
+    path = str(tmp_path / "bad.jrnl")
+    write_journal(path, [{"kind": "spec", "spec": TINY}, record])
+    with pytest.raises(JournalError, match=f"record 2 .* field {field}"):
+        scan_journal(path)
+    from repro.__main__ import main
+    assert main(["experiment", "--resume", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: record 2 ") and field in err
+
+
+def test_resume_refuses_a_tick_past_the_runs_end(tmp_path):
+    path = str(tmp_path / "far.jrnl")
+    write_journal(path, [{"kind": "spec", "spec": TINY},
+                         {**POSITION, "tick": 10 ** 15}])
+    with pytest.raises(RestoreMismatchError, match="past the end"):
+        RunDriver.resume(path)
+
+
+@st.composite
+def position_records(draw):
+    """A well-formed position with up to two fields deleted or given
+    any JSON value."""
+    record = draw(st.fixed_dictionaries(
+        {"kind": st.sampled_from(("milestone", "checkpoint")),
+         "tick": st.integers(0, 40_000_000), "seq": st.integers(0, 10 ** 6),
+         "events": st.integers(0, 10 ** 6),
+         "milestones_done": st.integers(0, 6),
+         "digest": st.text(max_size=64)},
+        optional={"summary": st.dictionaries(st.text(max_size=6), JSON,
+                                             max_size=3)}))
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(record)))
+        if draw(st.booleans()):
+            del record[key]
+        else:
+            record[key] = draw(JSON | st.integers())
+    return record
+
+
+@settings(max_examples=150, deadline=None)
+@given(position_records())
+def test_fuzzed_position_resumes_or_raises_a_typed_error(tmp_path_factory,
+                                                         record):
+    path = str(tmp_path_factory.mktemp("fuzz") / "run.jrnl")
+    write_journal(path, [{"kind": "spec", "spec": TINY}, record])
+    try:
+        RunDriver.resume(path)
+    except (JournalError, ValueError, RestoreMismatchError):
+        pass

@@ -36,9 +36,11 @@ BAD_VALUES = [("experiment", name, value) for name, value in [
     ("syn_rate", -1), ("syn_rate", None), ("cgi_attackers", -2),
     ("cgi_attackers", "1"), ("warmup_s", -0.5), ("warmup_s", float("nan")),
     ("measure_s", -1.0), ("measure_s", 0), ("measure_s", float("inf")),
-    ("measure_s", "5"),
-]] + [("defense", "adaptive", "no"), ("cluster", "replicas", 0),
-      ("chaos", "scenario", "nope")]
+    ("measure_s", "5"), ("config", "windows"), ("config", "Accounting"),
+    ("document", "/nope"), ("cgi_script", "nope"),
+]] + [("defense", "adaptive", "no"), ("defense", "config", "linux"),
+      ("defense", "document", "/doc-2k"), ("cluster", "replicas", 0),
+      ("cluster", "document", "/nope"), ("chaos", "scenario", "nope")]
 BAD_IDS = [f"{name}-{value}" if kind == "experiment"
            else f"{kind}-{name}-{value}" for kind, name, value in BAD_VALUES]
 
@@ -91,6 +93,34 @@ def test_resume_refuses_a_journal_whose_spec_is_malformed(tmp_path, kind,
     ])
     with pytest.raises(ValueError, match=f"{kind} spec field '{name}'"):
         RunDriver.resume(path)
+
+
+def test_spec_choices_match_what_the_testbed_builds():
+    """The literal choice lists stand in for the server's own tables,
+    which the snapshot layer must not import."""
+    from repro.experiments.harness import Testbed
+    from repro.server.webserver import DEFAULT_DOCUMENTS
+    from repro.snapshot.runs import CGI_SCRIPTS, CONFIGS, DOCUMENTS
+
+    assert DOCUMENTS == tuple(DEFAULT_DOCUMENTS)
+    for config in CONFIGS:
+        Testbed.by_name(config)
+    with pytest.raises(ValueError, match="unknown configuration"):
+        Testbed.by_name("windows")
+    server = Testbed.by_name("accounting").server
+    assert CGI_SCRIPTS == tuple(server.http.cgi_scripts)
+
+
+def test_banked_corpus_specs_validate():
+    import os
+
+    from repro.resilience.corpus import default_corpus_dir, load_entries
+
+    entries = load_entries(default_corpus_dir(
+        os.path.join(os.path.dirname(__file__), os.pardir)))
+    assert entries
+    for entry in entries:
+        assert run_from_spec(entry["spec"]).spec() == entry["spec"]
 
 
 def test_missing_and_unknown_keys_are_errors():
@@ -228,9 +258,16 @@ def test_replay_reports_a_malformed_recording_spec(tmp_path, capsys, spec,
     (["figure9", "--warmup", "-1"], "experiment spec field 'warmup_s'"),
     (["figure10", "--measure", "-1"], "experiment spec field 'measure_s'"),
     (["figure11", "--clients", "-1"], "experiment spec field 'clients'"),
+    (["experiment", "--document", "/nope"],
+     "experiment spec field 'document'"),
+    (["figure9", "--document", "/nope"], "experiment spec field 'document'"),
+    (["defense", "--document", "/nope"], "defense spec field 'document'"),
+    (["cluster", "--document", "/nope"], "cluster spec field 'document'"),
 ], ids=["defense-measure", "defense-attack", "defense-later-attack",
         "cluster-size", "cluster-later-size", "figure8-measure",
-        "figure9-warmup", "figure10-measure", "figure11-clients"])
+        "figure9-warmup", "figure10-measure", "figure11-clients",
+        "experiment-document", "figure9-document", "defense-document",
+        "cluster-document"])
 def test_sweeps_reject_out_of_range_flags_before_any_cell(capsys, no_runs,
                                                           argv, field):
     assert main(argv) == 2
