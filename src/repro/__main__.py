@@ -411,6 +411,9 @@ def _defense(args) -> int:
     from repro.experiments.defense import run_defense
 
     attacks = [a.strip() for a in args.attacks.split(",") if a.strip()]
+    if not attacks:
+        raise ValueError(f"--attacks {args.attacks!r} names no attack "
+                         f"profile")
     seeds = args.seeds
     fields = dict(clients=args.clients, document=args.document,
                   syn_rate=args.syn_rate, syn_ramp_to=args.syn_ramp_to,
@@ -771,9 +774,8 @@ def _resilience(args) -> int:
                              (pair.split("=", 1)
                               for pair in args.intensity.split(","))}
             except ValueError:
-                print(f"bad --intensity {args.intensity!r} "
-                      f"(want rate=2,magnitude=1.5)", file=sys.stderr)
-                return 2
+                raise ValueError(f"bad --intensity {args.intensity!r} "
+                                 f"(want rate=2,magnitude=1.5)") from None
         report = explore(args.target, args.seed, args.budget,
                          workers=args.workers, intensity=intensity,
                          cache_dir=args.cache_dir,

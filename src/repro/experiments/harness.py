@@ -168,7 +168,6 @@ class Testbed:
     def __init__(self, *, kind: str = "escort",
                  accounting: bool = True,
                  protection_domains: bool = False,
-                 scheduler: str = "proportional",
                  policies: Optional[List[Policy]] = None,
                  costs: Optional[CostModel] = None,
                  documents: Optional[Dict[str, int]] = None,
@@ -195,7 +194,6 @@ class Testbed:
                 self.sim,
                 accounting=accounting,
                 protection_domains=protection_domains,
-                scheduler=scheduler,
                 ip=SERVER_IP,
                 documents=documents,
                 cgi_scripts={"loop": runaway_cgi, "busy": busy_cgi},

@@ -7,9 +7,9 @@ which is either a path or a protection domain — and hardware-enforced
 
 This package implements the kernel objects behind Escort's 52 system calls:
 owners, protection domains, memory pages and heaps, IOBuffers, threads,
-events, semaphores, the softclock, the three schedulers the paper lists
-(priority, proportional share, EDF), and the role-based ACL guarding the
-kernel itself.
+events, semaphores, the softclock, the proportional-share scheduler (the
+only one of the paper's three schedulers its results use), and the
+role-based ACL guarding the kernel itself.
 """
 
 from repro.kernel.errors import (

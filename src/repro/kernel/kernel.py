@@ -35,11 +35,7 @@ from repro.kernel.owner import (
 )
 from repro.kernel.queues import BoundedQueue
 from repro.kernel.quota import QuotaEnforcer
-from repro.kernel.sched import (
-    EDFScheduler,
-    PriorityScheduler,
-    ProportionalShareScheduler,
-)
+from repro.kernel.sched import ProportionalShareScheduler
 from repro.kernel.threads import EscortThread
 
 
@@ -51,8 +47,6 @@ class KernelConfig:
     accounting: bool = True
     #: Enforce protection domains (the paper's "Accounting_PD" config).
     protection_domains: bool = False
-    #: "priority" | "proportional" | "edf" — chosen at configuration time.
-    scheduler: str = "proportional"
     total_pages: int = 8192
     costs: CostModel = field(default_factory=CostModel.default)
     #: Contain exceptions escaping thread bodies by destroying the faulting
@@ -97,8 +91,8 @@ class Kernel:
         self.kernel_owner = make_kernel_owner()
         self.idle_owner = make_idle_owner()
 
-        scheduler = self._make_scheduler(self.config.scheduler)
-        self.cpu = CPU(sim, SERVER_TICKS_PER_CYCLE, scheduler=scheduler,
+        self.cpu = CPU(sim, SERVER_TICKS_PER_CYCLE,
+                       scheduler=ProportionalShareScheduler(),
                        idle_owner=self.idle_owner)
         self.cpu.on_runaway = self._handle_runaway
 
@@ -147,15 +141,6 @@ class Kernel:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def _make_scheduler(self, name: str):
-        if name == "proportional":
-            return ProportionalShareScheduler()
-        if name == "priority":
-            return PriorityScheduler()
-        if name == "edf":
-            return EDFScheduler(now_fn=lambda: self.sim.now)
-        raise ValueError(f"unknown scheduler: {name}")
-
     def create_domain(self, name: str, privileged: bool = False,
                       role: Optional[Role] = None) -> ProtectionDomain:
         """Create a protection domain (configuration-time operation).

@@ -13,8 +13,8 @@ Mirroring the paper, the structure has three parts:
 * **Tracking** — the actual kernel objects associated with the owner, kept
   in collections that support fast removal so the owner can be destroyed
   cheaply (Table 2 measures exactly this walk).
-* **Scheduling** — per-owner scheduler state; its contents depend on the
-  configured scheduler (priority / proportional share / EDF).
+* **Scheduling** — per-owner state of the proportional-share scheduler
+  (:mod:`repro.kernel.sched`): tickets and virtual time.
 """
 
 from __future__ import annotations
@@ -62,20 +62,15 @@ class ResourceUsage:
 class SchedState:
     """Per-owner scheduler state (Figure 4, third part).
 
-    Holds the union of the fields the three schedulers need; each scheduler
-    uses only its own.
+    The proportional-share scheduler's two fields: the owner's ticket
+    grant and its stride-scheduling virtual time ("pass").
     """
 
-    __slots__ = ("tickets", "stride_pass", "priority", "period_ticks",
-                 "deadline", "remaining")
+    __slots__ = ("tickets", "stride_pass")
 
     def __init__(self) -> None:
-        self.tickets = 1          # proportional share
-        self.stride_pass = 0      # proportional share virtual time
-        self.priority = 0         # priority scheduler (higher runs first)
-        self.period_ticks = 0     # EDF
-        self.deadline = 0         # EDF absolute deadline
-        self.remaining = 0        # EDF budget bookkeeping
+        self.tickets = 1
+        self.stride_pass = 0
 
 
 class Owner:

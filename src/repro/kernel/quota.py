@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.kernel.owner import Owner
+from repro.kernel.sched import STRIDE1
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
@@ -100,7 +101,6 @@ class QuotaEnforcer:
         """
         if owner.destroyed or owner.policy_state.get("throttled"):
             return False
-        from repro.kernel.sched.proportional import STRIDE1
         owner.policy_state["throttled"] = True
         sched = owner.sched
         sched.tickets = max(1, sched.tickets // THROTTLE_TICKET_DIVISOR)

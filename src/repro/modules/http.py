@@ -87,9 +87,6 @@ class HttpModule(Module):
         #: Proportional-share tickets granted to stream paths (set by the
         #: QoS policy; 1 = best effort).
         self.stream_tickets = 1
-        #: EDF period granted to stream paths (0 = aperiodic/background);
-        #: set by the QoS policy when the kernel runs the EDF scheduler.
-        self.stream_period_ticks = 0
         self.path_manager = None  # injected by the server assembly
         self.passive_paths: List = []
         self.requests_served = 0
@@ -230,10 +227,6 @@ class HttpModule(Module):
         stage.state["responded"] = True
         path = stage.path
         path.sched.tickets = self.stream_tickets  # the QoS reservation
-        if self.stream_period_ticks:
-            # Under EDF the stream is the periodic task; best-effort
-            # paths are background (period 0).
-            path.sched.period_ticks = self.stream_period_ticks
         interval = STREAM_INTERVAL_TICKS
         chunk = STREAM_CHUNK_BYTES * self.stream_rate_bps // 1_000_000
 

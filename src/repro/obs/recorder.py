@@ -21,12 +21,13 @@ per-record fsync cost.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.snapshot.journal import (encode_record, open_for_append,
-                                    read_records)
+from repro.snapshot.journal import (JournalError, encode_record,
+                                    open_for_append, read_records)
 
 #: Default sidecar filename inside an obs directory.
 SIDECAR_NAME = "obs.jrnl"
@@ -58,7 +59,7 @@ class ObsScan:
         """
         out: Dict[str, float] = {}
         for sample in self.samples:
-            out.update(sample.get("metrics", {}))
+            out.update(sample["metrics"])
         return out
 
     def series(self, key: str) -> List:
@@ -66,23 +67,80 @@ class ObsScan:
         points = []
         last = None
         for sample in self.samples:
-            metrics = sample.get("metrics", {})
+            metrics = sample["metrics"]
             if key in metrics and metrics[key] != last:
                 last = metrics[key]
                 points.append((sample["tick"], last))
         return points
 
 
+def _count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+#: Per record kind: ``(field, requirement, test, required)`` for every
+#: field a reader of that kind uses.
+_RECORD_FIELDS = {
+    "sample": (
+        ("tick", "an int >= 0", _count, True),
+        ("metrics", "an object mapping strings to finite numbers",
+         lambda v: type(v) is dict and all(map(_number, v.values())),
+         True)),
+    "span": (
+        ("id", "an int", lambda v: type(v) is int, True),
+        ("tick", "an int >= 0", _count, True),
+        ("span", "a string", lambda v: type(v) is str, True),
+        ("parent", "an int or null",
+         lambda v: v is None or type(v) is int, False),
+        ("subject", "a string", lambda v: type(v) is str, False),
+        ("detail", "a string", lambda v: type(v) is str, False),
+        ("values", "an object", lambda v: type(v) is dict, False)),
+    "obs-final": (
+        ("samples", "an int >= 0", _count, True),
+        ("spans", "an int >= 0", _count, True),
+        ("kills", "an int >= 0", _count, True),
+        ("metrics_digest", "a string", lambda v: type(v) is str, True)),
+    "obs-meta": (
+        ("spec", "an object", lambda v: type(v) is dict, False),
+        ("attempt", "an int", lambda v: type(v) is int, False)),
+}
+
+
+def _record_problem(kind: str, record: Dict) -> Optional[str]:
+    """What is wrong with a sidecar record of ``kind``, if anything."""
+    for key, want, ok, required in _RECORD_FIELDS[kind]:
+        if key not in record:
+            if required:
+                return f"field {key!r} is missing"
+        elif not ok(record[key]):
+            return f"field {key!r} must be {want}, got {record[key]!r:.60}"
+    return None
+
+
 def scan_obs(path: str) -> ObsScan:
-    """Read the trustworthy prefix of a telemetry sidecar."""
+    """Read the trustworthy prefix of a telemetry sidecar.
+
+    A record that passed its CRC but does not hold the fields the
+    ``obs`` readers use (:data:`_RECORD_FIELDS`) raises
+    :class:`~repro.snapshot.journal.JournalError` naming the file, the
+    record and the field.
+    """
     records, _, torn = read_records(path, "telemetry sidecar")
     scan = ObsScan(torn_tail=torn, records=len(records))
     lists = {"obs-meta": scan.meta, "sample": scan.samples,
              "span": scan.span_records, "obs-final": scan.finals}
-    for record in records:
-        target = lists.get(record.get("kind"))
-        if target is not None:
-            target.append(record)
+    for number, record in enumerate(records, 1):
+        kind = record.get("kind")
+        if type(kind) is not str or kind not in lists:
+            continue
+        problem = _record_problem(kind, record)
+        if problem is not None:
+            raise JournalError(f"{path}: record {number} ({kind}) {problem}")
+        lists[kind].append(record)
     return scan
 
 

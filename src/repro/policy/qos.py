@@ -50,13 +50,6 @@ class QosPolicy(Policy):
         self._pd_enabled = server.kernel.pd_enabled
         server.http.stream_tickets = self.tickets(self._pd_enabled)
         server.http.stream_rate_bps = self.bandwidth_bps
-        if server.kernel.config.scheduler == "edf":
-            # Under EDF the reservation is expressed as a period instead
-            # of tickets: the stream becomes the (only) periodic task and
-            # always preempts the background best-effort paths at its
-            # deadlines.
-            from repro.modules.http import STREAM_INTERVAL_TICKS
-            server.http.stream_period_ticks = STREAM_INTERVAL_TICKS
 
     def describe(self) -> str:
         return (f"QosPolicy({self.bandwidth_bps} B/s, "

@@ -27,6 +27,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.resilience.space import TARGETS
+from repro.snapshot.runs import run_from_spec
+
 CORPUS_FORMAT = "ESCORP-1"
 
 
@@ -57,8 +60,50 @@ def save_entry(corpus_dir: str, name: str, *, target: str, case: Dict,
     return path
 
 
+def _entry_problem(payload) -> Optional[str]:
+    """What keeps ``payload`` from being an entry :func:`replay_entry`
+    can run, if anything.  The spec is built (not run) to check it."""
+    if not isinstance(payload, dict):
+        return f"an entry must be a JSON object, got {payload!r:.60}"
+    if payload.get("format") != CORPUS_FORMAT:
+        return (f"format {payload.get('format')!r:.60}, "
+                f"expected {CORPUS_FORMAT!r}")
+    for key in ("name", "target", "spec", "expected"):
+        if key not in payload:
+            return f"field {key!r} is missing"
+    if type(payload["name"]) is not str:
+        return f"field 'name' must be a string, got {payload['name']!r:.60}"
+    if payload["target"] not in TARGETS:
+        return (f"field 'target' must be one of {', '.join(TARGETS)}, "
+                f"got {payload['target']!r:.60}")
+    try:
+        run_from_spec(payload["spec"])
+    except ValueError as exc:
+        return f"field 'spec' does not build: {exc}"
+    expected = payload["expected"]
+    if not isinstance(expected, dict):
+        return f"field 'expected' must be an object, got {expected!r:.60}"
+    failures = expected.get("failures")
+    if not isinstance(failures, list) \
+            or not all(type(f) is str for f in failures):
+        return (f"field 'expected.failures' must be a list of strings, "
+                f"got {failures!r:.60}")
+    if "digest" in expected and type(expected["digest"]) is not str:
+        return (f"field 'expected.digest' must be a string, "
+                f"got {expected['digest']!r:.60}")
+    events = expected.get("events", 0)
+    if type(events) is not int or events < 0:
+        return (f"field 'expected.events' must be an int >= 0, "
+                f"got {events!r:.60}")
+    return None
+
+
 def load_entries(corpus_dir: str) -> List[Dict]:
-    """Load every entry in ``corpus_dir``, sorted by file name."""
+    """Load every entry in ``corpus_dir``, sorted by file name.
+
+    A file that is not an entry :func:`replay_entry` can run raises
+    :class:`CorpusFormatError` naming the file and the field.
+    """
     if not os.path.isdir(corpus_dir):
         return []
     entries = []
@@ -69,15 +114,11 @@ def load_entries(corpus_dir: str) -> List[Dict]:
         with open(path) as fh:
             try:
                 payload = json.load(fh)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise CorpusFormatError(f"{path}: not JSON: {exc}") from None
-        if payload.get("format") != CORPUS_FORMAT:
-            raise CorpusFormatError(
-                f"{path}: format {payload.get('format')!r}, "
-                f"expected {CORPUS_FORMAT!r}")
-        for key in ("name", "target", "spec", "expected"):
-            if key not in payload:
-                raise CorpusFormatError(f"{path}: missing {key!r}")
+        problem = _entry_problem(payload)
+        if problem is not None:
+            raise CorpusFormatError(f"{path}: {problem}")
         payload["_path"] = path
         entries.append(payload)
     return entries

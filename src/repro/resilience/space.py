@@ -33,6 +33,7 @@ campaign sweeps mild through harsh schedules.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, List, Optional, Sequence
 
@@ -189,7 +190,9 @@ class FaultSpace:
     ``intensity`` sets the *base* per-dimension multipliers; each sampled
     case additionally jitters them (from its own seed) over roughly
     [0.6x, 2x], so a campaign covers mild through harsh schedules without
-    the caller tuning anything.
+    the caller tuning anything.  Its keys are ``rate``, ``magnitude`` and
+    ``duration``, each a finite number > 0; anything else is a
+    ``ValueError`` naming the key.
     """
 
     def __init__(self, target: str,
@@ -199,7 +202,15 @@ class FaultSpace:
                              f"(known: {', '.join(TARGETS)})")
         self.target = target
         self.intensity = dict(_DEFAULT_INTENSITY)
-        self.intensity.update(intensity or {})
+        for key, value in (intensity or {}).items():
+            if key not in _DEFAULT_INTENSITY:
+                raise ValueError(f"unknown intensity {key!r} (known: "
+                                 f"{', '.join(_DEFAULT_INTENSITY)})")
+            if type(value) not in (int, float) or not math.isfinite(value) \
+                    or value <= 0:
+                raise ValueError(f"intensity {key!r} must be a finite "
+                                 f"number > 0, got {value!r}")
+            self.intensity[key] = value
 
     def sample(self, seed: int) -> Dict:
         jitter = random.Random(f"ESCORP-intensity/{self.target}/{seed}")

@@ -51,7 +51,6 @@ class ScoutWebServer:
     def __init__(self, sim: Simulator, *,
                  accounting: bool = True,
                  protection_domains: bool = False,
-                 scheduler: str = "proportional",
                  ip: str = "10.0.0.80",
                  documents: Optional[Dict[str, int]] = None,
                  cgi_scripts: Optional[Dict[str, Callable]] = None,
@@ -64,7 +63,6 @@ class ScoutWebServer:
         self.ip = ip
         config = KernelConfig(accounting=accounting,
                               protection_domains=protection_domains,
-                              scheduler=scheduler,
                               costs=costs or CostModel.default())
         self.kernel = Kernel(sim, config)
         self.graph = ModuleGraph(self.kernel)
@@ -197,4 +195,4 @@ class ScoutWebServer:
                 else "Accounting" if cfg.accounting else "Scout")
         return (f"{kind} web server at {self.ip} "
                 f"({len(self.kernel.domains)} domains, "
-                f"{cfg.scheduler} scheduler)")
+                "proportional scheduler)")

@@ -163,8 +163,8 @@ class SimThread:
 class FIFOScheduler:
     """Minimal round-robin scheduler used by unit tests and as a fallback.
 
-    The real Escort schedulers (priority, proportional share, EDF) live in
-    :mod:`repro.kernel.sched` and implement the same four methods.
+    The kernel's proportional-share scheduler lives in
+    :mod:`repro.kernel.sched` and implements the same four methods.
     """
 
     def __init__(self) -> None:

@@ -93,7 +93,7 @@ def decode_record(line: bytes) -> Optional[Dict]:
         if int(line[:8], 16) != zlib.crc32(body):
             return None
         record = json.loads(body)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, RecursionError):
         return None
     return record if isinstance(record, dict) else None
 

@@ -2,7 +2,7 @@
 
 Simulated behaviour depends on the engine only through the order events
 fire in, ``(time, seq)``.  These tests pin that order end to end against
-values recorded from earlier runs: the exact sequence of threads each
+values recorded from earlier runs: the exact sequence of threads the
 scheduler picks across seed-varied workloads, and the state digest of
 each replayable run kind (plus a defense run's full record/replay
 journal).  A change that moves any of them changes simulated behaviour;
@@ -17,22 +17,14 @@ import json
 
 import pytest
 
-#: ``"<seed>-<scheduler>"`` -> (picks, sha256 prefix of the pick sequence).
+#: ``"<seed>-proportional"`` -> (picks, sha256 prefix of the pick
+#: sequence).  The keys name the scheduler the rows were recorded under,
+#: the kernel's only one.
 RECORDED_PICKS = {
-    "1-edf": (510, "e75ea187ab71773f"),
-    "1-priority": (509, "3630057647e5005e"),
     "1-proportional": (490, "9f50f685052f66a3"),
-    "2-edf": (522, "9dc24a266e87f211"),
-    "2-priority": (503, "f2ba24b954ac2f62"),
     "2-proportional": (507, "684264dcc3ac2138"),
-    "3-edf": (398, "3a611199bfcaba5c"),
-    "3-priority": (397, "957788b6a4123110"),
     "3-proportional": (398, "d5e38b8ef34c042f"),
-    "4-edf": (380, "7a930db26b701542"),
-    "4-priority": (360, "3ee1a1aa346c4373"),
     "4-proportional": (364, "a0a75eaeb5571183"),
-    "5-edf": (751, "46d8acc6fac8263a"),
-    "5-priority": (715, "5f4da9141ddbbee0"),
     "5-proportional": (732, "41eed4b40e6e932f"),
 }
 
@@ -55,13 +47,13 @@ RECORDED_DEFENSE_JOURNAL = (11654, "0becda92952f15881cfa14a61e4d2610"
                                    "c156ef523f04a767a0e65c2618b0fa8a")
 
 
-def _picked_thread_sequence(scheduler: str, seed: int):
+def _picked_thread_sequence(seed: int):
     """Boot a testbed and record every thread the scheduler picks."""
     from repro.experiments.harness import Testbed
     from repro.snapshot.runs import reset_ids
 
     reset_ids()
-    bed = Testbed.escort(accounting=True, scheduler=scheduler)
+    bed = Testbed.escort(accounting=True)
     # Seed-varied workload: client count and SYN pressure differ.
     bed.add_clients(1 + (seed % 3), document="/doc-1")
     if seed % 2:
@@ -84,8 +76,8 @@ def _picked_thread_sequence(scheduler: str, seed: int):
 
 @pytest.mark.parametrize("key", sorted(RECORDED_PICKS))
 def test_scheduler_picks_match_the_recording(key):
-    seed, scheduler = key.split("-")
-    picks = _picked_thread_sequence(scheduler, int(seed))
+    seed, _ = key.split("-")
+    picks = _picked_thread_sequence(int(seed))
     digest = hashlib.sha256("\n".join(picks).encode()).hexdigest()[:16]
     assert (len(picks), digest) == RECORDED_PICKS[key]
 

@@ -1,4 +1,4 @@
-"""Advanced integration tests: schedulers, domain destruction, drivers."""
+"""Advanced integration tests: domain destruction, drivers."""
 
 import pytest
 
@@ -12,23 +12,6 @@ from repro.net.packet import (
     IPPROTO_TCP,
     TCPSegment,
 )
-
-
-# ----------------------------------------------------------------------
-# The web server under each configured scheduler
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("scheduler", ["proportional", "priority", "edf"])
-def test_server_works_under_every_scheduler(scheduler):
-    bed = Testbed.escort(scheduler=scheduler)
-    bed.add_clients(4, document="/doc-1k")
-    result = bed.run(warmup_s=0.3, measure_s=0.8)
-    assert result.client_completions > 50, scheduler
-    assert result.client_failures == 0
-
-
-def test_unknown_scheduler_rejected():
-    with pytest.raises(ValueError):
-        Testbed.escort(scheduler="lottery")
 
 
 # ----------------------------------------------------------------------

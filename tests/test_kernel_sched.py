@@ -1,23 +1,16 @@
-"""Unit tests for the three Escort schedulers."""
+"""Unit tests for Escort's proportional-share scheduler."""
 
 import pytest
 
-from repro.sim.clock import millis_to_ticks
 from repro.sim.cpu import CPU, Cycles, YieldCPU
 from repro.sim.engine import Simulator
 from repro.kernel.owner import Owner, OwnerType
-from repro.kernel.sched import (
-    EDFScheduler,
-    PriorityScheduler,
-    ProportionalShareScheduler,
-)
+from repro.kernel.sched import ProportionalShareScheduler
 
 
-def make_owner(name, tickets=1, priority=0, period=0):
+def make_owner(name, tickets=1):
     owner = Owner(OwnerType.PATH, name=name)
     owner.sched.tickets = tickets
-    owner.sched.priority = priority
-    owner.sched.period_ticks = period
     return owner
 
 
@@ -75,81 +68,6 @@ def test_stride_single_owner_runs_alone():
     cpu.spawn(spinner(10, 10, log, "x"), owner)
     sim.run()
     assert log == ["x"] * 10
-
-
-# ----------------------------------------------------------------------
-# Priority
-# ----------------------------------------------------------------------
-def test_priority_strictly_preferred():
-    sim = Simulator()
-    cpu = CPU(sim, 2, scheduler=PriorityScheduler())
-    high = make_owner("high", priority=10)
-    low = make_owner("low", priority=1)
-    log = []
-    cpu.spawn(spinner(5, 100, log, "l"), low)
-    cpu.spawn(spinner(5, 100, log, "h"), high)
-    sim.run()
-    # All high bursts complete before any low burst (after the first low
-    # burst that may already be running... the CPU is non-preemptive, but
-    # here both start queued so high runs first).
-    assert log[:5].count("h") >= 4
-
-
-def test_equal_priority_round_robins():
-    sim = Simulator()
-    cpu = CPU(sim, 2, scheduler=PriorityScheduler())
-    a = make_owner("a", priority=5)
-    b = make_owner("b", priority=5)
-    log = []
-    cpu.spawn(spinner(3, 100, log, "a"), a)
-    cpu.spawn(spinner(3, 100, log, "b"), b)
-    sim.run()
-    assert log == ["a", "b", "a", "b", "a", "b"]
-
-
-# ----------------------------------------------------------------------
-# EDF
-# ----------------------------------------------------------------------
-def test_edf_earliest_deadline_runs_first():
-    sim = Simulator()
-    sched = EDFScheduler(now_fn=lambda: sim.now)
-    cpu = CPU(sim, 2, scheduler=sched)
-    urgent = make_owner("urgent", period=millis_to_ticks(1))
-    relaxed = make_owner("relaxed", period=millis_to_ticks(100))
-    log = []
-    cpu.spawn(spinner(3, 100, log, "r"), relaxed)
-    cpu.spawn(spinner(3, 100, log, "u"), urgent)
-    sim.run()
-    # The first relaxed burst is already running (non-preemptive), but
-    # urgent then completes all its bursts before relaxed continues.
-    assert log == ["r", "u", "u", "u", "r", "r"]
-
-
-def test_edf_background_owner_runs_last():
-    sim = Simulator()
-    sched = EDFScheduler(now_fn=lambda: sim.now)
-    cpu = CPU(sim, 2, scheduler=sched)
-    periodic = make_owner("periodic", period=millis_to_ticks(5))
-    background = make_owner("background", period=0)
-    log = []
-    cpu.spawn(spinner(3, 100, log, "b"), background)
-    cpu.spawn(spinner(3, 100, log, "p"), periodic)
-    sim.run()
-    # After background's in-flight burst, the periodic owner preempts the
-    # queue: all its bursts run before background resumes.
-    assert log == ["b", "p", "p", "p", "b", "b"]
-
-
-def test_edf_deadline_rolls_forward():
-    sim = Simulator()
-    sched = EDFScheduler(now_fn=lambda: sim.now)
-    cpu = CPU(sim, 2, scheduler=sched)
-    owner = make_owner("p", period=1000)
-    log = []
-    cpu.spawn(spinner(5, 5000, log, "p"), owner)  # bursts overrun the period
-    sim.run()
-    assert log == ["p"] * 5
-    assert owner.sched.deadline > 1000
 
 
 # ----------------------------------------------------------------------

@@ -196,19 +196,3 @@ def test_misbehaver_caps_offender_connections():
     listener = bed.server.tcp.listeners[80]
     assert listener.penalty_path.policy_state["syn_recvd"] <= 1
     assert bed.server.tcp.demux_drops.get("syn-cap", 0) > 50
-
-
-# ----------------------------------------------------------------------
-# QoS under the other schedulers
-# ----------------------------------------------------------------------
-def test_qos_stream_holds_under_edf():
-    """The paper lists an EDF scheduler; a periodic reservation holds the
-    stream's rate just as the proportional share one does."""
-    policy = QosPolicy(1_000_000)
-    bed = Testbed.escort(scheduler="edf", policies=[policy])
-    bed.add_clients(32, document="/doc-1")
-    bed.add_qos_receiver()
-    result = bed.run(warmup_s=1.5, measure_s=2.0)
-    assert result.qos_bandwidth_bps == pytest.approx(1_000_000, rel=0.03)
-    # Best effort still makes progress in the EDF slack.
-    assert result.connections_per_second > 100

@@ -9,18 +9,29 @@ real simulator with tiny budgets.
 
 from __future__ import annotations
 
+import copy
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.__main__ import main
 from repro.resilience.campaign import campaign_cases, explore
 from repro.resilience.corpus import (CORPUS_FORMAT, CorpusFormatError,
                                      load_entries, replay_entry, save_entry)
 from repro.resilience.minimize import Minimizer
 from repro.resilience.space import (TARGETS, FaultSpace, case_to_spec,
                                     case_with_entries, sample_case)
+from tests.test_snapshot_runs import JSON
 
 pytestmark = pytest.mark.resilience
+
+#: The banked regression corpus.
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus",
+                          CORPUS_FORMAT)
 
 
 # ----------------------------------------------------------------------
@@ -53,6 +64,40 @@ def test_faultspace_jitters_intensity_per_case():
     hot = FaultSpace("chaos", {"rate": 4.0})
     assert sum(len(hot.sample(s)["entries"]) for s in range(10)) > \
         sum(len(space.sample(s)["entries"]) for s in range(10))
+
+
+@pytest.mark.parametrize("intensity,message", [
+    ({"rate": -1.0}, "intensity 'rate' must be a finite number > 0"),
+    ({"magnitude": 0}, "intensity 'magnitude' must be a finite number > 0"),
+    ({"duration": float("nan")},
+     "intensity 'duration' must be a finite number > 0"),
+    ({"rate": float("inf")}, "intensity 'rate' must be a finite number > 0"),
+    ({"rate": True}, "intensity 'rate' must be a finite number > 0"),
+    ({"bogus": 2.0}, "unknown intensity 'bogus'"),
+], ids=["negative", "zero", "nan", "inf", "bool", "unknown-key"])
+def test_faultspace_rejects_a_bad_intensity(intensity, message):
+    with pytest.raises(ValueError, match=message):
+        FaultSpace("chaos", intensity)
+
+
+@pytest.mark.parametrize("flag,message", [
+    ("rate=-1", "intensity 'rate' must be a finite number > 0, got -1.0"),
+    ("bogus=2", "unknown intensity 'bogus'"),
+    ("rate=nan", "intensity 'rate' must be a finite number > 0, got nan"),
+    ("rate", "bad --intensity 'rate'"),
+], ids=["negative", "unknown-key", "nan", "no-value"])
+def test_explore_rejects_a_bad_intensity_before_any_case(monkeypatch, capsys,
+                                                         flag, message):
+    import repro.perf.pool
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a case was run")
+
+    monkeypatch.setattr(repro.perf.pool, "run_cells", refuse)
+    assert main(["resilience", "explore", "--budget", "1",
+                 "--intensity", flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_case_specs_rebuild_as_runs():
@@ -273,6 +318,99 @@ def test_corpus_rejects_foreign_formats(tmp_path):
     (corpus / "bad.json").write_text("not json")
     with pytest.raises(CorpusFormatError, match="not JSON"):
         load_entries(str(corpus))
+
+
+def _banked_entry():
+    with open(os.path.join(CORPUS_DIR, "chaos-s7-0006.json")) as fh:
+        return json.load(fh)
+
+
+ENTRY = _banked_entry()
+
+
+@pytest.mark.parametrize("payload,field", [
+    ([], "an entry must be a JSON object, got []"),
+    ({k: v for k, v in ENTRY.items() if k != "spec"},
+     "field 'spec' is missing"),
+    ({**ENTRY, "name": 7}, "field 'name' must be a string"),
+    ({**ENTRY, "target": "kernel"}, "field 'target' must be one of"),
+    ({**ENTRY, "spec": {**ENTRY["spec"], "scenario": "nope"}},
+     "field 'spec' does not build: chaos spec field 'scenario'"),
+    ({**ENTRY, "spec": []}, "field 'spec' does not build"),
+    ({**ENTRY, "expected": []}, "field 'expected' must be an object"),
+    ({**ENTRY, "expected": {"digest": "d" * 64}},
+     "field 'expected.failures' must be a list of strings"),
+    ({**ENTRY, "expected": {"failures": [1]}},
+     "field 'expected.failures' must be a list of strings"),
+    ({**ENTRY, "expected": {"failures": [], "digest": 5}},
+     "field 'expected.digest' must be a string"),
+    ({**ENTRY, "expected": {"failures": [], "events": -1}},
+     "field 'expected.events' must be an int >= 0"),
+], ids=["list", "no-spec", "name-int", "target-unknown", "spec-scenario",
+        "spec-list", "expected-list", "no-failures", "failures-int",
+        "digest-int", "events-negative"])
+def test_corpus_rejects_a_malformed_entry_before_any_run(
+        tmp_path, monkeypatch, capsys, payload, field):
+    from repro.resilience import oracle as oracle_mod
+
+    def refuse(spec):
+        raise AssertionError("an entry was run")
+
+    monkeypatch.setattr(oracle_mod, "evaluate_spec", refuse)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = corpus / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorpusFormatError) as info:
+        load_entries(str(corpus))
+    assert str(info.value).startswith(f"{path}: ") and field in str(info.value)
+    assert main(["resilience", "corpus", "--corpus-dir", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and field in err
+
+
+@st.composite
+def edited_entries(draw):
+    """A banked entry with one key, at its top level or inside its
+    ``expected`` or ``spec``, deleted, added or replaced by any JSON."""
+    entry = copy.deepcopy(ENTRY)
+    node = entry
+    for key in draw(st.sampled_from([(), ("expected",), ("spec",)])):
+        node = node[key]
+    action = draw(st.sampled_from(["delete", "add", "replace"]))
+    if action == "add":
+        node[draw(st.text(max_size=6))] = draw(JSON)
+    else:
+        key = draw(st.sampled_from(sorted(node)))
+        if action == "delete":
+            del node[key]
+        else:
+            node[key] = draw(JSON)
+    return entry
+
+
+def _json_bytes(value) -> bytes:
+    return json.dumps(value).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=200) | JSON.map(_json_bytes)
+       | edited_entries().map(_json_bytes))
+@example(b"[" * 100_000)
+def test_fuzzed_corpus_file_loads_or_raises_a_format_error(tmp_path_factory,
+                                                           content):
+    corpus = tmp_path_factory.mktemp("corpus")
+    (corpus / "entry.json").write_bytes(content)
+    try:
+        entries = load_entries(str(corpus))
+    except CorpusFormatError:
+        return
+    verdict = {"ok": False, "failures": [], "digest": "", "events": 0,
+               "detail": ""}
+    with mock.patch("repro.resilience.oracle.evaluate_spec",
+                    return_value=verdict):
+        for entry in entries:
+            replay_entry(entry)
 
 
 def test_corpus_replay_flags_fingerprint_mismatch(tmp_path, monkeypatch):

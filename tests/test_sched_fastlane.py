@@ -3,7 +3,7 @@
 The engine once sent zero-delay events through a FIFO beside the heap (the
 fast lane) and this suite A/B'd the two.  The lane is gone: the engine is
 one heap.  Each name here now runs the one-queue test that absorbed it,
-so the name still asserts what it did: every scheduler picks the threads
+so the name still asserts what it did: the scheduler picks the threads
 recorded with the lane on, zero-delay hand-offs fire in ``(time, seq)``
 order however the engine is driven, a cancelled zero-delay event never
 fires and settles its ledger debt, and ``queue_health()`` keeps its

@@ -3,7 +3,7 @@
 The engine once kept far-future timers in a hierarchical timer wheel beside
 the heap and this suite A/B'd the two.  The wheel is gone: the engine is
 one heap.  Each name here now runs the one-queue test that absorbed it, so
-the name still asserts what it did: every scheduler picks the threads, and
+the name still asserts what it did: the scheduler picks the threads, and
 every run kind ends in the digest, recorded with the wheel on; a defense
 run's record/replay journal is byte-identical to that recording; near and
 far timers fire in ``(time, seq)`` order with cancellations mixed in; the

@@ -263,11 +263,12 @@ def test_replay_reports_a_malformed_recording_spec(tmp_path, capsys, spec,
     (["figure9", "--document", "/nope"], "experiment spec field 'document'"),
     (["defense", "--document", "/nope"], "defense spec field 'document'"),
     (["cluster", "--document", "/nope"], "cluster spec field 'document'"),
+    (["defense", "--attacks", ""], "--attacks '' names no attack profile"),
 ], ids=["defense-measure", "defense-attack", "defense-later-attack",
         "cluster-size", "cluster-later-size", "figure8-measure",
         "figure9-warmup", "figure10-measure", "figure11-clients",
         "experiment-document", "figure9-document", "defense-document",
-        "cluster-document"])
+        "cluster-document", "defense-no-attack"])
 def test_sweeps_reject_out_of_range_flags_before_any_cell(capsys, no_runs,
                                                           argv, field):
     assert main(argv) == 2
