@@ -823,7 +823,7 @@ def _resilience(args) -> int:
         return 2
     print(f"replaying {len(entries)} corpus entr"
           f"{'y' if len(entries) == 1 else 'ies'} from {corpus_dir}:")
-    outcomes = replay_corpus(corpus_dir, log=print)
+    outcomes = replay_corpus(entries, log=print)
     bad = [o for o in outcomes if not o.ok]
     print(f"{len(outcomes) - len(bad)}/{len(outcomes)} replayed exactly")
     return 1 if bad else 0

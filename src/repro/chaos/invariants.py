@@ -20,12 +20,17 @@ The checker is a pure observer: it hangs off the CPU's charge listeners and
 the kernel's kill listeners and never yields cycles itself, so enabling it
 cannot perturb the simulation it is checking (it stands outside the
 machine, like the logic analyzer on the paper's testbed).
+
+It also keeps the reclamation rule it checks: after the first sweep
+following its kill, a dead owner is held only weakly, so a long chaos
+run's checker does not keep every path the run destroyed alive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
+from weakref import WeakKeyDictionary
 
 from repro.sim.clock import seconds_to_ticks, ticks_to_seconds
 from repro.kernel.kernel import Kernel, KillReport
@@ -77,6 +82,16 @@ class InvariantChecker:
         self._owners: Set[Owner] = {kernel.kernel_owner, kernel.idle_owner}
         self._owners.update(kernel.domains)
 
+        # Dead owners.  Every kill (graceful pathDestroy included) queues
+        # its owner here; the next sweep audits it with the others and
+        # then retires it from the three tables above into ``_retired``,
+        # with the cycle count its counter must keep.  ``_retired`` holds
+        # its owners weakly, so a dead path leaves once nothing else
+        # reaches it — and an owner nothing reaches can no longer change.
+        self._killed: List[Owner] = []
+        self._retired: "WeakKeyDictionary[Owner, Optional[int]]" = \
+            WeakKeyDictionary()
+
     # ------------------------------------------------------------------
     # Observation hooks
     # ------------------------------------------------------------------
@@ -90,12 +105,20 @@ class InvariantChecker:
             # pre-observation history.
             self._baseline[owner] = owner.usage.cycles - cycles
             self._observed[owner] = 0
+            if isinstance(owner, Owner) and owner.destroyed:
+                # An interrupt posted before the kill charged it after:
+                # audit the owner again until the next sweep retires it.
+                expect = self._retired.pop(owner, None)
+                if expect is not None:
+                    self._baseline[owner] = expect
+                self._killed.append(owner)
         self._observed[owner] += cycles
         if isinstance(owner, Owner):
             self._owners.add(owner)
 
     def _on_kill(self, owner: Owner, report: KillReport) -> None:
         """A kill just completed: its postconditions must hold *now*."""
+        self._killed.append(owner)
         self.checks_run += 1
         if not owner.destroyed:
             self._violate("reclamation", owner.name,
@@ -125,8 +148,25 @@ class InvariantChecker:
         self._check_pages()
         self._check_orphans()
         self._check_iobuffer_locks()
+        self._retire_killed()
         self.checks_run += 1
         return self.violations[before:]
+
+    def _retire_killed(self) -> None:
+        """Move the owners this sweep audited after their kill out of the
+        strong tables."""
+        for owner in self._killed:
+            self._owners.discard(owner)
+            if owner in self._observed:
+                self._retired[owner] = (self._baseline.pop(owner)
+                                        + self._observed.pop(owner))
+            else:
+                self._retired.setdefault(owner, None)
+        self._killed.clear()
+
+    def _audited(self) -> List[Owner]:
+        """Every owner the per-owner sweeps walk."""
+        return [*self._owners, *self._retired]
 
     def _check_cycle_conservation(self) -> None:
         cpu = self.kernel.cpu
@@ -138,8 +178,12 @@ class InvariantChecker:
                 f"charged {self._charged_total} != accounted {accounted} "
                 f"(busy {cpu.busy_cycles} + idle {cpu.idle_cycles} + "
                 f"intr {cpu.interrupt_cycles})")
-        for owner, observed in self._observed.items():
-            expect = self._baseline[owner] + observed
+        expected = [(owner, self._baseline[owner] + observed)
+                    for owner, observed in self._observed.items()]
+        expected += [(owner, expect)
+                     for owner, expect in self._retired.items()
+                     if expect is not None]
+        for owner, expect in expected:
             if owner.usage.cycles != expect:
                 self._violate(
                     "cycle-conservation", getattr(owner, "name", repr(owner)),
@@ -163,7 +207,7 @@ class InvariantChecker:
             if not ev.cancelled and ev.owner.destroyed:
                 self._violate("orphan-event", ev.name,
                               f"armed event of dead owner {ev.owner.name}")
-        for owner in list(self._owners):
+        for owner in self._audited():
             if not owner.destroyed:
                 continue
             for thread in list(owner.thread_list):
@@ -172,7 +216,7 @@ class InvariantChecker:
                                   f"live thread of dead owner {owner.name}")
 
     def _check_iobuffer_locks(self) -> None:
-        for owner in list(self._owners):
+        for owner in self._audited():
             for lock in list(owner.iobuffer_locks):
                 buf = lock.buffer
                 if buf.freed:

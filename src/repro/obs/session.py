@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.obs.metrics import MetricsRegistry, metric_key
 from repro.obs.recorder import SIDECAR_NAME, FlightRecorder
 from repro.obs.spans import Span, SpanLog
+from repro.snapshot.digest import sha256_hex
 
 __all__ = ["ObsSession", "attach_obs", "run_with_obs"]
 
@@ -510,8 +511,6 @@ class ObsSession:
 
     def finish(self) -> Dict:
         """Final sample, final record, dump files; returns a summary."""
-        import hashlib  # here, not at module load: it maps OpenSSL
-
         if self._finished:
             return self._summary()
         self._finished = True
@@ -520,7 +519,7 @@ class ObsSession:
         self.registry.sample(now)
         self._record_sample(now)
         blob = self.metrics_json_bytes()
-        self.metrics_digest = hashlib.sha256(blob).hexdigest()
+        self.metrics_digest = sha256_hex(blob)
         if self.recorder is not None:
             self.recorder.record({
                 "kind": "obs-final",

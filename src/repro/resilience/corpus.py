@@ -164,11 +164,12 @@ def replay_entry(entry: Dict) -> ReplayOutcome:
     return ReplayOutcome(entry["name"], not problems, problems)
 
 
-def replay_corpus(corpus_dir: str,
+def replay_corpus(entries: List[Dict],
                   log=None) -> List[ReplayOutcome]:
-    """Replay every entry; returns outcomes in file order."""
+    """Replay entries from :func:`load_entries`; returns outcomes in
+    order."""
     outcomes = []
-    for entry in load_entries(corpus_dir):
+    for entry in entries:
         outcome = replay_entry(entry)
         if log is not None:
             log(outcome.describe())

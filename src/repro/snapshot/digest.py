@@ -23,9 +23,21 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
+# The interpreter's built-in SHA-256, taken the way CPython's own
+# ``random`` takes its SHA-512: the OpenSSL-backed one would map ~3.6 MB
+# of RSS to hash the few hundred KB a run ever digests.
+try:
+    from _sha2 import sha256 as _builtin_sha256         # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256 as _builtin_sha256   # CPython <= 3.11
+    except ImportError:
+        from hashlib import sha256 as _builtin_sha256   # other interpreters
+
 __all__ = [
     "machine_summary",
     "machine_digest",
+    "sha256_hex",
     "summary_digest",
     "light_state",
     "summary_diff",
@@ -50,11 +62,14 @@ def machine_digest(bed) -> str:
     return summary_digest(machine_summary(bed))
 
 
+def sha256_hex(data: bytes) -> str:
+    """Hex SHA-256 of ``data``; every digest in the simulator goes here."""
+    return _builtin_sha256(data).hexdigest()
+
+
 def summary_digest(summary: Dict) -> str:
     """SHA-256 digest of one canonical summary."""
-    import hashlib  # here, not at module load: it maps OpenSSL
-
-    return hashlib.sha256(canonical_json(summary).encode()).hexdigest()
+    return sha256_hex(canonical_json(summary).encode())
 
 
 def light_state(sim, kernel=None) -> List[int]:

@@ -38,6 +38,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.clock import seconds_to_ticks
+from repro.snapshot.digest import sha256_hex
 
 __all__ = ["ReplayableRun", "WindowedRun", "ExperimentRun", "spec_field",
            "check_fields", "reset_ids", "run_class", "run_from_spec"]
@@ -80,9 +81,7 @@ def reset_ids() -> None:
 
 def rng_fingerprint(rng) -> str:
     """Stable fingerprint of a ``random.Random``'s internal state."""
-    import hashlib  # here, not at module load: it maps OpenSSL
-
-    return hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()[:16]
+    return sha256_hex(repr(rng.getstate()).encode())[:16]
 
 
 # ----------------------------------------------------------------------

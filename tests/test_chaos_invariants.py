@@ -5,10 +5,15 @@ of deliberately broken invariant, and (c) never report the same breakage
 twice.  Fault schedules must be pure functions of their seed.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.clock import millis_to_ticks
-from repro.sim.cpu import Cycles
+from repro.sim.cpu import Cycles, Interrupt
+from repro.kernel.iobuffer import IOBuffer, IOBufferLock
+from repro.kernel.memory import PAGE_SIZE
 from repro.kernel.owner import Owner, OwnerType
 from repro.chaos.invariants import InvariantChecker
 from repro.chaos.schedule import (
@@ -161,6 +166,89 @@ def test_periodic_sweep_runs_and_stops(sim, kernel):
     checker.stop()
     sim.run(until=millis_to_ticks(20))
     assert checker.checks_run == ran
+
+
+# ----------------------------------------------------------------------
+# Dead owners: each per-owner rule still holds after the kill
+# ----------------------------------------------------------------------
+def killed_owner(sim, kernel):
+    """An owner the checker saw charged, then killed (no sweep yet)."""
+    owner = make_owner("doomed")
+    kernel.spawn_thread(owner, spin(10**6))
+    sim.run(until=millis_to_ticks(1))
+    kernel.kill_owner(owner)
+    return owner
+
+
+def test_detects_cycles_cooked_on_a_killed_owner(sim, kernel):
+    checker = InvariantChecker(kernel)
+    owner = killed_owner(sim, kernel)
+    owner.usage.cycles += 7
+    found = checker.check_now()
+    assert [(v.rule, v.subject) for v in found] \
+        == [("cycle-conservation", owner.name)]
+
+
+def test_detects_live_thread_left_in_a_killed_owner(sim, kernel):
+    checker = InvariantChecker(kernel)
+    owner = killed_owner(sim, kernel)
+    intruder = kernel.spawn_thread(make_owner("live"), spin(10**6))
+    owner.thread_list.add(intruder)
+    found = checker.check_now()
+    assert [(v.rule, v.subject) for v in found] \
+        == [("orphan-thread", intruder.name)]
+    owner.thread_list.discard(intruder)
+
+
+def test_detects_lock_on_freed_buffer_kept_by_a_killed_owner(sim, kernel):
+    checker = InvariantChecker(kernel)
+    owner = killed_owner(sim, kernel)
+    buf = IOBuffer(PAGE_SIZE, make_owner("writer"))
+    buf.freed = True
+    owner.iobuffer_locks.add(IOBufferLock(buf, owner))
+    found = checker.check_now()
+    assert [(v.rule, v.subject) for v in found] == [("iobuf-lock", owner.name)]
+
+
+def test_late_charge_to_a_retired_owner_is_checked(sim, kernel):
+    # An interrupt posted before the kill charges the owner after it, and
+    # after the sweep that retired it: the charge must still be checked
+    # against everything the owner was charged before.
+    checker = InvariantChecker(kernel)
+    owner = make_owner("doomed")
+    kernel.spawn_thread(owner, spin(10**6))
+    sim.run(until=millis_to_ticks(1))
+    kernel.cpu.post_interrupt(Interrupt([(owner, 500)]))
+    kernel.kill_owner(owner)
+    assert checker.check_now() == []
+    # A buggy kernel counts the late charge twice.
+    owner.charge_cycles = lambda n: Owner.charge_cycles(owner, 2 * n)
+    sim.run(until=millis_to_ticks(2))
+    found = checker.check_now()
+    assert [(v.rule, v.subject) for v in found] \
+        == [("cycle-conservation", owner.name)]
+
+
+def test_retired_owner_is_audited_while_reachable_then_let_go(sim, kernel):
+    checker = InvariantChecker(kernel)
+    owner = killed_owner(sim, kernel)
+    assert checker.check_now() == []
+    # Retired after that sweep: out of the strong tables...
+    assert owner not in checker._owners
+    assert owner not in checker._observed
+    # ...but still audited while something can reach it and change it.
+    owner.usage.cycles += 1
+    assert [v.rule for v in checker.check_now()] == ["cycle-conservation"]
+    # Once nothing else holds it (the scheduler, which remembers the
+    # owner it served last, moves on to a bystander), the checker does
+    # not keep it alive.
+    kernel.spawn_thread(make_owner("bystander"), spin(1))
+    sim.run(until=millis_to_ticks(2))
+    gone = weakref.ref(owner)
+    del owner
+    gc.collect()
+    assert gone() is None
+    assert checker.check_now() == []
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from repro.sim.clock import seconds_to_ticks
 from repro.experiments.harness import Testbed
 from repro.modules.http import HTTPRequest, ListenSpec
+from repro.modules.tcp import HTTPData
 from repro.net.addressing import Subnet
 
 
@@ -75,28 +76,42 @@ def test_cgi_registry_dispatch():
     assert result.client_completions > 0
 
 
+def _answered_open_stage(server):
+    """The HTTP stage of a live connection that has sent its response."""
+    for path in server.tcp.conn_table.values():
+        if not path.destroyed and path.has_module("http"):
+            stage = path.stage_of("http")
+            if stage.state.get("responded"):
+                return stage
+    return None
+
+
 def test_second_request_on_same_connection_ignored():
     """HTTP/1.0: one request per connection; duplicates are dropped."""
     bed = Testbed.escort()
     bed.add_clients(1, document="/doc-1")
-    bed.run(warmup_s=0.3, measure_s=0.4)
     server = bed.server
+    server.boot()
+    bed.sim.run(until=seconds_to_ticks(0.01))
+    bed.start_load()
+    # Step event by event until a connection has been answered but not
+    # yet torn down (a few dozen events on this testbed).
+    limit = seconds_to_ticks(0.5)
+    stage = None
+    while stage is None:
+        assert bed.sim.now < limit, "no answered connection still open"
+        assert bed.sim.step()
+        stage = _answered_open_stage(server)
     served_before = server.http.requests_served
-    # Find a live active path and replay a request into its HTTP stage.
-    live = [p for p in server.tcp.conn_table.values() if not p.destroyed]
-    if not live:
-        pytest.skip("no live connection at sample time")
-    path = live[0]
-    stage = path.stage_of("http")
-    stage.state["responded"] = True
-    from repro.modules.tcp import HTTPData
 
     def replay():
         yield from server.http.forward(
             stage, HTTPData(100, HTTPRequest("GET", "/doc-1")))
 
-    server.kernel.spawn_thread(server.kernel.kernel_owner, replay())
-    bed.sim.run(until=bed.sim.now + seconds_to_ticks(0.05))
+    thread = server.kernel.spawn_thread(server.kernel.kernel_owner, replay())
+    while thread.alive:
+        assert bed.sim.now < limit, "the replayed request never finished"
+        assert bed.sim.step()
     assert server.http.requests_served == served_before
 
 

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from repro.__main__ import main
 from repro.resilience.campaign import campaign_cases, explore
 from repro.resilience.corpus import (CORPUS_FORMAT, CorpusFormatError,
-                                     load_entries, replay_entry, save_entry)
+                                     ReplayOutcome, load_entries,
+                                     replay_entry, save_entry)
 from repro.resilience.minimize import Minimizer
 from repro.resilience.space import (TARGETS, FaultSpace, case_to_spec,
                                     case_with_entries, sample_case)
@@ -426,6 +427,27 @@ def test_corpus_replay_flags_fingerprint_mismatch(tmp_path, monkeypatch):
     assert any("fingerprint mismatch" in p for p in outcome.problems)
     assert any("digest drift" in p for p in outcome.problems)
     assert any("event-count drift" in p for p in outcome.problems)
+
+
+def test_corpus_command_loads_the_corpus_once(monkeypatch, capsys):
+    import repro.resilience
+    from repro.resilience import corpus as corpus_mod
+
+    calls = []
+
+    def counted(corpus_dir):
+        calls.append(corpus_dir)
+        return load_entries(corpus_dir)
+
+    monkeypatch.setattr(repro.resilience, "load_entries", counted)
+    monkeypatch.setattr(corpus_mod, "load_entries", counted)
+    monkeypatch.setattr(corpus_mod, "replay_entry",
+                        lambda entry: ReplayOutcome(entry["name"], True))
+    assert main(["resilience", "corpus", "--corpus-dir", CORPUS_DIR]) == 0
+    assert calls == [CORPUS_DIR]
+    out = capsys.readouterr().out
+    assert f"replaying 3 corpus entries from {CORPUS_DIR}:" in out
+    assert out.endswith("3/3 replayed exactly\n")
 
 
 def test_banked_corpus_replays_exactly():

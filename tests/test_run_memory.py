@@ -9,26 +9,33 @@ bounded: a cancelled softclock entry waiting for its lazy purge
 demux result, which keeps the last path it routed to.  Dropping both
 must leave no destroyed path alive.
 
-A bare run computes no digest, so it must not load OpenSSL either.
+Digests use the interpreter's built-in SHA-256, so no run loads OpenSSL,
+whether it digests, journals, checkpoints, records telemetry or resumes.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.chaos.scenarios import ChaosRun
 from repro.cluster.run import ClusterRun
 from repro.core.path import Path
 from repro.defense.run import DefenseRun
 from repro.snapshot import ExperimentRun, RunDriver
+from repro.snapshot.digest import sha256_hex
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 RUNS = {
+    "chaos-oom-cgi": lambda: ChaosRun("oom-cgi"),
     "experiment-synflood": lambda: ExperimentRun(
         "accounting", clients=4, syn_rate=1000, untrusted_cap=8,
         warmup_s=0.3, measure_s=0.6),
@@ -68,19 +75,49 @@ def test_no_destroyed_path_outlives_its_bounded_holders(name):
     assert _destroyed_paths(s.kernel for s in servers) == 0
 
 
-def test_a_bare_run_loads_openssl_only_to_digest():
+def test_a_bare_run_loads_openssl_only_to_digest(tmp_path):
+    # Every digest goes through the interpreter's built-in SHA-256, so no
+    # step of a bare, digested, journaled, checkpointed, observed or
+    # resumed run maps OpenSSL.
     script = (
-        "import sys\n"
-        "from repro.snapshot import ExperimentRun, RunDriver\n"
-        "run = ExperimentRun(clients=2, syn_rate=200, untrusted_cap=8,\n"
-        "                    warmup_s=0.05, measure_s=0.1)\n"
+        "import os, sys\n"
+        "from repro.obs.session import attach_obs\n"
+        "from repro.snapshot import ExperimentRun, RunDriver, RunJournal\n"
+        "tmp = sys.argv[1]\n"
+        "def cell():\n"
+        "    return ExperimentRun(clients=2, syn_rate=200, untrusted_cap=8,\n"
+        "                         warmup_s=0.05, measure_s=0.1)\n"
+        "def loaded():\n"
+        "    print('_hashlib' in sys.modules)\n"
+        "run = cell()\n"
         "RunDriver(run).run_all()\n"
-        "print('_hashlib' in sys.modules)\n"
+        "loaded()\n"
         "run.digest()\n"
-        "print('_hashlib' in sys.modules)\n"
+        "loaded()\n"
+        "driver = RunDriver(cell())\n"
+        "journal = os.path.join(tmp, 'run.jrnl')\n"
+        "driver.journal = RunJournal(journal, driver.run.spec())\n"
+        "driver.run_to(driver.end_tick // 2)\n"
+        "loaded()\n"
+        "driver.checkpoint(os.path.join(tmp, 'run.ckpt'))\n"
+        "loaded()\n"
+        "session = attach_obs(driver, os.path.join(tmp, 'obs'))\n"
+        "driver.run_all()\n"
+        "session.finish()\n"
+        "driver.journal.close()\n"
+        "loaded()\n"
+        "RunDriver.resume(journal)\n"
+        "loaded()\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script],
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False", "False", "False", "False",
+                                   "False", "False"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=4096))
+def test_builtin_sha256_matches_hashlib(data):
+    assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
