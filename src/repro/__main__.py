@@ -15,6 +15,7 @@ import sys
 from typing import Callable, Dict, NamedTuple, Tuple
 
 from repro.obs.cli import add_obs_commands, run_obs_command
+from repro.perf.pool import parse_workers
 
 
 def _comma_list(names=None, low=None):
@@ -69,7 +70,7 @@ def _obs_flags(parser) -> None:
 def _perf_flags(parser) -> None:
     """``--workers`` / ``--profile``: the sweeps' process pool and
     cProfile hook."""
-    parser.add_argument("--workers", "-j", type=int, default=0,
+    parser.add_argument("--workers", "-j", type=parse_workers, default=0,
                         help="fan sweep cells over N worker processes "
                              "(0/1 = serial; results are byte-identical "
                              "either way)")
@@ -81,8 +82,8 @@ def _perf_flags(parser) -> None:
 def _journal_flags(parser) -> None:
     """``--checkpoint-every`` / ``--checkpoint-dir`` / ``--resume``: one
     run journal per run (see :func:`_journaled`)."""
-    parser.add_argument("--checkpoint-every", type=float, default=None,
-                        metavar="S",
+    parser.add_argument("--checkpoint-every", type=_checkpoint_every,
+                        default=None, metavar="S",
                         help="journal the run to <checkpoint-dir>/"
                              "<stem>.jrnl with a checkpoint record every "
                              "S simulated seconds")
@@ -95,10 +96,24 @@ def _journal_flags(parser) -> None:
                              "starting fresh")
 
 
+def _checkpoint_every(text):
+    """``--checkpoint-every``: seconds that round to at least one tick
+    (:func:`~repro.snapshot.driver.checkpoint_ticks`), checked while
+    parsing so no run starts with a cadence the journal refuses."""
+    from repro.snapshot.driver import checkpoint_ticks
+
+    try:
+        every_s = float(text)
+        checkpoint_ticks(every_s)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return every_s
+
+
 def _journaled(driver, args, stem: str):
     """Run ``driver`` to its end; with ``--checkpoint-every``, journaled
     to ``<checkpoint-dir>/<stem>.jrnl``."""
-    if not args.checkpoint_every:
+    if args.checkpoint_every is None:
         return driver.run_all()
     result, journal = driver.run_with_checkpoints(
         args.checkpoint_every, args.checkpoint_dir, stem)
@@ -136,7 +151,7 @@ def _chaos_flags(parser) -> None:
                         dest="list_them", help="list scenarios and exit")
     parser.add_argument("--rollback", action="store_true",
                         help="arm the watchdog's snapshot/rollback rung")
-    parser.add_argument("--workers", "-j", type=int, default=0,
+    parser.add_argument("--workers", "-j", type=parse_workers, default=0,
                         help="run the scenario matrix on N worker "
                              "processes (ignored with --checkpoint-every "
                              "or --resume)")
@@ -173,7 +188,7 @@ def _chaos(args) -> int:
         print(session.describe())
         return 0 if report.ok else 1
 
-    if args.workers > 1 and not args.checkpoint_every and len(names) > 1:
+    if args.workers > 1 and args.checkpoint_every is None and len(names) > 1:
         from repro.perf.pool import SweepCell, completed, run_cells
         merged = completed(run_cells(
             [SweepCell(key=name, runner="chaos",
@@ -719,7 +734,7 @@ def _resilience_flags(parser) -> None:
     p_explore.add_argument("--intensity", default=None, metavar="K=V,...",
                            help="base intensity multipliers, e.g. "
                                 "rate=2,magnitude=1.5,duration=2")
-    p_explore.add_argument("--workers", "-j", type=int, default=0,
+    p_explore.add_argument("--workers", "-j", type=parse_workers, default=0,
                            help="fan cases over N worker processes "
                                 "(results byte-identical to serial)")
     p_explore.add_argument("--cache-dir", default=None,

@@ -5,11 +5,13 @@ Escort extends Scout with two mechanisms (paper sections 2.3-2.4): resource
 which is either a path or a protection domain — and hardware-enforced
 *protection domains* around the modules configured into the system.
 
-This package implements the kernel objects behind Escort's 52 system calls:
-owners, protection domains, memory pages and heaps, IOBuffers, threads,
-events, semaphores, the softclock, the proportional-share scheduler (the
-only one of the paper's three schedulers its results use), and the
-role-based ACL guarding the kernel itself.
+This package implements Escort's kernel objects: owners, protection
+domains, memory pages and heaps, IOBuffers, threads, events, semaphores,
+the softclock, the proportional-share scheduler (the only one of the
+paper's three schedulers its results use), and the role-based ACL guarding
+the kernel itself.  Escort's modules reach these objects through system
+calls; here the modules are trusted in-process code that call them
+directly, and the cost model charges each protection-domain crossing.
 """
 
 from repro.kernel.errors import (
@@ -27,7 +29,6 @@ from repro.kernel.events import KernelEvent, Semaphore, Softclock
 from repro.kernel.threads import EscortThread, ThreadPool
 from repro.kernel.acl import AccessControlList, Role
 from repro.kernel.kernel import Kernel, KernelConfig
-from repro.kernel.syscalls import SystemCalls
 
 __all__ = [
     "EscortError",
@@ -54,5 +55,4 @@ __all__ = [
     "Role",
     "Kernel",
     "KernelConfig",
-    "SystemCalls",
 ]

@@ -1,8 +1,9 @@
 """Kernel error types.
 
-The paper's kernel returns error codes from its 52 system calls; we raise
-exceptions instead, which is the Pythonic equivalent.  All kernel errors
-derive from :class:`EscortError` so callers can catch the whole family.
+The paper's kernel returns error codes from its system calls; the kernel
+objects here raise exceptions instead, which is the Pythonic equivalent.
+All kernel errors derive from :class:`EscortError` so callers can catch
+the whole family.
 """
 
 from __future__ import annotations

@@ -203,8 +203,8 @@ class IOBufferCache:
     def lock(self, buf: IOBuffer, owner: Owner) -> IOBufferLock:
         """Lock ``buf`` for ``owner``: bump refcount, revoke write access.
 
-        At most one kernel lock per owner — the message library multiplexes
-        user-level references over it.
+        At most one kernel lock per owner: an owner holds a buffer once,
+        however many references to it its modules keep.
         """
         if buf.freed:
             raise InvalidOperationError("lock of freed IOBuffer")

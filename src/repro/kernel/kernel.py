@@ -73,7 +73,7 @@ class KillReport:
 
 
 class Kernel:
-    """The privileged protection domain: kernel objects and system calls."""
+    """The privileged protection domain: kernel objects and their services."""
 
     def __init__(self, sim: Simulator, config: Optional[KernelConfig] = None):
         self.sim = sim
@@ -184,7 +184,7 @@ class Kernel:
         return self.costs.pd_crossing
 
     # ------------------------------------------------------------------
-    # Kernel object factories (the syscall surface uses these)
+    # Kernel object factories (modules call these directly)
     # ------------------------------------------------------------------
     def spawn_thread(self, owner: Owner, body: Generator, name: str = "",
                      stack_domains: int = 1) -> EscortThread:
@@ -357,6 +357,7 @@ class Kernel:
         # 6. Mark dead and notify kernel-internal cleanups (demux bindings,
         #    domain crossing sets, experiment stats).
         owner.destroyed = True
+        self.cpu.scheduler.forget(owner)
         owner.run_destroy_callbacks()
 
         if record:

@@ -94,6 +94,16 @@ class ProportionalShareScheduler:
                 return thread
         return None
 
+    def forget(self, owner: Owner) -> None:
+        """Drop the destroyed ``owner`` if it was the one served last.
+
+        A destroyed owner never enqueues again and ``_min_pass`` already
+        ignores it, so this changes no pick; it only stops an idle CPU's
+        scheduler from keeping a killed path alive until the next pick.
+        """
+        if self._serving is owner:
+            self._serving = None
+
     def on_charge(self, thread: SimThread, cycles: int) -> None:
         sched = thread.owner.sched
         tickets = sched.tickets

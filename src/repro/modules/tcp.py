@@ -138,7 +138,7 @@ class TcpModule(Module):
         #: attach time (set by the misbehaver policy before boot).
         self.penalty_predicate = None
         #: Hook: ResourceQuota applied to each new connection path (set
-        #: by the memory-quota policy).
+        #: while the adaptive defense's quota rung is active).
         self.active_path_quota = None
         self.master_event = None
         self.connections_accepted = 0

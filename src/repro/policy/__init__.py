@@ -18,8 +18,7 @@ from repro.policy.synflood import SynFloodPolicy
 from repro.policy.runaway import RunawayPolicy
 from repro.policy.qos import QosPolicy
 from repro.policy.misbehaver import MisbehaverPolicy
-from repro.policy.memquota import MemoryQuotaPolicy
 from repro.policy.adaptive import AdaptivePolicy
 
 __all__ = ["Policy", "SynFloodPolicy", "RunawayPolicy", "QosPolicy",
-           "MisbehaverPolicy", "MemoryQuotaPolicy", "AdaptivePolicy"]
+           "MisbehaverPolicy", "AdaptivePolicy"]

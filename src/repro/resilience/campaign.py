@@ -154,9 +154,13 @@ def explore(target: str = "chaos", seed: int = 7, budget: int = 50, *,
     recorded as a ``supervision:<classification>`` verdict while the
     campaign continues.  ``supervise_dir`` keeps the per-case state
     directories (journals + attempt logs) for post-mortem; by default
-    they live under ``cache_dir`` or a temp directory.
+    they live under ``cache_dir`` or a temp directory.  A ``budget``
+    below 1 raises ``ValueError`` before any case is sampled.
     """
     from repro.perf.pool import CellFailure, SweepCell, run_cells
+
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1 case, got {budget}")
 
     say = log or (lambda line: None)
     cases = campaign_cases(target, seed, budget, intensity)

@@ -160,36 +160,6 @@ class SimThread:
         return f"<SimThread {self.name} {self.state}>"
 
 
-class FIFOScheduler:
-    """Minimal round-robin scheduler used by unit tests and as a fallback.
-
-    The kernel's proportional-share scheduler lives in
-    :mod:`repro.kernel.sched` and implements the same four methods.
-    """
-
-    def __init__(self) -> None:
-        self._queue: Deque[SimThread] = deque()
-
-    def enqueue(self, thread: SimThread) -> None:
-        self._queue.append(thread)
-
-    def dequeue(self, thread: SimThread) -> None:
-        try:
-            self._queue.remove(thread)
-        except ValueError:
-            pass
-
-    def pick(self) -> Optional[SimThread]:
-        while self._queue:
-            t = self._queue.popleft()
-            if t.alive:
-                return t
-        return None
-
-    def on_charge(self, thread: SimThread, cycles: int) -> None:
-        pass
-
-
 # ----------------------------------------------------------------------
 # The CPU
 # ----------------------------------------------------------------------
@@ -203,16 +173,17 @@ class CPU:
     ticks_per_cycle:
         Clock conversion; 2 for the 300 MHz server on the 600 MHz tick.
     scheduler:
-        Object with ``enqueue/dequeue/pick/on_charge``.
+        Object with ``enqueue/dequeue/pick/on_charge``; the kernel passes
+        its :class:`~repro.kernel.sched.ProportionalShareScheduler`.
     idle_owner:
         Owner charged for cycles during which nothing is runnable.
     """
 
     def __init__(self, sim: Simulator, ticks_per_cycle: int,
-                 scheduler=None, idle_owner=None):
+                 scheduler, idle_owner=None):
         self.sim = sim
         self.tpc = ticks_per_cycle
-        self.scheduler = scheduler or FIFOScheduler()
+        self.scheduler = scheduler
         self.idle_owner = idle_owner
         self.on_runaway: Optional[Callable[[SimThread], None]] = None
         #: Fault containment hook: when set, an exception escaping a thread

@@ -18,15 +18,32 @@ checkpoint record's summary allows one).
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Dict, List, Optional, Tuple
 
+from repro.sim.clock import seconds_to_ticks
 from repro.snapshot.digest import summary_diff, summary_digest
 from repro.snapshot.journal import (JournalError, RunJournal, scan_journal,
                                     write_journal)
 from repro.snapshot.runs import ReplayableRun, reset_ids, run_from_spec
 
-__all__ = ["RunDriver", "RestoreMismatchError"]
+__all__ = ["RunDriver", "RestoreMismatchError", "checkpoint_ticks"]
+
+
+def checkpoint_ticks(every_s: float) -> int:
+    """A checkpoint cadence of ``every_s`` simulated seconds, in ticks.
+
+    Raises ``ValueError`` unless ``every_s`` is finite and rounds to at
+    least one tick: a cadence below that would journal a record per tick
+    (hundreds of millions per simulated second), and zero or a negative
+    cadence means nothing.
+    """
+    ticks = seconds_to_ticks(every_s) if math.isfinite(every_s) else 0
+    if ticks < 1:
+        raise ValueError(f"checkpoint interval must be a finite number of "
+                         f"seconds of at least one tick, got {every_s!r}")
+    return ticks
 
 
 class RestoreMismatchError(Exception):
@@ -170,15 +187,15 @@ class RunDriver:
         ``every_s`` simulated seconds; ``--resume`` takes it.  A driver
         that has not executed anything yet starts the file over, a
         resumed one appends to it.  Returns ``(result, journal_path)``.
+        A bad ``every_s`` raises ``ValueError`` (:func:`checkpoint_ticks`)
+        before the journal is touched.
         """
-        from repro.sim.clock import seconds_to_ticks
-
+        every = checkpoint_ticks(every_s)
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, f"{stem}.jrnl")
         if not (self.sim.events_processed or self._ms_done) \
                 and os.path.exists(path):
             os.unlink(path)
-        every = max(1, seconds_to_ticks(every_s))
         outer, self.journal = self.journal, RunJournal(path, self.run.spec())
         try:
             tick = self.sim.now

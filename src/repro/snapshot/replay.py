@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 from repro.sim.clock import ticks_to_server_cycles
 from repro.snapshot.digest import light_state, summary_diff
 from repro.snapshot.driver import RunDriver
-from repro.snapshot.journal import load_record, write_journal
+from repro.snapshot.journal import JournalError, load_record, write_journal
 from repro.snapshot.runs import ReplayableRun, run_from_spec
 
 __all__ = ["Recording", "Divergence", "ReplayReport", "record", "replay"]
@@ -35,6 +35,30 @@ __all__ = ["Recording", "Divergence", "ReplayReport", "record", "replay"]
 LIGHT_FIELDS = ("tick", "seq", "busy_cycles", "idle_cycles",
                 "interrupt_cycles", "free_pages")
 LIGHT_WIDTH = len(LIGHT_FIELDS)
+
+
+def _count(value, low: int = 0) -> bool:
+    """``value`` is an int (not a bool) of at least ``low``."""
+    return type(value) is int and value >= low
+
+
+def _is_object(value) -> bool:
+    return type(value) is dict
+
+
+def _is_entry(row) -> bool:
+    return (type(row) is list and len(row) == 3 and _count(row[0])
+            and _count(row[1]) and type(row[2]) is str)
+
+
+def _int64_count(text) -> Optional[int]:
+    """How many int64 values base64 ``text`` holds (None if it is not
+    base64 of whole int64 values)."""
+    try:
+        data = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError):
+        return None
+    return None if len(data) % 8 else len(data) // 8
 
 
 class Recording:
@@ -78,16 +102,46 @@ class Recording:
 
     @classmethod
     def load(cls, path: str) -> "Recording":
+        """Read a file :meth:`save` wrote.
+
+        Every field :func:`replay` reads is checked first: a record that
+        passed its CRC but holds a missing or ill-typed field, or a
+        ``light`` array of the wrong length, raises :class:`JournalError`
+        naming the file and the field.
+        """
         payload = load_record(path, "recording")
-        rec = cls(payload["spec"], payload["every_events"])
-        rec.entries = payload["entries"]
-        rec.summaries = payload["summaries"]
-        rec.light = array("q")
-        rec.light.frombytes(base64.b64decode(payload["light"]))
-        rec.final_digest = payload["final_digest"]
-        rec.final_summary = payload["final_summary"]
-        rec.events_total = payload["events_total"]
-        rec.end_tick = payload["end_tick"]
+
+        def field(key, ok, want):
+            if key not in payload:
+                raise JournalError(
+                    f"{path}: recording field {key!r} is missing")
+            value = payload[key]
+            if not ok(value):
+                raise JournalError(f"{path}: recording field {key!r} must "
+                                   f"be {want}, got {value!r:.60}")
+            return value
+
+        rec = cls(field("spec", _is_object, "an object"),
+                  field("every_events", lambda v: _count(v, 1),
+                        "an int >= 1"))
+        rec.entries = field(
+            "entries", lambda v: type(v) is list and all(map(_is_entry, v)),
+            "a list of [events, tick, digest] rows (int >= 0, int >= 0, "
+            "string)")
+        rec.summaries = field(
+            "summaries", lambda v: type(v) is list
+            and len(v) == len(rec.entries) and all(map(_is_object, v)),
+            f"a list of {len(rec.entries)} objects, one per entry")
+        rec.events_total = field("events_total", _count, "an int >= 0")
+        rec.end_tick = field("end_tick", _count, "an int >= 0")
+        values = rec.events_total * LIGHT_WIDTH
+        light = field("light", lambda v: _int64_count(v) == values,
+                      f"base64 of events_total x {LIGHT_WIDTH} = {values} "
+                      f"int64 values")
+        rec.light.frombytes(base64.b64decode(light))
+        rec.final_digest = field("final_digest", lambda v: type(v) is str,
+                                 "a string")
+        rec.final_summary = field("final_summary", _is_object, "an object")
         return rec
 
 
@@ -127,7 +181,11 @@ def record(run: ReplayableRun, *, every_events: int = 2000):
     Returns ``(result, recording)``.  ``every_events`` trades journal size
     against digest-window width for divergences the light fingerprint
     cannot see; 1 gives full digests at every event (short runs only).
+    Anything but an int >= 1 raises ``ValueError`` before the run starts.
     """
+    if not _count(every_events, 1):
+        raise ValueError(f"every_events must be an int >= 1, "
+                         f"got {every_events!r}")
     driver = RunDriver(run)
     rec = Recording(run.spec(), every_events)
     kernel = getattr(run.bed.server, "kernel", None)

@@ -72,50 +72,6 @@ def test_path_kill_of_destroyed_path_raises():
 
 
 # ----------------------------------------------------------------------
-# Syscall facade generators
-# ----------------------------------------------------------------------
-def test_syscall_path_create_and_destroy_roundtrip():
-    from tests.test_core_lifecycle import active_attrs, make_server
-    from repro.sim.engine import Simulator
-    from repro.kernel.syscalls import SystemCalls
-    sim = Simulator()
-    server = make_server(sim)
-    syscalls = SystemCalls(server.kernel)
-    out = {}
-
-    def body():
-        path = yield from syscalls.path_create(
-            server.kernel.kernel_owner, server.tcp.pd,
-            server.path_manager, active_attrs(), "tcp")
-        out["path"] = path
-        yield from syscalls.path_destroy(
-            server.kernel.kernel_owner, server.tcp.pd,
-            server.path_manager, path)
-
-    server.kernel.spawn_thread(server.kernel.kernel_owner, body())
-    sim.run(until=sim.now + seconds_to_ticks(0.2))
-    assert out["path"].destroyed
-    assert syscalls.calls_made["path_create"] == 1
-    assert syscalls.calls_made["path_destroy"] == 1
-
-
-def test_syscall_path_kill():
-    from tests.test_core_lifecycle import active_attrs, create_path, \
-        make_server
-    from repro.sim.engine import Simulator
-    from repro.kernel.syscalls import SystemCalls
-    sim = Simulator()
-    server = make_server(sim)
-    path = create_path(sim, server)
-    syscalls = SystemCalls(server.kernel)
-    report = syscalls.path_kill(server.kernel.kernel_owner,
-                                server.kernel.privileged_domain,
-                                server.path_manager, path)
-    assert path.destroyed
-    assert report.cycles > 0
-
-
-# ----------------------------------------------------------------------
 # Linux backlog unit behaviour
 # ----------------------------------------------------------------------
 def test_linux_backlog_drops_when_full():

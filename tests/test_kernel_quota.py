@@ -1,13 +1,7 @@
 """Tests for resource quotas: the memory-side detection step."""
 
-import pytest
-
-from repro.sim.clock import seconds_to_ticks
-from repro.sim.cpu import Cycles
-from repro.experiments.harness import Testbed
 from repro.kernel.owner import Owner, OwnerType
-from repro.kernel.quota import QuotaEnforcer, ResourceQuota
-from repro.policy import MemoryQuotaPolicy
+from repro.kernel.quota import ResourceQuota
 
 
 def make_owner(name="o"):
@@ -94,49 +88,3 @@ def test_enforcer_custom_violation_handler(kernel):
     kernel.quotas.check(owner)
     assert log and log[0][0] == "soft"
     assert not owner.destroyed  # the soft handler only logged
-
-
-# ----------------------------------------------------------------------
-# MemoryQuotaPolicy end to end
-# ----------------------------------------------------------------------
-def test_memory_quota_policy_applies_to_connections():
-    policy = MemoryQuotaPolicy(max_pages=16)
-    bed = Testbed.escort(policies=[policy])
-    bed.add_clients(2, document="/doc-1k")
-    result = bed.run(warmup_s=0.3, measure_s=0.6)
-    # Ordinary connections stay far under the quota.
-    assert result.client_completions > 0
-    assert policy.violations() == []
-
-
-def test_memory_quota_policy_kills_a_hog():
-    """A CGI script that hoards memory gets detected and contained."""
-
-    def hog(stage):
-        def body():
-            from repro.sim.cpu import YieldCPU
-            kernel = stage.module.kernel
-            path = stage.path
-            # CPU-polite (yields, so the runaway policy never fires) but
-            # memory-greedy: grabs pages forever.
-            while True:
-                yield Cycles(5_000)
-                kernel.allocator.alloc(path, count=4)
-                yield YieldCPU()
-        return body()
-
-    policy = MemoryQuotaPolicy(max_pages=12, sweep_ms=5.0)
-    bed = Testbed.escort(policies=[policy])
-    bed.server.http.cgi_scripts["hog"] = hog
-    bed.add_clients(1, document="/cgi-bin/hog")
-    bed.run(warmup_s=0.3, measure_s=1.0)
-    assert policy.violations()
-    name, reason = policy.violations()[0]
-    assert "pages" in reason
-    # The hog's path was killed and its pages reclaimed.
-    reports = bed.server.kernel.kill_reports
-    assert any(r.pages >= 12 for r in reports)
-
-
-def test_describe():
-    assert "pages<=16" in MemoryQuotaPolicy(max_pages=16).describe()

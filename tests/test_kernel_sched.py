@@ -1,5 +1,8 @@
 """Unit tests for Escort's proportional-share scheduler."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.cpu import CPU, Cycles, YieldCPU
@@ -86,3 +89,21 @@ def test_dequeue_of_never_enqueued_thread_is_noop():
     sim.run()
     sched.dequeue(t)  # already gone: must not raise
     assert sched.pick() is None
+
+
+def test_killed_owner_is_not_kept_alive_by_the_scheduler(kernel):
+    """The owner served last is released once killed, even if the CPU idles."""
+    owner = make_owner("runaway")
+
+    def loop():
+        while True:
+            yield Cycles(1_000)
+
+    kernel.spawn_thread(owner, loop())
+    kernel.sim.schedule(10_000, lambda: kernel.kill_owner(owner))
+    kernel.sim.run(until=100_000)
+    assert owner.destroyed and kernel.cpu.current is None
+    ref = weakref.ref(owner)
+    del owner
+    gc.collect()
+    assert ref() is None

@@ -88,14 +88,6 @@ def test_iobuffer_pages_helper():
     assert pages_for(3 * PAGE_SIZE) == 3
 
 
-def test_message_repr():
-    from repro.msg.message import Message
-    msg = Message(body_len=100)
-    msg.push("tcp", 20)
-    text = repr(msg)
-    assert "tcp" in text and "100" in text
-
-
 def test_kill_report_fields(kernel):
     owner = Owner(OwnerType.PATH, name="victim")
     kernel.allocator.alloc(owner, count=2)

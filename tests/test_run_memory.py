@@ -7,7 +7,9 @@ holders may still reach a destroyed path after a run, and both are
 bounded: a cancelled softclock entry waiting for its lazy purge
 (``Softclock.note_cancel``), and each TCP module's one reusable TO_PATH
 demux result, which keeps the last path it routed to.  Dropping both
-must leave no destroyed path alive.
+must leave no destroyed path alive.  The scheduler is not a third
+holder: the kernel has it forget an owner as soon as the owner is
+destroyed, so a path killed last before the CPU idles is not kept.
 
 Digests use the interpreter's built-in SHA-256, so no run loads OpenSSL,
 whether it digests, journals, checkpoints, records telemetry or resumes.

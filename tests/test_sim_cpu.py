@@ -1,5 +1,7 @@
 """Unit tests for the virtual CPU: charging, interrupts, runaway traps."""
 
+from collections import deque
+
 import pytest
 
 from repro.sim.cpu import (
@@ -38,9 +40,33 @@ class FakeWaitable:
             cpu.make_runnable(t, value)
 
 
+class FakeScheduler:
+    """Round-robin over threads, so these tests see the CPU's own order."""
+
+    def __init__(self):
+        self.queue = deque()
+
+    def enqueue(self, thread):
+        self.queue.append(thread)
+
+    def dequeue(self, thread):
+        if thread in self.queue:
+            self.queue.remove(thread)
+
+    def pick(self):
+        while self.queue:
+            thread = self.queue.popleft()
+            if thread.alive:
+                return thread
+        return None
+
+    def on_charge(self, thread, cycles):
+        pass
+
+
 @pytest.fixture
 def cpu(sim):
-    return CPU(sim, TPC, idle_owner=FakeOwner("idle"))
+    return CPU(sim, TPC, FakeScheduler(), idle_owner=FakeOwner("idle"))
 
 
 def run(sim):

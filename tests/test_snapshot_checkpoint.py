@@ -197,6 +197,18 @@ def test_experiment_checkpoint_restore_round_trip(tmp_path):
         assert res2.syn_dropped_at_demux == result.syn_dropped_at_demux
 
 
+@pytest.mark.parametrize("every_s", [-1.0, 0.0, 1e-12, float("nan"),
+                                     float("inf")])
+def test_checkpoint_cadence_below_one_tick_is_refused(tmp_path, every_s):
+    # Clamped to one tick, such a cadence would journal a record per
+    # tick: hundreds of millions per simulated second.
+    driver = RunDriver(small_experiment())
+    with pytest.raises(ValueError, match="checkpoint interval"):
+        driver.run_with_checkpoints(every_s, str(tmp_path / "j"), "exp")
+    assert not os.path.exists(tmp_path / "j")
+    assert driver.sim.events_processed == 0
+
+
 @pytest.mark.chaos
 @pytest.mark.parametrize("name", ["lossy-syn-flood", "oom-cgi",
                                   "domain-crash"])

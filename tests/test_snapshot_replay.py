@@ -3,11 +3,21 @@ localized to its first divergent event with an exact cycle number."""
 
 from __future__ import annotations
 
-import pytest
+import base64
+from array import array
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.__main__ import main
 from repro.sim.clock import seconds_to_ticks, ticks_to_server_cycles
-from repro.snapshot import (ExperimentRun, Recording, RunDriver, record,
-                            replay)
+from repro.snapshot import (ExperimentRun, JournalError, Recording,
+                            RunDriver, record, replay)
+from repro.snapshot.journal import (JOURNAL_HEADER_LINE, encode_record,
+                                    load_record, write_journal)
+from repro.snapshot.replay import LIGHT_WIDTH
+from tests.test_snapshot_runs import JSON
 
 
 def small_experiment(cls=ExperimentRun):
@@ -101,3 +111,102 @@ def test_step_loop_equals_run_all():
         pass
     assert r1.digest() == r2.digest()
     assert d1.sim.events_processed == d2.sim.events_processed
+
+
+# ----------------------------------------------------------------------
+# A recording file is checked field by field before anything replays
+# ----------------------------------------------------------------------
+TINY_SPEC = ExperimentRun("accounting", clients=1, warmup_s=0.0,
+                          measure_s=0.02).spec()
+TINY_LIGHT = array("q", range(5 * LIGHT_WIDTH))
+
+#: A well-formed five-event ``recording`` record as ``Recording.save``
+#: writes it, built without running anything.
+TINY = {
+    "kind": "recording", "spec": TINY_SPEC, "every_events": 2,
+    "entries": [[2, 40, "d2"], [4, 90, "d4"]],
+    "summaries": [{"tick": 40}, {"tick": 90}],
+    "light": base64.b64encode(TINY_LIGHT.tobytes()).decode("ascii"),
+    "final_digest": "d5", "final_summary": {"tick": 99},
+    "events_total": 5, "end_tick": 99}
+
+
+def test_saved_recording_loads_field_for_field(tmp_path):
+    rec = Recording(TINY_SPEC, 2)
+    rec.entries, rec.summaries = TINY["entries"], TINY["summaries"]
+    rec.light = array("q", TINY_LIGHT)
+    rec.events_total, rec.end_tick = 5, 99
+    rec.final_digest, rec.final_summary = "d5", {"tick": 99}
+    path = str(tmp_path / "tiny.rec")
+    rec.save(path)
+    assert load_record(path, "recording") == TINY
+    assert vars(Recording.load(path)) == vars(rec)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("every_events", None, "field 'every_events' is missing"),
+    ("every_events", 0, "field 'every_events' must be an int >= 1"),
+    ("spec", [], "field 'spec' must be an object"),
+    ("entries", [[2, 40]], "field 'entries' must be a list of"),
+    ("summaries", [{}], "field 'summaries' must be a list of 2 objects"),
+    ("light", "not base64!", "field 'light' must be base64"),
+    ("light", "AAAAAAAAAAA=", "field 'light' must be base64"),
+    ("events_total", 6, "field 'light' must be base64 of events_total x 6 "
+                        "= 36 int64 values"),
+    ("final_summary", "d5", "field 'final_summary' must be an object"),
+    ("end_tick", -1, "field 'end_tick' must be an int >= 0"),
+], ids=["no-every-events", "every-events-zero", "spec-list", "short-entry",
+        "summaries-short", "light-not-base64", "light-not-int64",
+        "light-short", "final-summary-string", "end-tick-negative"])
+def test_replay_rejects_a_malformed_recording_file(tmp_path, capsys, key,
+                                                   value, message):
+    payload = dict(TINY)
+    if value is None:
+        del payload[key]
+    else:
+        payload[key] = value
+    path = str(tmp_path / "bad.rec")
+    write_journal(path, [payload])
+    assert main(["replay", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: recording field ") \
+        and message in err
+
+
+@st.composite
+def recording_files(draw):
+    """Arbitrary bytes, a CRC-framed arbitrary JSON object, or the tiny
+    recording with one key deleted or given any JSON value."""
+    shape = draw(st.sampled_from(("bytes", "object", "edit")))
+    if shape == "bytes":
+        return draw(st.binary(max_size=200))
+    if shape == "object":
+        record = draw(st.dictionaries(
+            st.sampled_from(sorted(TINY)) | st.text(max_size=6), JSON,
+            max_size=len(TINY)))
+        if draw(st.booleans()):
+            record["kind"] = "recording"
+    else:
+        record = dict(TINY)
+        key = draw(st.sampled_from(sorted(TINY)))
+        if draw(st.booleans()):
+            del record[key]
+        else:
+            record[key] = draw(JSON)
+    return JOURNAL_HEADER_LINE + encode_record(record)
+
+
+@settings(max_examples=200, deadline=None)
+@given(recording_files())
+@example(JOURNAL_HEADER_LINE + encode_record(TINY))
+def test_fuzzed_recording_file_loads_or_raises_a_journal_error(
+        tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("rec") / "run.rec"
+    path.write_bytes(content)
+    try:
+        rec = Recording.load(str(path))
+    except JournalError:
+        return
+    assert type(rec.spec) is dict and rec.every_events >= 1
+    assert len(rec.summaries) == len(rec.entries)
+    assert len(rec.light) == rec.events_total * LIGHT_WIDTH

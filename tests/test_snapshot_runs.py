@@ -264,11 +264,20 @@ def test_replay_reports_a_malformed_recording_spec(tmp_path, capsys, spec,
     (["defense", "--document", "/nope"], "defense spec field 'document'"),
     (["cluster", "--document", "/nope"], "cluster spec field 'document'"),
     (["defense", "--attacks", ""], "--attacks '' names no attack profile"),
+    (["record", "-s", "domain-crash", "--every", "0", "-o", "unused.rec"],
+     "every_events must be an int >= 1, got 0"),
+    (["replay", "-s", "domain-crash", "--every", "-5"],
+     "every_events must be an int >= 1, got -5"),
+    (["resilience", "explore", "--target", "chaos", "--budget", "-3"],
+     "budget must be at least 1 case, got -3"),
+    (["resilience", "explore", "--target", "chaos", "--budget", "0"],
+     "budget must be at least 1 case, got 0"),
 ], ids=["defense-measure", "defense-attack", "defense-later-attack",
         "cluster-size", "cluster-later-size", "figure8-measure",
         "figure9-warmup", "figure10-measure", "figure11-clients",
         "experiment-document", "figure9-document", "defense-document",
-        "cluster-document", "defense-no-attack"])
+        "cluster-document", "defense-no-attack", "record-every",
+        "replay-every", "explore-budget-negative", "explore-budget-zero"])
 def test_sweeps_reject_out_of_range_flags_before_any_cell(capsys, no_runs,
                                                           argv, field):
     assert main(argv) == 2
@@ -285,8 +294,24 @@ def test_sweeps_reject_out_of_range_flags_before_any_cell(capsys, no_runs,
     (["figure10", "--configs", "accounting,nope"],
      "argument --configs: 'nope' is not one of"),
     (["figure11", "--attackers", "-1"], "argument --attackers: -1 is below 0"),
+    (["experiment", "--clients", "2", "--warmup", "0.1", "--measure", "0.2",
+      "--checkpoint-every", "-1"],
+     "argument --checkpoint-every: checkpoint interval must be"),
+    (["experiment", "--checkpoint-every", "0"],
+     "argument --checkpoint-every: checkpoint interval must be"),
+    (["chaos", "-s", "oom-cgi", "--checkpoint-every", "1e-12"],
+     "argument --checkpoint-every: checkpoint interval must be"),
+    (["figure9", "--workers", "-1"],
+     "argument --workers/-j: invalid parse_workers value: '-1'"),
+    (["chaos", "-j", "-2"],
+     "argument --workers/-j: invalid parse_workers value: '-2'"),
+    (["resilience", "explore", "--workers", "-1"],
+     "argument --workers/-j: invalid parse_workers value: '-1'"),
 ], ids=["figure8-docs", "figure9-clients", "defense-seeds", "cluster-seeds",
-        "figure10-configs", "figure11-attackers"])
+        "figure10-configs", "figure11-attackers",
+        "experiment-checkpoint-every", "experiment-checkpoint-every-zero",
+        "chaos-checkpoint-every-sub-tick", "figure9-workers", "chaos-workers",
+        "explore-workers"])
 def test_list_flags_reject_bad_items_before_any_cell(capsys, no_runs, argv,
                                                      message):
     with pytest.raises(SystemExit) as exit_info:
