@@ -11,6 +11,7 @@ runs; a sweep cell that produced no result exits 1.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, Dict, NamedTuple, Tuple
 
@@ -18,19 +19,11 @@ from repro.obs.cli import add_obs_commands, run_obs_command
 from repro.perf.pool import parse_workers
 
 
-def _comma_list(names=None, low=None):
-    """An argparse ``type=`` for a comma-separated list flag.
-
-    Items are ``names`` when given, else integers (``>= low`` when ``low``
-    is given).  A bad item makes argparse exit 2 with ``error: argument
-    --X: ...`` before anything runs.
-    """
-    def item(text):
-        if names is not None:
-            if text in names:
-                return text
-            raise argparse.ArgumentTypeError(
-                f"{text!r} is not one of {', '.join(names)}")
+def _integer(low=None):
+    """An argparse ``type=`` for an integer flag, ``>= low`` when ``low``
+    is given.  A bad value makes argparse exit 2 with ``error: argument
+    --X: ...`` before anything runs."""
+    def parse(text):
         try:
             value = int(text)
         except ValueError:
@@ -40,7 +33,32 @@ def _comma_list(names=None, low=None):
             raise argparse.ArgumentTypeError(f"{value} is below {low}")
         return value
 
+    return parse
+
+
+def _comma_list(names=None, low=None):
+    """An argparse ``type=`` for a comma-separated list flag: items are
+    ``names`` when given, else :func:`_integer` values."""
+    def name(text):
+        if text in names:
+            return text
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not one of {', '.join(names)}")
+
+    item = _integer(low) if names is None else name
     return lambda text: [item(part.strip()) for part in text.split(",")]
+
+
+def _seconds_above_zero(text):
+    """An argparse ``type=`` for a finite number of seconds above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"{text} is not a finite number of seconds above 0")
+    return value
 
 
 def _configs_arg(parser, default) -> None:
@@ -861,13 +879,14 @@ def _supervise_flags(parser) -> None:
                         help="state directory for job/journal/result "
                              "files (default: a fresh temp dir); "
                              "reusing one resumes its journal")
-    parser.add_argument("--max-attempts", type=int, default=3)
-    parser.add_argument("--heartbeat-timeout", type=float, default=10.0,
-                        metavar="S",
+    parser.add_argument("--max-attempts", type=_integer(low=1), default=3)
+    parser.add_argument("--heartbeat-timeout", type=_seconds_above_zero,
+                        default=10.0, metavar="S",
                         help="wall-clock seconds without a heartbeat "
                              "before the child is declared hung and "
                              "SIGKILLed (default 10)")
-    parser.add_argument("--checkpoint-every", type=int, default=5000,
+    parser.add_argument("--checkpoint-every", type=_integer(low=1),
+                        default=5000,
                         metavar="EVENTS",
                         help="checkpoint-record cadence inside the "
                              "child (default 5000 events)")

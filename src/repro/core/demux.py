@@ -16,20 +16,11 @@ The cost of demultiplexing is central to two results in the paper:
 
 :meth:`Demultiplexer.classify` therefore reports both the outcome and the
 cost: modules consulted and domain switches made.
-
-Hot-path notes: demux runs once per arriving frame, so both result types
-are ``__slots__`` classes rather than dataclasses, and the two
-high-frequency result shapes are recycled — :meth:`DemuxResult.drop`
-interns one immutable instance per drop reason (flood drops produce the
-same reason string millions of times), and modules may keep a private
-CONTINUE instance alive and refresh it per packet via
-:meth:`DemuxResult.refit` (safe because ``classify`` consumes each result
-before the next demux call runs).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, TYPE_CHECKING
+from typing import Any, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.path import Path
@@ -45,9 +36,6 @@ class DemuxResult:
     """What one module's demux function decided."""
 
     __slots__ = ("kind", "next_module", "view", "path", "reason")
-
-    #: Interned immutable drop results, keyed by reason.
-    _drops: Dict[str, "DemuxResult"] = {}
 
     def __init__(self, kind: str, next_module: Optional[str] = None,
                  view: Any = None, path: Optional["Path"] = None,
@@ -68,22 +56,7 @@ class DemuxResult:
 
     @staticmethod
     def drop(reason: str) -> "DemuxResult":
-        cached = DemuxResult._drops.get(reason)
-        if cached is None:
-            cached = DemuxResult._drops[reason] = DemuxResult(
-                DROP, reason=reason)
-        return cached
-
-    def refit(self, next_module: str, view: Any) -> "DemuxResult":
-        """Re-aim a module-owned CONTINUE result at a new packet view."""
-        self.next_module = next_module
-        self.view = view
-        return self
-
-    def refit_path(self, path: "Path") -> "DemuxResult":
-        """Re-aim a module-owned TO_PATH result at a new path."""
-        self.path = path
-        return self
+        return DemuxResult(DROP, reason=reason)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"DemuxResult(kind={self.kind!r}, "
@@ -110,11 +83,6 @@ class Classification:
 
     def demux_cycles(self, kernel: "Kernel") -> int:
         """Cycle cost of this classification under ``kernel``'s config."""
-        table = getattr(kernel, "demux_table", None)
-        if table is not None:
-            return table.cost(self.modules_consulted, self.domain_switches,
-                              self.kind == DROP)
-        # Stub kernels in unit tests may lack the precomputed table.
         costs = kernel.costs
         cycles = self.modules_consulted * costs.demux_per_module
         if kernel.pd_enabled:
@@ -157,11 +125,11 @@ class Demultiplexer:
             prev_pd = pd
             result = module.demux(view)
             kind = result.kind
-            if kind is CONTINUE or kind == CONTINUE:
+            if kind == CONTINUE:
                 module = find(result.next_module)
                 view = result.view
                 continue
-            if kind is TO_PATH or kind == TO_PATH:
+            if kind == TO_PATH:
                 path = result.path
                 if path is None or path.destroyed:
                     return Classification(DROP, reason="dead-path",

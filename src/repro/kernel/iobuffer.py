@@ -116,11 +116,6 @@ class IOBufferCache:
         self.cache_capacity_pages = cache_capacity_pages
         self._cache: Dict[Tuple[int, FrozenSet[ProtectionDomain]],
                           List[IOBuffer]] = {}
-        # Interned single-domain read sets: the overwhelmingly common
-        # alloc() call passes no extra read domains, and building a fresh
-        # frozenset per packet shows up in profiles.
-        self._solo_sets: Dict[ProtectionDomain,
-                              FrozenSet[ProtectionDomain]] = {}
         self._cached_pages = 0
         self.stats_allocs = 0
         self.stats_cache_hits = 0
@@ -138,13 +133,7 @@ class IOBufferCache:
         """
         nbytes = pages_for(nbytes) * PAGE_SIZE
         self._validate_owner(owner, current_pd)
-        if read_pds:
-            read_set = frozenset(read_pds) | {current_pd}
-        else:
-            read_set = self._solo_sets.get(current_pd)
-            if read_set is None:
-                read_set = frozenset((current_pd,))
-                self._solo_sets[current_pd] = read_set
+        read_set = frozenset(read_pds) | {current_pd}
         self.stats_allocs += 1
 
         key = (nbytes, read_set)

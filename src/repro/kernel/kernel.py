@@ -19,7 +19,7 @@ from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.sim.clock import SERVER_TICKS_PER_CYCLE
 from repro.sim.cpu import CPU, Interrupt, SimThread
-from repro.sim.costs import CostModel, DemuxCostTable
+from repro.sim.costs import CostModel
 from repro.sim.engine import Simulator
 from repro.kernel.acl import AccessControlList, Role
 from repro.kernel.domain import ProtectionDomain
@@ -79,12 +79,8 @@ class Kernel:
         self.sim = sim
         self.config = config or KernelConfig()
         self.costs = self.config.costs
-        # Demux costs depend only on boot-time configuration; precompute
-        # the per-classification table once (hot path: every packet).
-        self.demux_table = DemuxCostTable(self.costs,
-                                          self.config.protection_domains)
-        # Accounting is likewise a boot-time decision: fold the enabled
-        # check into a precomputed per-op cost so ``acct`` is one multiply.
+        # Accounting is a boot-time decision: fold the enabled check into
+        # a precomputed per-op cost so ``acct`` is one multiply.
         self.acct_unit = (self.costs.accounting_op
                           if self.config.accounting else 0)
 

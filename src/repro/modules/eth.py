@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, Optional
 
 from repro.sim.cpu import Cycles, Interrupt
-from repro.core.demux import DROP, Demultiplexer, DemuxResult, TO_PATH
+from repro.core.demux import DROP, Demultiplexer, DemuxResult
 from repro.core.path import FORWARD, PathWork, Stage
 from repro.modules.base import Module, OpenResult
 from repro.net.link import NIC
@@ -47,13 +47,6 @@ class EthModule(Module):
         self.tx_frames = 0
         self.drops: Dict[str, int] = {}
         self.queue_overflows = 0
-        # Per-ethertype dispatch table (ethertype -> target module name or
-        # an interned drop result), rebuilt when the graph grows; replaces
-        # the per-frame ``"x" in self.graph`` membership probes.  Modules
-        # are only ever added to a graph, so the size is a valid version.
-        self._demux_table: Dict[int, object] = {}
-        self._demux_gen = -1
-        self._fwd = DemuxResult.forward("", None)
 
     # ------------------------------------------------------------------
     # Device binding
@@ -95,24 +88,15 @@ class EthModule(Module):
             on_complete=enqueue, label="eth-rx"))
 
     def demux(self, frame: EthFrame) -> DemuxResult:
-        if self._demux_gen != len(self.graph._modules):
-            self._rebuild_demux_table()
-        target = self._demux_table.get(frame.ethertype)
-        if target.__class__ is str:
-            return self._fwd.refit(target, frame.payload)
-        if target is None:
-            return DemuxResult.drop("ethertype")
-        return target  # interned drop
-
-    def _rebuild_demux_table(self) -> None:
-        graph = self.graph
-        self._demux_table = {
-            ETHERTYPE_ARP: ("arp" if "arp" in graph
-                            else DemuxResult.drop("no-arp")),
-            ETHERTYPE_IP: ("ip" if "ip" in graph
-                           else DemuxResult.drop("no-ip")),
-        }
-        self._demux_gen = len(graph._modules)
+        if frame.ethertype == ETHERTYPE_ARP:
+            if "arp" in self.graph:
+                return DemuxResult.forward("arp", frame.payload)
+            return DemuxResult.drop("no-arp")
+        if frame.ethertype == ETHERTYPE_IP:
+            if "ip" in self.graph:
+                return DemuxResult.forward("ip", frame.payload)
+            return DemuxResult.drop("no-ip")
+        return DemuxResult.drop("ethertype")
 
     # ------------------------------------------------------------------
     # Path membership

@@ -10,7 +10,7 @@ next-hop MAC through ARP, and frames the datagram for ETH.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Generator, List, Optional, Tuple
 
 from repro.sim.cpu import Cycles
 from repro.core.demux import DemuxResult
@@ -38,12 +38,6 @@ class IpModule(Module):
         self.rx_datagrams = 0
         self.tx_datagrams = 0
         self.drops = 0
-        # Per-protocol dispatch table (proto -> transport module name or an
-        # interned drop result); same pattern as EthModule's ethertype
-        # table — graph size versions the cache.
-        self._demux_table: Dict[int, object] = {}
-        self._demux_gen = -1
-        self._fwd = DemuxResult.forward("", None)
 
     def init_module(self) -> Generator:
         # Everything in the testbed is on-link; a default route models the
@@ -86,24 +80,13 @@ class IpModule(Module):
     def demux(self, dgram: IPDatagram) -> DemuxResult:
         if dgram.dst_ip != self.local_ip:
             return DemuxResult.drop("ip-not-local")
-        if self._demux_gen != len(self.graph._modules):
-            self._rebuild_demux_table()
-        target = self._demux_table.get(dgram.proto)
-        if target.__class__ is str:
-            return self._fwd.refit(target, dgram)
-        if target is None:
-            return DemuxResult.drop("ip-proto")
-        return target  # interned drop
-
-    def _rebuild_demux_table(self) -> None:
-        graph = self.graph
-        drop = DemuxResult.drop("ip-proto")
-        self._demux_table = {
-            IPPROTO_TCP: "tcp" if "tcp" in graph else drop,
-            1: "icmp" if "icmp" in graph else drop,   # IPPROTO_ICMP
-            17: "udp" if "udp" in graph else drop,    # IPPROTO_UDP
-        }
-        self._demux_gen = len(graph._modules)
+        if dgram.proto == IPPROTO_TCP and "tcp" in self.graph:
+            return DemuxResult.forward("tcp", dgram)
+        if dgram.proto == 1 and "icmp" in self.graph:  # IPPROTO_ICMP
+            return DemuxResult.forward("icmp", dgram)
+        if dgram.proto == 17 and "udp" in self.graph:  # IPPROTO_UDP
+            return DemuxResult.forward("udp", dgram)
+        return DemuxResult.drop("ip-proto")
 
     # ------------------------------------------------------------------
     # Path processing

@@ -166,9 +166,6 @@ class TcpModule(Module):
         #: mid-handshake are not orphaned by a de-escalation.
         self._cookie_armed = False
         self._conn_seq = 0
-        # Module-owned TO_PATH result, re-aimed per packet (consumed by
-        # classify before the next demux call; see core/demux.py).
-        self._topath = DemuxResult.to_path(None)
         #: (created_tick, closed_tick) per gracefully-closed connection —
         #: the paper's Table 1 measurement window (SYN accept to final
         #: FIN acknowledgement).
@@ -320,7 +317,7 @@ class TcpModule(Module):
         key = (seg.dst_port, dgram.src_ip, seg.src_port)
         path = self.conn_table.get(key)
         if path is not None and not path.destroyed:
-            return self._topath.refit_path(path)
+            return DemuxResult.to_path(path)
         if seg.flags & FLAG_SYN and not seg.flags & FLAG_ACK:
             prefix = self.src_prefix(dgram.src_ip)
             self.syn_arrivals[prefix] = self.syn_arrivals.get(prefix, 0) + 1
@@ -337,14 +334,14 @@ class TcpModule(Module):
             if self.syncookies:
                 # Stateless fallback: the cap is moot, nothing will be
                 # allocated for this SYN.
-                return self._topath.refit_path(passive)
+                return DemuxResult.to_path(passive)
             cap = passive.policy_state.get("syn_cap")
             if cap is not None \
                     and passive.policy_state.get("syn_recvd", 0) >= cap:
                 # The SYN-flood defence: identified and dropped instantly,
                 # during demultiplexing.
                 return self._drop("syn-cap")
-            return self._topath.refit_path(passive)
+            return DemuxResult.to_path(passive)
         if (self._cookie_armed and seg.flags & FLAG_ACK
                 and not seg.flags & (FLAG_SYN | FLAG_FIN | FLAG_RST)
                 and seg.ack - 1 == self.syn_cookie(dgram.src_ip,
@@ -356,7 +353,7 @@ class TcpModule(Module):
             listener = self.listeners.get(seg.dst_port)
             passive = listener.select(dgram.src_ip) if listener else None
             if passive is not None:
-                return self._topath.refit_path(passive)
+                return DemuxResult.to_path(passive)
         return self._drop("no-connection")
 
     def _drop(self, reason: str) -> DemuxResult:

@@ -183,21 +183,9 @@ class CostModel:
     #: Free-form overrides recorded by calibration runs.
     notes: Dict[str, str] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        # Payload sizes repeat heavily (1-byte documents, MSS-sized
-        # segments), so copy costs are memoized per size.  The byte-rate
-        # fields are fixed after construction — sweeps that vary costs go
-        # through ``dataclasses.replace``, which builds a fresh instance
-        # (and a fresh cache).
-        self._copy_cache: Dict[int, int] = {}
-
     def copy_cost(self, nbytes: int) -> int:
         """Cycles to copy ``nbytes`` of payload."""
-        cached = self._copy_cache.get(nbytes)
-        if cached is None:
-            cached = (nbytes * self.copy_per_byte_num) // self.copy_per_byte_den
-            self._copy_cache[nbytes] = cached
-        return cached
+        return (nbytes * self.copy_per_byte_num) // self.copy_per_byte_den
 
     def disk_transfer_ticks(self, nbytes: int) -> int:
         """Ticks to transfer ``nbytes`` from the simulated disk."""
@@ -207,31 +195,3 @@ class CostModel:
     def default(cls) -> "CostModel":
         """The calibrated model used by all experiments."""
         return cls()
-
-
-class DemuxCostTable:
-    """Per-classification demux cycle costs, precomputed for one kernel.
-
-    The cost formula (``modules * per_module [+ switches * pd_penalty]
-    [+ drop]``) is re-derived on every incoming packet in the hot path;
-    with the kernel configuration fixed at boot the products can be read
-    from small tuples instead.  The demultiplexer bounds a classification
-    at ``max_hops`` modules, so the tables cover every reachable index.
-    """
-
-    __slots__ = ("module_cost", "switch_cost", "drop_cost")
-
-    def __init__(self, costs: CostModel, pd_enabled: bool,
-                 max_hops: int = 32):
-        self.module_cost = tuple(i * costs.demux_per_module
-                                 for i in range(max_hops + 1))
-        per_switch = costs.demux_pd_penalty if pd_enabled else 0
-        self.switch_cost = tuple(i * per_switch
-                                 for i in range(max_hops + 1))
-        self.drop_cost = costs.demux_drop
-
-    def cost(self, modules_consulted: int, domain_switches: int,
-             dropped: bool) -> int:
-        cycles = (self.module_cost[modules_consulted]
-                  + self.switch_cost[domain_switches])
-        return cycles + self.drop_cost if dropped else cycles

@@ -443,23 +443,20 @@ class CPU:
                 return
             value = None
 
-            # Exact-class checks: instruction types are final in practice,
-            # and identity comparison beats isinstance in this loop.
-            cls = instr.__class__
-            if cls is Cycles or isinstance(instr, Cycles):
+            if isinstance(instr, Cycles):
                 owner = instr.owner if instr.owner is not None else thread.owner
                 if instr.n == 0:
                     continue
                 self._start_chunk(thread, owner, instr.n)
                 return
-            if cls is Block or isinstance(instr, Block):
+            if isinstance(instr, Block):
                 thread.state = _BLOCKED
                 thread.burst_cycles = 0
                 self.current = None
                 instr.waitable.add_waiter(thread)
                 self._maybe_dispatch()
                 return
-            if cls is Sleep or isinstance(instr, Sleep):
+            if isinstance(instr, Sleep):
                 thread.state = _BLOCKED
                 thread.burst_cycles = 0
                 self.current = None
@@ -467,7 +464,7 @@ class CPU:
                                   lambda t=thread: self.make_runnable(t))
                 self._maybe_dispatch()
                 return
-            if cls is YieldCPU or isinstance(instr, YieldCPU):
+            if isinstance(instr, YieldCPU):
                 thread.state = _RUNNABLE
                 thread.burst_cycles = 0
                 thread._wake_value = None

@@ -107,23 +107,9 @@ class Simulator:
     A single Simulator instance is shared by every component of a testbed
     (server, clients, links); components keep a reference to it and schedule
     their own events.
-
-    Parameters
-    ----------
-    compact_min_queue:
-        Queue size below which lazy-deletion debt is never compacted.
-    compact_ratio:
-        Cancelled-to-queued fraction above which the heap is rebuilt.
     """
 
-    def __init__(self, *, compact_min_queue: int = COMPACT_MIN_QUEUE,
-                 compact_ratio: float = COMPACT_RATIO) -> None:
-        if compact_min_queue < 1:
-            raise ValueError(
-                f"compact_min_queue must be positive: {compact_min_queue}")
-        if not 0.0 < compact_ratio <= 1.0:
-            raise ValueError(
-                f"compact_ratio must be in (0, 1]: {compact_ratio}")
+    def __init__(self) -> None:
         self.now: int = 0
         #: Heap of ``(time, seq, event)`` entries.
         self._queue: List[Tuple[int, int, Event]] = []
@@ -135,8 +121,6 @@ class Simulator:
         # the closing entry of the exact ledger.
         self._cancelled_removed: int = 0
         self.compactions: int = 0
-        self.compact_min_queue = compact_min_queue
-        self.compact_ratio = compact_ratio
         # Progress hook: an out-of-band callback fired every N executed
         # events (see set_progress_hook).  ``_progress_at`` is the next
         # events_processed threshold.
@@ -211,8 +195,8 @@ class Simulator:
     def _note_cancel(self) -> None:
         self._cancelled_pending += 1
         queued = len(self._queue)
-        if (self._cancelled_pending > queued * self.compact_ratio
-                and queued >= self.compact_min_queue):
+        if (self._cancelled_pending > queued * COMPACT_RATIO
+                and queued >= COMPACT_MIN_QUEUE):
             self._compact()
 
     def _compact(self) -> None:

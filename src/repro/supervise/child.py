@@ -48,8 +48,16 @@ HEARTBEAT_ENV = "ESC_HEARTBEAT_FD"
 DEFAULT_HEARTBEAT_EVERY = 200
 DEFAULT_CHECKPOINT_EVERY = 5000
 
-__all__ = ["execute_job", "main", "EXIT_RUN_EXCEPTION", "EXIT_BAD_JOB",
-           "HEARTBEAT_ENV"]
+__all__ = ["execute_job", "main", "check_count", "EXIT_RUN_EXCEPTION",
+           "EXIT_BAD_JOB", "HEARTBEAT_ENV"]
+
+
+def check_count(name: str, value) -> int:
+    """``value`` if it is an integer >= 1, else a ``ValueError`` naming
+    ``name`` (event cadences, attempt numbers and budgets)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+    return value
 
 
 class _Heartbeat:
@@ -152,12 +160,18 @@ def execute_job(state_dir: str, heartbeat_fd: Optional[int] = None) -> int:
         return EXIT_BAD_JOB
 
     spec = job["spec"]
-    attempt = int(job.get("attempt", 1))
     inject = job.get("inject")
-    hb_every = int(job.get("heartbeat_every_events",
-                           DEFAULT_HEARTBEAT_EVERY))
-    ckpt_every = int(job.get("checkpoint_every_events",
-                             DEFAULT_CHECKPOINT_EVERY))
+    try:
+        attempt = check_count("attempt", job.get("attempt", 1))
+        hb_every = check_count(
+            "heartbeat_every_events",
+            job.get("heartbeat_every_events", DEFAULT_HEARTBEAT_EVERY))
+        ckpt_every = check_count(
+            "checkpoint_every_events",
+            job.get("checkpoint_every_events", DEFAULT_CHECKPOINT_EVERY))
+    except ValueError as exc:
+        print(f"{state.job_path}: field {exc}", file=sys.stderr)
+        return EXIT_BAD_JOB
     heartbeat = _Heartbeat(heartbeat_fd)
     heartbeat.pulse()  # announce liveness before the (possibly long) resume
 

@@ -26,6 +26,7 @@ paper demands of Escort itself — detect, contain, recover, degrade:
 
 from __future__ import annotations
 
+import math
 import os
 import select
 import signal
@@ -36,7 +37,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.supervise.child import HEARTBEAT_ENV
+from repro.supervise.child import HEARTBEAT_ENV, check_count
 from repro.supervise.state import RunState
 
 __all__ = ["AttemptReport", "SupervisedResult", "Supervisor",
@@ -139,13 +140,18 @@ class Supervisor:
                  heartbeat_every_events: int = 200,
                  checkpoint_every_events: int = 5000,
                  python: Optional[str] = None):
-        self.state = RunState(state_dir).ensure()
-        self.max_attempts = max(1, max_attempts)
+        if not 0 < heartbeat_timeout_s < math.inf:
+            raise ValueError(f"heartbeat_timeout_s must be finite and "
+                             f"above 0, not {heartbeat_timeout_s!r}")
+        self.max_attempts = check_count("max_attempts", max_attempts)
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
-        self.heartbeat_every_events = heartbeat_every_events
-        self.checkpoint_every_events = checkpoint_every_events
+        self.heartbeat_every_events = check_count(
+            "heartbeat_every_events", heartbeat_every_events)
+        self.checkpoint_every_events = check_count(
+            "checkpoint_every_events", checkpoint_every_events)
+        self.state = RunState(state_dir).ensure()
         self.python = python or sys.executable
 
     # ------------------------------------------------------------------

@@ -3,6 +3,7 @@ exporters.  The end-to-end determinism tests live in test_obs_session.py."""
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -174,8 +175,8 @@ def test_recorder_append_after_torn_tail_keeps_the_new_attempt(tmp_path):
     with FlightRecorder(path) as rec:
         rec.record({"kind": "sample", "tick": 1, "metrics": {"a": 1}})
         rec.record({"kind": "sample", "tick": 2, "metrics": {"a": 2}})
-    data = open(path, "rb").read()
-    open(path, "wb").write(data[:-5])
+    data = Path(path).read_bytes()
+    Path(path).write_bytes(data[:-5])
     with FlightRecorder(path, append=True) as rec:
         rec.record({"kind": "obs-meta", "attempt": 2})
         rec.record({"kind": "sample", "tick": 5, "metrics": {"a": 9}})
@@ -232,8 +233,8 @@ def test_write_dump_files(tmp_path):
     FakeSession.registry.inc("a.b")
     FakeSession.spans.add("signal", "x", tick=1)
     paths = write_dump(str(tmp_path / "obs"), FakeSession())
-    assert open(paths["metrics_json"], "rb").read() == b'{"ok":1}\n'
-    assert "a_b 1" in open(paths["metrics_prom"]).read()
-    line = json.loads(open(paths["spans_jsonl"]).read())
+    assert Path(paths["metrics_json"]).read_bytes() == b'{"ok":1}\n'
+    assert "a_b 1" in Path(paths["metrics_prom"]).read_text()
+    line = json.loads(Path(paths["spans_jsonl"]).read_text())
     assert line["span"] == "signal"
     assert os.path.dirname(paths["metrics_json"]).endswith("obs")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -305,9 +306,9 @@ def test_corpus_round_trips(tmp_path):
     assert entries[0]["name"] == "chaos-s1-0000"
     assert entries[0]["_path"] == path
     # Stable bytes: re-saving writes the identical file.
-    before = open(path, "rb").read()
+    before = Path(path).read_bytes()
     save_entry(corpus, "chaos-s1-0000", **_fake_entry_kwargs())
-    assert open(path, "rb").read() == before
+    assert Path(path).read_bytes() == before
 
 
 def test_corpus_rejects_foreign_formats(tmp_path):

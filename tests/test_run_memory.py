@@ -2,14 +2,14 @@
 
 Escort's claim is that destroying a path reclaims everything charged to
 it (§2.2, Table 2); the simulator has to keep that promise for its own
-Python objects, or a long run's RSS grows with every connection.  Two
-holders may still reach a destroyed path after a run, and both are
-bounded: a cancelled softclock entry waiting for its lazy purge
-(``Softclock.note_cancel``), and each TCP module's one reusable TO_PATH
-demux result, which keeps the last path it routed to.  Dropping both
-must leave no destroyed path alive.  The scheduler is not a third
-holder: the kernel has it forget an owner as soon as the owner is
-destroyed, so a path killed last before the CPU idles is not kept.
+Python objects, or a long run's RSS grows with every connection.  One
+holder may still reach a destroyed path after a run, and it is bounded:
+a cancelled softclock entry waiting for its lazy purge
+(``Softclock.note_cancel``).  Purging those entries must leave no
+destroyed path alive.  Demux keeps nothing: each ``demux`` call returns
+a fresh result.  The scheduler is not a holder either: the kernel has
+it forget an owner as soon as the owner is destroyed, so a path killed
+last before the CPU idles is not kept.
 
 Digests use the interpreter's built-in SHA-256, so no run loads OpenSSL,
 whether it digests, journals, checkpoints, records telemetry or resumes.
@@ -72,7 +72,6 @@ def test_no_destroyed_path_outlives_its_bounded_holders(name):
     for server in servers:
         wheel = server.kernel.softclock._wheel
         wheel[:] = [entry for entry in wheel if not entry[2].cancelled]
-        server.tcp._topath.refit_path(None)
     gc.collect()
     assert _destroyed_paths(s.kernel for s in servers) == 0
 

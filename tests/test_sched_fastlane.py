@@ -17,7 +17,6 @@ from tests.test_engine_recorded import (
 from tests.test_sim_engine import (
     test_cancelled_zero_delay_event_settles_its_debt
     as test_cancelled_fast_lane_event_never_fires_and_debt_clears,
-    test_compaction_parameters_are_constructor_arguments,
     test_live_events_covers_zero_delay_events
     as test_live_events_covers_the_fast_lane,
     test_one_loop_fires_in_time_seq_order_however_it_is_driven

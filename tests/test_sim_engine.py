@@ -1,8 +1,11 @@
 """Unit tests for the discrete-event engine."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.sim import engine
 from repro.sim.engine import Simulator
 
 
@@ -150,11 +153,11 @@ _DRIVE = st.lists(st.one_of(st.just(("step", 0)),
                   max_size=40)
 
 
-def _build(program, **engine_args):
+def _build(program):
     """Schedule ``program`` on a fresh engine; returns the engine, every
     event it creates (in creation order) and the labels fired so far."""
     initial, precancel = program
-    sim = Simulator(**engine_args)
+    sim = Simulator()
     events, fired = [], []
 
     def add(delay, action):
@@ -183,34 +186,35 @@ def _build(program, **engine_args):
 def test_one_loop_fires_in_time_seq_order_however_it_is_driven(program,
                                                                drive):
     # A tiny compaction floor, so these small heaps get compacted too.
-    sim, events, fired = _build(program, compact_min_queue=4)
-    for call, arg in drive:
-        before = len(fired)
-        if call == "step":
-            ran = sim.step()
-            if not ran:
-                assert sim.live_events() == []
-        elif call == "step_until":
-            until = sim.now + arg
-            ran = sim.step_until(until)
-            if ran:
-                assert sim.now <= until
+    with mock.patch.object(engine, "COMPACT_MIN_QUEUE", 4):
+        sim, events, fired = _build(program)
+        for call, arg in drive:
+            before = len(fired)
+            if call == "step":
+                ran = sim.step()
+                if not ran:
+                    assert sim.live_events() == []
+            elif call == "step_until":
+                until = sim.now + arg
+                ran = sim.step_until(until)
+                if ran:
+                    assert sim.now <= until
+                else:
+                    assert all(t > until for t, _ in sim.live_events())
             else:
+                until = sim.now + arg
+                sim.run(until=until)
+                ran = None
+                assert sim.now == until
                 assert all(t > until for t, _ in sim.live_events())
-        else:
-            until = sim.now + arg
-            sim.run(until=until)
-            ran = None
-            assert sim.now == until
-            assert all(t > until for t, _ in sim.live_events())
-        if ran is not None:
-            # step and step_until run exactly one event when they say so.
-            assert len(fired) - before == (1 if ran else 0)
+            if ran is not None:
+                # step and step_until run exactly one event when they say so.
+                assert len(fired) - before == (1 if ran else 0)
+            sim.check_invariant()
+            assert sim.cancelled_pending() == (sim.pending()
+                                               - len(sim.live_events()))
+        sim.run()
         sim.check_invariant()
-        assert sim.cancelled_pending() == (sim.pending()
-                                           - len(sim.live_events()))
-    sim.run()
-    sim.check_invariant()
 
     reference, _, reference_fired = _build(program)
     reference.run()
@@ -283,19 +287,6 @@ def test_live_events_covers_zero_delay_events():
     sim.schedule(0, lambda: None)
     assert sim.live_events() == [(0, 3), (5, 2), (1 << 21, 1)]
     assert sim.pending() == 3
-
-
-def test_compaction_parameters_are_constructor_arguments():
-    sim = Simulator(compact_min_queue=8, compact_ratio=0.25)
-    events = [sim.schedule(i + 1, lambda: None) for i in range(16)]
-    for ev in events[:5]:  # 5 > 16 * 0.25
-        ev.cancel()
-    assert sim.compactions >= 1
-
-    with pytest.raises(ValueError):
-        Simulator(compact_min_queue=0)
-    with pytest.raises(ValueError):
-        Simulator(compact_ratio=0.0)
 
 
 def test_queue_health_counters():

@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,7 +43,7 @@ def checkpointed(tmp_path, milestones: int = 2):
 
 def record_ends(path: str):
     """Byte offset just past each record line (spec record included)."""
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     ends, pos = [], len(JOURNAL_HEADER_LINE)
     while pos < len(data):
         pos = data.index(b"\n", pos) + 1
@@ -57,7 +58,7 @@ def cut_after_checkpoint(path: str, index: int, dest: str) -> str:
     records = scan_journal(path)
     kinds = ["spec"] + [r["kind"] for r in records.positions]
     cuts = [end for end, kind in zip(ends, kinds) if kind == "checkpoint"]
-    open(dest, "wb").write(data[:cuts[index]])
+    Path(dest).write_bytes(data[:cuts[index]])
     return dest
 
 
@@ -84,21 +85,21 @@ def test_same_payload_writes_identical_bytes(tmp_path):
     a, b = (tmp_path / "a", tmp_path / "b")
     for directory in (a, b):
         directory.mkdir()
-    assert open(checkpointed(a)[0], "rb").read() == \
-        open(checkpointed(b)[0], "rb").read()
+    assert Path(checkpointed(a)[0]).read_bytes() == \
+        Path(checkpointed(b)[0]).read_bytes()
 
 
 def test_version_mismatch_is_a_clear_error(tmp_path):
     path, _, _ = checkpointed(tmp_path)
-    data = open(path, "rb").read()
-    open(path, "wb").write(data.replace(b"ESCJRNL 1\n", b"ESCJRNL 99\n", 1))
+    data = Path(path).read_bytes()
+    Path(path).write_bytes(data.replace(b"ESCJRNL 1\n", b"ESCJRNL 99\n", 1))
     with pytest.raises(JournalError, match="version 99 is not supported"):
         RunDriver.resume(path)
 
 
 def test_not_a_checkpoint_file(tmp_path):
     path = str(tmp_path / "x.ckpt")
-    open(path, "wb").write(b"definitely not a checkpoint\n")
+    Path(path).write_bytes(b"definitely not a checkpoint\n")
     with pytest.raises(JournalError, match="not a run journal"):
         RunDriver.resume(path)
 
@@ -107,8 +108,8 @@ def test_truncated_trailer_is_rejected(tmp_path):
     # The newline that ends the checkpoint record is its last byte; a
     # file missing it holds a torn record and no position.
     path, _, _ = checkpointed(tmp_path)
-    data = open(path, "rb").read()
-    open(path, "wb").write(data[:-1])
+    data = Path(path).read_bytes()
+    Path(path).write_bytes(data[:-1])
     with pytest.raises(JournalError, match="torn tail"):
         RunDriver.resume(path)
 
@@ -118,17 +119,17 @@ def test_chopped_file_is_rejected_at_any_cut(tmp_path, keep_fraction):
     # A write cut short must never leave a file resume() accepts: no
     # proper byte prefix of a checkpoint file holds its position.
     path, _, _ = checkpointed(tmp_path)
-    data = open(path, "rb").read()
-    open(path, "wb").write(data[:int(len(data) * keep_fraction)])
+    data = Path(path).read_bytes()
+    Path(path).write_bytes(data[:int(len(data) * keep_fraction)])
     with pytest.raises(JournalError):
         RunDriver.resume(path)
 
 
 def test_flipped_payload_byte_fails_the_crc(tmp_path):
     path, _, _ = checkpointed(tmp_path)
-    data = bytearray(open(path, "rb").read())
+    data = bytearray(Path(path).read_bytes())
     data[len(data) // 2] ^= 0xFF  # corrupt one byte of the record
-    open(path, "wb").write(bytes(data))
+    Path(path).write_bytes(bytes(data))
     assert scan_journal(path).torn_tail
     with pytest.raises(JournalError):
         RunDriver.resume(path)
@@ -158,7 +159,7 @@ def test_every_byte_prefix_resumes_to_its_furthest_record(tmp_path):
     prefix = str(tmp_path / "prefix.jrnl")
     resumed = set()
     for cut in range(len(data) + 1):
-        open(prefix, "wb").write(data[:cut])
+        Path(prefix).write_bytes(data[:cut])
         complete = sum(1 for end in ends if end <= cut)
         if not complete:
             with pytest.raises(JournalError):

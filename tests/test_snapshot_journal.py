@@ -9,6 +9,7 @@ performed milestone before execution continues.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -52,7 +53,7 @@ def test_missing_file_scans_empty(tmp_path):
 
 def test_alien_file_is_a_loud_error(tmp_path):
     path = str(tmp_path / "x.journal")
-    open(path, "wb").write(b"not a journal at all\n")
+    Path(path).write_bytes(b"not a journal at all\n")
     with pytest.raises(JournalError, match="not a run journal"):
         scan_journal(path)
 
@@ -64,9 +65,9 @@ def test_torn_tail_is_ignored_not_fatal(tmp_path):
                         "events": 1, "milestones_done": 1, "digest": "d1"})
         journal.append({"kind": "milestone", "tick": 20, "seq": 2,
                         "events": 2, "milestones_done": 2, "digest": "d2"})
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     # SIGKILL mid-append: the last record line is cut mid-byte.
-    open(path, "wb").write(data[:-9])
+    Path(path).write_bytes(data[:-9])
     scan = scan_journal(path)
     assert scan.torn_tail
     assert scan.last["digest"] == "d1"  # the durable prefix survives
@@ -80,9 +81,9 @@ def test_any_byte_cut_leaves_a_readable_prefix(tmp_path, keep_fraction):
             journal.append({"kind": "milestone", "tick": i, "seq": i,
                             "events": i, "milestones_done": i,
                             "digest": f"d{i}"})
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     cut = max(len(b"ESCJRNL 1\n"), int(len(data) * keep_fraction))
-    open(path, "wb").write(data[:cut])
+    Path(path).write_bytes(data[:cut])
     scan = scan_journal(path)  # must not raise, whatever the cut
     for i, record in enumerate(scan.milestones):
         assert record["digest"] == f"d{i}"  # prefix order is intact
@@ -95,12 +96,12 @@ def test_corrupt_record_ends_the_trustworthy_prefix(tmp_path):
             journal.append({"kind": "milestone", "tick": i, "seq": i,
                             "events": i, "milestones_done": i,
                             "digest": f"d{i}"})
-    lines = open(path, "rb").read().splitlines(keepends=True)
+    lines = Path(path).read_bytes().splitlines(keepends=True)
     # Flip a payload byte inside record 2 (header + spec + record0 before it).
     bad = bytearray(lines[3])
     bad[20] ^= 0xFF
     lines[3] = bytes(bad)
-    open(path, "wb").write(b"".join(lines))
+    Path(path).write_bytes(b"".join(lines))
     scan = scan_journal(path)
     assert scan.torn_tail
     assert [m["digest"] for m in scan.milestones] == ["d0"]
@@ -116,8 +117,8 @@ def test_reopen_after_a_torn_tail_appends_after_the_readable_prefix(tmp_path):
             journal.append({"kind": "milestone", "tick": i, "seq": i,
                             "events": i, "milestones_done": i,
                             "digest": f"d{i}"})
-    data = open(path, "rb").read()
-    open(path, "wb").write(data[:-9])  # SIGKILL inside d2's append
+    data = Path(path).read_bytes()
+    Path(path).write_bytes(data[:-9])  # SIGKILL inside d2's append
     with RunJournal(path, spec={"run": "x"}) as journal:
         journal.append({"kind": "milestone", "tick": 3, "seq": 3,
                         "events": 3, "milestones_done": 3, "digest": "d3"})
@@ -136,7 +137,7 @@ def test_reopen_appends_without_rewriting_header(tmp_path):
         journal.append({"kind": "milestone", "tick": 2, "seq": 2,
                         "events": 2, "milestones_done": 2, "digest": "b"})
     scan = scan_journal(path)
-    assert open(path, "rb").read().count(b"ESCJRNL") == 1
+    assert Path(path).read_bytes().count(b"ESCJRNL") == 1
     assert [m["digest"] for m in scan.milestones] == ["a", "b"]
     assert scan.spec == {"run": "x"}
 

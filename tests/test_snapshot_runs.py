@@ -307,11 +307,28 @@ def test_sweeps_reject_out_of_range_flags_before_any_cell(capsys, no_runs,
      "argument --workers/-j: invalid parse_workers value: '-2'"),
     (["resilience", "explore", "--workers", "-1"],
      "argument --workers/-j: invalid parse_workers value: '-1'"),
+    (["supervise", "--kind", "experiment", "--checkpoint-every", "-1"],
+     "argument --checkpoint-every: -1 is below 1"),
+    (["supervise", "--kind", "experiment", "--checkpoint-every", "0"],
+     "argument --checkpoint-every: 0 is below 1"),
+    (["supervise", "--kind", "experiment", "--heartbeat-timeout", "-1"],
+     "argument --heartbeat-timeout: -1 is not a finite number of seconds"),
+    (["supervise", "--kind", "experiment", "--heartbeat-timeout", "0"],
+     "argument --heartbeat-timeout: 0 is not a finite number of seconds"),
+    (["supervise", "--kind", "experiment", "--heartbeat-timeout", "nan"],
+     "argument --heartbeat-timeout: nan is not a finite number of seconds"),
+    (["supervise", "--kind", "experiment", "--heartbeat-timeout", "inf"],
+     "argument --heartbeat-timeout: inf is not a finite number of seconds"),
+    (["supervise", "--kind", "experiment", "--max-attempts", "0"],
+     "argument --max-attempts: 0 is below 1"),
 ], ids=["figure8-docs", "figure9-clients", "defense-seeds", "cluster-seeds",
         "figure10-configs", "figure11-attackers",
         "experiment-checkpoint-every", "experiment-checkpoint-every-zero",
         "chaos-checkpoint-every-sub-tick", "figure9-workers", "chaos-workers",
-        "explore-workers"])
+        "explore-workers", "supervise-checkpoint-every-negative",
+        "supervise-checkpoint-every-zero", "supervise-heartbeat-negative",
+        "supervise-heartbeat-zero", "supervise-heartbeat-nan",
+        "supervise-heartbeat-inf", "supervise-max-attempts-zero"])
 def test_list_flags_reject_bad_items_before_any_cell(capsys, no_runs, argv,
                                                      message):
     with pytest.raises(SystemExit) as exit_info:

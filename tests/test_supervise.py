@@ -11,6 +11,7 @@ attempt exhausts its bounded retry budget and is *recorded* as failed.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.snapshot.runs import run_from_spec
 from repro.supervise import (RunState, Supervisor, SupervisedResult,
                              crash_injection_selftest, resume_driver,
                              supervision_verdict)
+from repro.supervise.child import EXIT_BAD_JOB, execute_job
 from repro.supervise.harness import reference_outcome, selftest_spec
 from repro.supervise.state import read_json, write_json_atomic
 
@@ -48,8 +50,35 @@ def test_write_json_atomic_round_trip_and_no_residue(tmp_path):
     assert read_json(path) == {"b": 2, "a": [1, 2]}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
     assert read_json(str(tmp_path / "absent.json")) is None
-    open(path, "w").write("{not json")
+    Path(path).write_text("{not json")
     assert read_json(path) is None
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_attempts": 0}, {"checkpoint_every_events": -1},
+    {"heartbeat_every_events": 0}, {"heartbeat_timeout_s": -1.0},
+    {"heartbeat_timeout_s": float("nan")},
+    {"heartbeat_timeout_s": float("inf")},
+], ids=["max-attempts-zero", "checkpoint-every-negative",
+        "heartbeat-every-zero", "timeout-negative", "timeout-nan",
+        "timeout-inf"])
+def test_supervisor_rejects_bad_numbers_before_its_state_dir(tmp_path,
+                                                             kwargs):
+    (name, _), = kwargs.items()
+    with pytest.raises(ValueError, match=name):
+        Supervisor(str(tmp_path / "s"), **kwargs)
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("field", ["checkpoint_every_events",
+                                   "heartbeat_every_events", "attempt"])
+def test_child_rejects_a_job_whose_count_is_below_one(tmp_path, capsys,
+                                                      field):
+    state = RunState(str(tmp_path / "s")).ensure()
+    state.write_job({"spec": SMALL_SPEC, "attempt": 1, field: 0})
+    assert execute_job(state.directory) == EXIT_BAD_JOB
+    assert f"field {field} must be an integer >= 1" in capsys.readouterr().err
+    assert not os.path.exists(state.journal_path)
 
 
 def test_resume_driver_fresh_directory_starts_at_zero(tmp_path):
@@ -113,9 +142,9 @@ def test_resume_driver_survives_a_torn_checkpoint(tmp_path):
             driver.step()
         ms_events = driver.sim.events_processed
         checkpoint_mid_window(journal, driver)
-    data = open(state.journal_path, "rb").read()
+    data = Path(state.journal_path).read_bytes()
     cut = data.rindex(b"\n", 0, len(data) - 1) + 1  # start of the record
-    open(state.journal_path, "wb").write(data[:(cut + len(data)) // 2])
+    Path(state.journal_path).write_bytes(data[:(cut + len(data)) // 2])
     resumed, info = resume_driver(state, SMALL_SPEC)
     assert info["journal_torn_tail"]  # fell back to milestone 2
     assert info["resumed_events"] == ms_events
