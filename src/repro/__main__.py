@@ -380,7 +380,7 @@ def _figure11(args) -> int:
 def _ablation_flags(parser) -> None:
     parser.add_argument("--sweep", default="all",
                         choices=["all", "domains", "crossing", "early-drop"])
-    parser.add_argument("--clients", type=int, default=64)
+    parser.add_argument("--clients", type=_integer(low=0), default=64)
 
 
 def _ablation(args) -> int:
@@ -757,10 +757,11 @@ def _resilience_flags(parser) -> None:
                                 "(results byte-identical to serial)")
     p_explore.add_argument("--cache-dir", default=None,
                            help="persist finished verdicts here and "
-                                "resume an interrupted campaign")
+                                "resume an interrupted campaign (with "
+                                "--supervised, in-flight cases too)")
     p_explore.add_argument("--no-minimize", action="store_true",
                            help="report failures without shrinking them")
-    p_explore.add_argument("--max-tests", type=int, default=400,
+    p_explore.add_argument("--max-tests", type=_integer(low=1), default=400,
                            help="oracle-run budget per minimization")
     p_explore.add_argument("--bank", default=None, metavar="DIR",
                            help="bank minimized reproducers into this "
@@ -773,10 +774,6 @@ def _resilience_flags(parser) -> None:
                                 "child process; harness deaths become "
                                 "supervision:* verdicts instead of "
                                 "killing the campaign")
-    p_explore.add_argument("--supervise-dir", default=None, metavar="DIR",
-                           help="keep per-case supervision state "
-                                "(journals, attempt logs) "
-                                "here for post-mortem")
 
     p_min = sub.add_parser(
         "minimize", help="shrink one failing sampled case")
@@ -784,7 +781,7 @@ def _resilience_flags(parser) -> None:
     p_min.add_argument("--case-file", default=None,
                        help="minimize the case in this JSON file instead "
                             "of sampling one from target+seed")
-    p_min.add_argument("--max-tests", type=int, default=400)
+    p_min.add_argument("--max-tests", type=_integer(low=1), default=400)
     p_min.add_argument("--output", "-o", default=None,
                        help="write the minimized case as JSON")
 
@@ -815,7 +812,6 @@ def _resilience(args) -> int:
                          minimize=not args.no_minimize,
                          max_tests=args.max_tests, bank_dir=args.bank,
                          supervised=args.supervised,
-                         supervise_dir=args.supervise_dir,
                          log=None if args.quiet else print)
         print(report.format())
         return 1 if report.failures else 0
@@ -877,8 +873,9 @@ def _supervise_flags(parser) -> None:
                              "this kind instead of --spec-file")
     parser.add_argument("--state-dir", default=None,
                         help="state directory for job/journal/result "
-                             "files (default: a fresh temp dir); "
-                             "reusing one resumes its journal")
+                             "files (default: a fresh temp dir, which "
+                             "--selftest removes when every case "
+                             "passed); reusing one resumes its journal")
     parser.add_argument("--max-attempts", type=_integer(low=1), default=3)
     parser.add_argument("--heartbeat-timeout", type=_seconds_above_zero,
                         default=10.0, metavar="S",
@@ -893,12 +890,12 @@ def _supervise_flags(parser) -> None:
     parser.add_argument("--grade", action="store_true",
                         help="grade the finished run with the campaign "
                              "oracle (exit 1 on a failing verdict)")
-    parser.add_argument("--inject-kill", type=int, default=None,
+    parser.add_argument("--inject-kill", type=_integer(low=0), default=None,
                         metavar="K",
                         help="rehearsal: SIGKILL the child after K "
                              "executed events (first attempt only) to "
                              "watch the resume")
-    parser.add_argument("--inject-hang", type=int, default=None,
+    parser.add_argument("--inject-hang", type=_integer(low=0), default=None,
                         metavar="K",
                         help="rehearsal: hang the child after K executed "
                              "events (first attempt only) to watch hang "
@@ -913,7 +910,7 @@ def _supervise_flags(parser) -> None:
                         help="with --selftest: the CI smoke shape "
                              "(experiment + chaos kinds, no "
                              "retry-exhaustion case)")
-    parser.add_argument("--kill-points", type=int, default=3,
+    parser.add_argument("--kill-points", type=_integer(low=1), default=3,
                         help="with --selftest: seeded kill points per "
                              "kind (default 3)")
     parser.add_argument("--seed", type=int, default=990417,
@@ -921,6 +918,7 @@ def _supervise_flags(parser) -> None:
 
 
 def _supervise(args) -> int:
+    import shutil
     import tempfile
 
     from repro.supervise import Supervisor, supervision_verdict
@@ -936,6 +934,11 @@ def _supervise(args) -> int:
             gave_up=not args.quick, seed=args.seed, log=print)
         print()
         print(report.summary())
+        if not args.state_dir:
+            if report.ok:
+                shutil.rmtree(base)
+            else:
+                print(f"state dir: {base}")
         return 0 if report.ok else 1
 
     if args.spec_file:

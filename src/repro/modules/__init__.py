@@ -21,7 +21,7 @@ from repro.modules.icmp import IcmpModule, IcmpEcho
 from repro.modules.udp import UdpModule, UDPDatagram
 from repro.modules.fs import FsModule, FileRead
 from repro.modules.scsi import ScsiModule, ScsiRead
-from repro.modules.filters import FilterModule, PortFilter, RateLimitFilter
+from repro.modules.filters import FilterModule, PortFilter
 
 __all__ = [
     "Module",
@@ -45,5 +45,4 @@ __all__ = [
     "ScsiRead",
     "FilterModule",
     "PortFilter",
-    "RateLimitFilter",
 ]

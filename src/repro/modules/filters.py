@@ -127,31 +127,3 @@ class PortFilter(FilterModule):
             return msg[1].src_port in self.allowed_ports
         return True
 
-
-class RateLimitFilter(FilterModule):
-    """Token-bucket filter: at most ``rate`` messages per second.
-
-    An example of the "very small resource allocation" the paper suggests
-    for previously-misbehaving clients (section 4.4.4).
-    """
-
-    def __init__(self, kernel, name, pd, rate_per_second: float,
-                 burst: int = 10):
-        super().__init__(kernel, name, pd)
-        if rate_per_second <= 0:
-            raise ValueError("rate must be positive")
-        self.rate = rate_per_second
-        self.burst = burst
-        self._tokens = float(burst)
-        self._last_refill = 0
-
-    def permit(self, msg) -> bool:
-        from repro.sim.clock import TICKS_PER_SECOND
-        now = self.kernel.sim.now
-        elapsed = (now - self._last_refill) / TICKS_PER_SECOND
-        self._last_refill = now
-        self._tokens = min(self.burst, self._tokens + elapsed * self.rate)
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            return True
-        return False

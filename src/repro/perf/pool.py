@@ -18,10 +18,15 @@ Determinism contract:
   closures, no machine state — which keeps cells picklable and workers
   restartable.
 
-A pre-populated ``cache`` (e.g. the figure9 ``figure9-cells.jrnl`` cell
-cache) short-circuits finished cells, so a resumed parallel sweep only
-runs what is missing; ``on_cell_done`` fires as cells finish (completion
-order) so callers can persist the cache crash-safely.
+Resume: a ``cache_path`` file (one ``sweep-cells`` ESCJRNL record,
+rewritten atomically as each cell finishes) files every result under its
+cell's identity, the SHA-256 of its runner and params, so a restarted
+sweep runs only what is missing and a cache never answers for a cell
+that computes something else.  ``supervised=True`` runs each uncached
+``run`` or ``resilience`` cell in a crash-only child
+(:mod:`repro.supervise`) whose state directory, named by the same
+identity under ``<cache dir>/supervise/``, lets a rerun resume an
+in-flight cell from its journal.
 
 Failure containment: a worker process dying (OOM-kill, segfault) breaks
 a ``ProcessPoolExecutor``, poisoning every in-flight future.  Rather
@@ -29,9 +34,9 @@ than aborting the sweep, :func:`run_cells` requeues each affected cell
 once into its own fresh single-worker pool — innocent victims of a
 neighbour's crash complete normally there — and a cell whose worker dies
 twice (or that raises) is surfaced as a :class:`CellFailure` value in
-the result mapping.  Failures are never cached and never passed to
-``on_cell_done``.  A sweep that needs every cell — the figure, ablation,
-defense and cluster drivers — passes the mapping through
+the result mapping, as is a supervised ``run`` cell that gave up.
+Failures are never cached.  A sweep that needs every cell — the figure,
+ablation, defense and cluster drivers — passes the mapping through
 :func:`completed`, which raises one :class:`SweepError` naming every
 failed cell once the rest have finished; the resilience campaign instead
 grades each failure as a verdict.
@@ -39,15 +44,19 @@ grades each failure as a verdict.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
+
+#: Record kind of a sweep's cell cache: ``{cell identity: result}``.
+CACHE_KIND = "sweep-cells"
 
 
 @dataclass(frozen=True)
 class SweepCell:
     """One unit of sweep work: a registered runner plus its parameters."""
 
-    #: Stable unique identity — cache key and merge position.
+    #: Unique name within the sweep — its merge position.
     key: str
     #: Name in :data:`repro.perf.cells.CELL_RUNNERS`.
     runner: str
@@ -86,13 +95,14 @@ def completed(results: Dict[str, Any]) -> Dict[str, Any]:
     return results
 
 
-def run_specs(runs: Dict[str, Any], workers: int = 0, cache=None,
-              on_cell_done=None) -> Dict[str, Any]:
+def run_specs(runs: Dict[str, Any], workers: int = 0,
+              cache_path: Optional[str] = None,
+              supervised: bool = False) -> Dict[str, Any]:
     """Run ``{key: replayable run}`` as ``run``-runner cells; every cell
-    must finish (``cache`` and ``on_cell_done`` as for :func:`run_cells`)."""
+    must finish (the other arguments as for :func:`run_cells`)."""
     cells = [SweepCell(key, "run", {"spec": run.spec()})
              for key, run in runs.items()]
-    return completed(run_cells(cells, workers, cache, on_cell_done))
+    return completed(run_cells(cells, workers, cache_path, supervised))
 
 
 def _run_cell_job(runner: str, params: Dict[str, Any]) -> Any:
@@ -101,32 +111,68 @@ def _run_cell_job(runner: str, params: Dict[str, Any]) -> Any:
     return cells.run_cell(runner, params)
 
 
+def _identity(cell: SweepCell) -> str:
+    """What a cell computes: the SHA-256 of its runner and params."""
+    from repro.snapshot.digest import canonical_json, sha256_hex
+    return sha256_hex(canonical_json([cell.runner, cell.params]).encode())
+
+
+def _read_cache(cache_path: Optional[str]) -> Optional[Dict[str, Any]]:
+    """``{cell identity: result}`` from the cache file, None without one."""
+    if not cache_path or not os.path.exists(cache_path):
+        return None
+    from repro.snapshot.journal import load_record
+    return load_record(cache_path, CACHE_KIND)["cells"]
+
+
+def cached_keys(cells_seq: Sequence[SweepCell],
+                cache_path: Optional[str]) -> Optional[List[str]]:
+    """Keys of the cells whose results the cache file holds; None when
+    there is no cache file."""
+    cache = _read_cache(cache_path)
+    if cache is None:
+        return None
+    return [c.key for c in cells_seq if _identity(c) in cache]
+
+
 def run_cells(cells_seq: Sequence[SweepCell], workers: int = 0,
-              cache: Optional[Dict[str, Any]] = None,
-              on_cell_done: Optional[Callable[[SweepCell, Any], None]] = None,
-              ) -> Dict[str, Any]:
+              cache_path: Optional[str] = None,
+              supervised: bool = False) -> Dict[str, Any]:
     """Execute a sweep; returns ``{key: result}`` in cell-list order.
 
-    ``workers <= 1`` runs serially in-process.  ``cache`` maps cell keys to
-    already-computed results; cached cells are returned without running and
-    without invoking ``on_cell_done`` (they were already persisted).
+    ``workers <= 1`` runs serially in-process.  With ``cache_path``, a
+    cell whose result the file holds is returned without running, and
+    each other cell's result is written to it as the cell finishes.
+    ``supervised`` runs the uncached cells one at a time in supervised
+    children (``workers`` unused); a runner other than ``run`` and
+    ``resilience`` raises ``ValueError`` before any cell runs.
     """
     cells_list = list(cells_seq)
     keys = [c.key for c in cells_list]
     if len(set(keys)) != len(keys):
         dupes = sorted({k for k in keys if keys.count(k) > 1})
         raise ValueError(f"duplicate sweep cell keys: {dupes}")
-    cache = cache or {}
-    todo = [c for c in cells_list if c.key not in cache]
-
-    results: Dict[str, Any] = {}
+    if supervised and any(c.runner not in ("run", "resilience")
+                          for c in cells_list):
+        raise ValueError("only run and resilience cells can be supervised, "
+                         f"not {sorted({c.runner for c in cells_list})}")
+    ids = {c.key: _identity(c) for c in cells_list}
+    cache = _read_cache(cache_path) or {}
+    results: Dict[str, Any] = {key: cache[ident]
+                               for key, ident in ids.items() if ident in cache}
+    todo = [c for c in cells_list if c.key not in results]
 
     def finished(cell: SweepCell, result: Any) -> None:
         results[cell.key] = result
-        if on_cell_done is not None:
-            on_cell_done(cell, result)
+        if cache_path:
+            from repro.snapshot.journal import write_journal
+            cache[ids[cell.key]] = result
+            os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)
+            write_journal(cache_path, [{"kind": CACHE_KIND, "cells": cache}])
 
-    if workers and workers > 1 and todo:
+    if supervised:
+        _run_supervised(todo, ids, cache_path, results, finished)
+    elif workers and workers > 1 and todo:
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
         from concurrent.futures import wait as futures_wait
         from concurrent.futures.process import BrokenProcessPool
@@ -135,8 +181,8 @@ def run_cells(cells_seq: Sequence[SweepCell], workers: int = 0,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_run_cell_job, c.runner, c.params): c
                        for c in todo}
-            # Drain in completion order so on_cell_done can persist the
-            # cache incrementally (crash-resumable sweeps); the final merge
+            # Drain in completion order so the cache is written as each
+            # cell finishes (crash-resumable sweeps); the final merge
             # below restores deterministic order regardless.
             pending = set(futures)
             while pending:
@@ -184,8 +230,44 @@ def run_cells(cells_seq: Sequence[SweepCell], workers: int = 0,
         for cell in todo:
             finished(cell, _run_cell_job(cell.runner, cell.params))
 
-    return {c.key: (cache[c.key] if c.key in cache else results[c.key])
-            for c in cells_list}
+    return {key: results[key] for key in keys}
+
+
+def _run_supervised(todo: List[SweepCell], ids: Dict[str, str],
+                    cache_path: Optional[str], results: Dict[str, Any],
+                    finished) -> None:
+    """Run ``todo`` one cell at a time, each in a supervised child whose
+    state directory is named by the cell's identity; without a cache
+    they share one temp root, removed unless a cell gave up.  A ``run``
+    cell supervision gives up on becomes a :class:`CellFailure`; a
+    ``resilience`` cell yields its graded verdict either way."""
+    import shutil
+    import tempfile
+
+    from repro.supervise import Supervisor, supervision_verdict
+
+    root = (os.path.join(os.path.dirname(cache_path), "supervise")
+            if cache_path else tempfile.mkdtemp(prefix="sweep-supervise-"))
+    gave_up = False
+    for cell in todo:
+        grade = cell.runner == "resilience"
+        sres = Supervisor(os.path.join(root, ids[cell.key])).run(
+            cell.params["spec"], grade=grade)
+        gave_up |= sres.gave_up
+        kept = f"state kept in {sres.state_dir}"
+        if grade:
+            verdict = supervision_verdict(sres)
+            if sres.gave_up:
+                verdict["detail"] += f" ({kept})"
+            finished(cell, verdict)
+        elif sres.gave_up:
+            results[cell.key] = CellFailure(
+                cell.key, cell.runner, f"supervision:{sres.classification}",
+                f"gave up after {len(sres.attempts)} attempts ({kept})")
+        else:
+            finished(cell, sres.result["measurement"])
+    if not cache_path and not gave_up:
+        shutil.rmtree(root)
 
 
 def parse_workers(value) -> int:

@@ -7,11 +7,12 @@ same shared-nothing workers the figure sweeps use, so serial and
 oracle, then serially minimizes every failure and optionally banks the
 reproducers into the regression corpus.
 
-Crash-safe resume: with a cache directory, every finished verdict is
-persisted to ``resilience-cells.jrnl`` as it lands (the figure9 cell-
-cache pattern); a restarted campaign re-runs only the missing cases.
-Case keys — ``{target}-s{seed}-{i:04d}`` — are pure functions of the
-campaign parameters, so the cache survives restarts byte-for-byte.
+Crash-safe resume: with a cache directory, the sweep pool keeps every
+finished verdict in ``resilience-cells.jrnl`` there, filed by the spec
+its case runs, so a restarted campaign re-runs only the missing cases
+and never reads the verdict of a case that runs another spec.  A
+supervised campaign keeps each case's state directory under the same
+cache directory.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Callable, Dict, List, Optional
 from repro.resilience.minimize import Minimizer, replay_fingerprint
 from repro.resilience.space import FaultSpace, case_to_spec
 
-_CACHE_KIND = "resilience-cells"
 _CACHE_FILE = "resilience-cells.jrnl"
 
 
@@ -110,16 +110,6 @@ class CampaignReport:
 
 
 # ----------------------------------------------------------------------
-def _load_cache(cache_dir: Optional[str]) -> Dict[str, Dict]:
-    if not cache_dir:
-        return {}
-    path = os.path.join(cache_dir, _CACHE_FILE)
-    if not os.path.exists(path):
-        return {}
-    from repro.snapshot.journal import load_record
-    return load_record(path, _CACHE_KIND)["cells"]
-
-
 #: Failure fingerprints the in-process oracle cannot reproduce — they
 #: name how the *harness* around the run died, not what the run did —
 #: so the minimizer (which replays cases through the oracle) skips them.
@@ -139,7 +129,6 @@ def explore(target: str = "chaos", seed: int = 7, budget: int = 50, *,
             max_tests: int = 400,
             bank_dir: Optional[str] = None,
             supervised: bool = False,
-            supervise_dir: Optional[str] = None,
             log: Optional[Callable[[str], None]] = None
             ) -> CampaignReport:
     """Run one campaign; returns a :class:`CampaignReport`.
@@ -151,13 +140,11 @@ def explore(target: str = "chaos", seed: int = 7, budget: int = 50, *,
     ``supervised`` routes every case through a crash-only supervised
     child (:mod:`repro.supervise`): a case that SIGKILLs, hangs or
     crashes its process is retried with resume and — if it keeps dying —
-    recorded as a ``supervision:<classification>`` verdict while the
-    campaign continues.  ``supervise_dir`` keeps the per-case state
-    directories (journals + attempt logs) for post-mortem; by default
-    they live under ``cache_dir`` or a temp directory.  A ``budget``
-    below 1 raises ``ValueError`` before any case is sampled.
+    recorded as a ``supervision:<classification>`` verdict, whose detail
+    names the kept state directory, while the campaign continues.  A
+    ``budget`` below 1 raises ``ValueError`` before any case is sampled.
     """
-    from repro.perf.pool import CellFailure, SweepCell, run_cells
+    from repro.perf.pool import CellFailure, SweepCell, cached_keys, run_cells
 
     if budget < 1:
         raise ValueError(f"budget must be at least 1 case, got {budget}")
@@ -167,36 +154,21 @@ def explore(target: str = "chaos", seed: int = 7, budget: int = 50, *,
     by_key = {c["key"]: c for c in cases}
     cells = [SweepCell(key=c["key"], runner="resilience",
                        params={"spec": case_to_spec(c)}) for c in cases]
+    cache_path = os.path.join(cache_dir, _CACHE_FILE) if cache_dir else None
 
-    cache = _load_cache(cache_dir)
-    if cache:
-        hits = sum(1 for c in cells if c.key in cache)
-        say(f"resumed {hits}/{len(cells)} cases from cache")
+    hits = cached_keys(cells, cache_path)
+    if hits is not None:
+        say(f"resumed {len(hits)}/{len(cells)} cases from cache")
 
-    def persist(cell, verdict):
-        cache[cell.key] = verdict
-        if cache_dir:
-            from repro.snapshot.journal import write_journal
-            os.makedirs(cache_dir, exist_ok=True)
-            write_journal(os.path.join(cache_dir, _CACHE_FILE),
-                          [{"kind": _CACHE_KIND, "cells": cache}])
-
-    if supervised:
-        verdicts = _run_supervised(cells, by_key, cache, persist,
-                                   supervise_dir or
-                                   (os.path.join(cache_dir, "supervise")
-                                    if cache_dir else None), say)
-    else:
-        verdicts = run_cells(cells, workers=workers, cache=cache,
-                             on_cell_done=persist)
-        # A worker that died twice running a cell surfaces as a
-        # CellFailure value; shape it like a verdict so the campaign
-        # degrades to one recorded failure instead of a KeyError.
-        verdicts = {
-            key: ({"ok": False, "failures": [f"cell-{v.kind}"],
-                   "digest": "", "events": 0, "detail": v.error}
-                  if isinstance(v, CellFailure) else v)
-            for key, v in verdicts.items()}
+    verdicts = run_cells(cells, workers, cache_path, supervised)
+    # A worker that died twice running a cell surfaces as a CellFailure
+    # value; shape it like a verdict so the campaign degrades to one
+    # recorded failure instead of a KeyError.
+    verdicts = {
+        key: ({"ok": False, "failures": [f"cell-{v.kind}"],
+               "digest": "", "events": 0, "detail": v.error}
+              if isinstance(v, CellFailure) else v)
+        for key, v in verdicts.items()}
 
     failures: List[CampaignFailure] = []
     for key in sorted(k for k, v in verdicts.items() if not v["ok"]):
@@ -207,8 +179,8 @@ def explore(target: str = "chaos", seed: int = 7, budget: int = 50, *,
         if not minimize:
             continue
         if not _is_minimizable(verdicts[key]):
-            say("  not minimizable: the failure names how the harness "
-                "died, not what the run did")
+            say(f"  not minimizable: the failure names how the harness "
+                f"died, not what the run did ({verdicts[key]['detail']})")
             continue
         minimizer = Minimizer(by_key[key], max_tests=max_tests,
                               log=lambda line: say(f"  {line}"))
@@ -241,34 +213,3 @@ def explore(target: str = "chaos", seed: int = 7, budget: int = 50, *,
     return CampaignReport(target=target, seed=seed, budget=budget,
                           verdicts=dict(verdicts), failures=failures)
 
-
-def _run_supervised(cells, by_key, cache, persist, state_root, say):
-    """Execute campaign cells through supervised child processes.
-
-    Serial by design: each child already is its own process, and the
-    per-case state directories (journal + attempt logs)
-    under ``state_root`` are the artifact a post-mortem wants.
-    """
-    import tempfile
-
-    from repro.resilience.space import case_to_spec
-    from repro.supervise import Supervisor, supervision_verdict
-
-    if state_root is None:
-        state_root = tempfile.mkdtemp(prefix="resilience-supervise-")
-    verdicts = {}
-    for cell in cells:
-        if cell.key in cache:
-            verdicts[cell.key] = cache[cell.key]
-            continue
-        sup = Supervisor(os.path.join(state_root, cell.key))
-        sres = sup.run(case_to_spec(by_key[cell.key]), grade=True)
-        verdict = supervision_verdict(sres)
-        if sres.gave_up:
-            say(f"supervision gave up on {cell.key}: "
-                f"{sres.classification} after "
-                f"{len(sres.attempts)} attempts "
-                f"(state kept in {sres.state_dir})")
-        verdicts[cell.key] = verdict
-        persist(cell, verdict)
-    return {c.key: verdicts[c.key] for c in cells}

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.sim.clock import seconds_to_ticks
 from repro.sim.engine import Simulator
-from repro.modules.filters import FilterModule, PortFilter, RateLimitFilter
+from repro.modules.filters import FilterModule, PortFilter
 from repro.net.packet import (
     FLAG_ACK,
     FLAG_SYN,
@@ -55,31 +54,6 @@ def test_base_filter_is_transparent(kernel):
     f = FilterModule(kernel, "noop", kernel.privileged_domain)
     assert f.permit(object())
     assert f.permit_backward(object())
-
-
-def test_rate_limit_filter_enforces_budget(kernel):
-    f = RateLimitFilter(kernel, "limiter", kernel.privileged_domain,
-                        rate_per_second=10.0, burst=3)
-    # Burst of 3 allowed instantly, 4th denied.
-    assert f.permit(1)
-    assert f.permit(2)
-    assert f.permit(3)
-    assert not f.permit(4)
-
-
-def test_rate_limit_filter_refills_over_time(sim, kernel):
-    f = RateLimitFilter(kernel, "limiter", kernel.privileged_domain,
-                        rate_per_second=10.0, burst=1)
-    assert f.permit(1)
-    assert not f.permit(2)
-    sim.run(until=seconds_to_ticks(0.2))  # 0.2 s -> 2 tokens earned
-    assert f.permit(3)
-
-
-def test_rate_limit_validation(kernel):
-    with pytest.raises(ValueError):
-        RateLimitFilter(kernel, "bad", kernel.privileged_domain,
-                        rate_per_second=0)
 
 
 def test_filter_in_data_plane_drops_and_counts(sim):

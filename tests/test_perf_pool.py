@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 
 import pytest
 
 from repro.perf.cells import CELL_RUNNERS, run_cell
-from repro.perf.pool import (CellFailure, SweepCell, SweepError,
-                             parse_workers, run_cells)
+from repro.perf.pool import (CACHE_KIND, CellFailure, SweepCell, SweepError,
+                             cached_keys, parse_workers, run_cells)
+from repro.snapshot.journal import JournalError, load_record, write_journal
 from repro.snapshot.runs import ExperimentRun
 
 TINY = dict(document="/doc-1", warmup_s=0.05, measure_s=0.1)
@@ -36,27 +39,77 @@ def test_merge_order_follows_cell_list_not_completion():
     assert list(merged) == [c.key for c in cells]
 
 
-def test_cache_short_circuits_finished_cells():
-    cells = _tiny_cells()
-    sentinel = {"cps": -1.0}
-    cache = {cells[1].key: sentinel}
-    done = []
-    merged = run_cells(cells, workers=0, cache=cache,
-                       on_cell_done=lambda c, r: done.append(c.key))
-    # The cached cell is returned verbatim and never re-run...
-    assert merged[cells[1].key] is sentinel
-    # ...and on_cell_done fires only for the cells actually computed.
-    assert done == [cells[0].key, cells[2].key]
+def _cached(path):
+    """The results a sweep cache file holds, by cell identity."""
+    return load_record(str(path), CACHE_KIND)["cells"]
 
 
-def test_fully_cached_sweep_runs_nothing():
+def test_cache_short_circuits_finished_cells(tmp_path, monkeypatch):
     cells = _tiny_cells()
-    cache = {c.key: {"cps": float(i)} for i, c in enumerate(cells)}
-    done = []
-    merged = run_cells(cells, workers=4, cache=cache,
-                       on_cell_done=lambda c, r: done.append(c.key))
-    assert done == []
-    assert merged == cache
+    path = tmp_path / "cells.jrnl"
+    first = run_cells(cells[1:2], cache_path=str(path))
+    real = CELL_RUNNERS["run"]
+    ran = []
+
+    def counting(spec):
+        ran.append(spec["clients"])
+        return real(spec)
+
+    monkeypatch.setitem(CELL_RUNNERS, "run", counting)
+    merged = run_cells(cells, workers=0, cache_path=str(path))
+    # The cached cell is returned from the file and never re-run...
+    assert merged[cells[1].key] == json.loads(json.dumps(first[cells[1].key]))
+    assert ran == [1, 3]
+    # ...and the file now holds the cells actually computed as well.
+    assert cached_keys(cells, str(path)) == [c.key for c in cells]
+    assert (sorted(json.dumps(v, sort_keys=True)
+                   for v in _cached(path).values())
+            == sorted(json.dumps(v, sort_keys=True)
+                      for v in merged.values()))
+
+
+def test_fully_cached_sweep_runs_nothing(tmp_path, monkeypatch):
+    cells = _tiny_cells()
+    path = tmp_path / "cells.jrnl"
+    first = run_cells(cells, workers=0, cache_path=str(path))
+    written = path.read_bytes()
+
+    def refuse(spec):  # pragma: no cover - must not run
+        raise AssertionError("cell re-executed despite cache")
+
+    monkeypatch.setitem(CELL_RUNNERS, "run", refuse)
+    merged = run_cells(cells, workers=4, cache_path=str(path))
+    assert list(merged) == [c.key for c in cells]
+    assert (json.dumps(merged, sort_keys=True)
+            == json.dumps(first, sort_keys=True))
+    assert path.read_bytes() == written
+
+
+def test_cache_answers_by_what_a_cell_computes_not_its_key(tmp_path):
+    path = str(tmp_path / "cells.jrnl")
+    run_cells([_ok_cell("a", 1)], cache_path=path)
+    # Another cell under the same key is not a hit; the same cell under
+    # another key is.
+    assert run_cells([_ok_cell("a", 2)], cache_path=path) == {
+        "a": {"value": 2}}
+    assert cached_keys([_ok_cell("b", 1), _ok_cell("c", 3)], path) == ["b"]
+    assert cached_keys([_ok_cell("b", 1)], str(tmp_path / "none")) is None
+
+
+@pytest.mark.parametrize("kind", ["figure9-runs", "resilience-cells"])
+def test_a_cache_of_another_kind_is_refused(tmp_path, kind):
+    path = tmp_path / "cells.jrnl"
+    write_journal(str(path), [{"kind": kind, "cells": {"a": {"value": 1}}}])
+    with pytest.raises(JournalError, match="cells.jrnl"):
+        run_cells([_ok_cell("a", 1)], cache_path=str(path))
+
+
+def test_only_run_and_resilience_cells_can_be_supervised(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(ValueError, match="crash-injection"):
+        run_cells([_ok_cell("a", 1)], supervised=True)
+    assert os.listdir(tmp_path) == []
 
 
 def test_duplicate_keys_are_rejected():
@@ -103,15 +156,14 @@ def test_killed_worker_cell_is_requeued_and_succeeds(tmp_path):
                               value=42)),
         _ok_cell("b", 2),
     ]
-    done = []
-    merged = run_cells(cells, workers=2,
-                       on_cell_done=lambda c, r: done.append(c.key))
+    path = tmp_path / "cells.jrnl"
+    merged = run_cells(cells, workers=2, cache_path=str(path))
     # Everybody recovered: the killer died once (marker exists), was
     # requeued into a fresh pool, and produced its real result; the
     # innocent cells either finished first or were requeued too.
     assert merged == {"a": {"value": 1}, "killer": {"value": 42},
                       "b": {"value": 2}}
-    assert sorted(done) == ["a", "b", "killer"]
+    assert sorted(v["value"] for v in _cached(path).values()) == [1, 2, 42]
 
 
 def test_repeat_killer_is_abandoned_but_innocents_survive(tmp_path):
@@ -121,17 +173,16 @@ def test_repeat_killer_is_abandoned_but_innocents_survive(tmp_path):
                   params=dict(mode="kill-always")),
         _ok_cell("b", 2),
     ]
-    done = []
-    merged = run_cells(cells, workers=2,
-                       on_cell_done=lambda c, r: done.append(c.key))
+    path = tmp_path / "cells.jrnl"
+    merged = run_cells(cells, workers=2, cache_path=str(path))
     assert merged["a"] == {"value": 1}
     assert merged["b"] == {"value": 2}
     failure = merged["killer"]
     assert isinstance(failure, CellFailure)
     assert failure.kind == "worker-crash"
     assert failure.requeued
-    # Failures are never handed to the cache-persist callback.
-    assert sorted(done) == ["a", "b"]
+    # Failures are never written to the cache.
+    assert sorted(v["value"] for v in _cached(path).values()) == [1, 2]
 
 
 def test_raising_cell_is_surfaced_not_raised():

@@ -287,6 +287,21 @@ def test_explore_resumes_from_cache(tmp_path):
         cells.CELL_RUNNERS["resilience"] = real
 
 
+def test_explore_cache_never_answers_for_other_cases(tmp_path):
+    # Same target, seed and budget, so the same case keys: only what the
+    # cases run differs, and a rerun must not read the first verdicts.
+    cache_dir = str(tmp_path / "cache")
+    explore("chaos", seed=7, budget=2, minimize=False, cache_dir=cache_dir)
+    hot = {"rate": 3, "magnitude": 3}
+    fresh = explore("chaos", seed=7, budget=2, minimize=False,
+                    intensity=hot)
+    lines = []
+    rerun = explore("chaos", seed=7, budget=2, minimize=False,
+                    intensity=hot, cache_dir=cache_dir, log=lines.append)
+    assert "resumed 0/2 cases from cache" in lines
+    assert rerun.verdicts == fresh.verdicts
+
+
 # ----------------------------------------------------------------------
 # The corpus
 # ----------------------------------------------------------------------

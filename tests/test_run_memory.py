@@ -12,7 +12,8 @@ it forget an owner as soon as the owner is destroyed, so a path killed
 last before the CPU idles is not kept.
 
 Digests use the interpreter's built-in SHA-256, so no run loads OpenSSL,
-whether it digests, journals, checkpoints, records telemetry or resumes.
+whether it digests, journals, checkpoints, records telemetry or resumes,
+and neither does a supervised sweep that caches its cells.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def test_no_destroyed_path_outlives_its_bounded_holders(name):
 def test_a_bare_run_loads_openssl_only_to_digest(tmp_path):
     # Every digest goes through the interpreter's built-in SHA-256, so no
     # step of a bare, digested, journaled, checkpointed, observed or
-    # resumed run maps OpenSSL.
+    # resumed run, nor a supervised sweep with a cell cache, maps OpenSSL.
     script = (
         "import os, sys\n"
         "from repro.obs.session import attach_obs\n"
@@ -109,13 +110,17 @@ def test_a_bare_run_loads_openssl_only_to_digest(tmp_path):
         "loaded()\n"
         "RunDriver.resume(journal)\n"
         "loaded()\n"
+        "from repro.experiments.figure9 import run_figure9\n"
+        "run_figure9(client_counts=[1], configs=['accounting'],\n"
+        "            warmup_s=0.05, measure_s=0.1, supervised=True,\n"
+        "            checkpoint_dir=os.path.join(tmp, 'figure9'))\n"
+        "loaded()\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False", "False", "False",
-                                   "False", "False"]
+    assert proc.stdout.split() == ["False"] * 7
 
 
 @settings(max_examples=200, deadline=None)

@@ -320,6 +320,38 @@ def test_figure9_resumes_from_cell_cache(tmp_path, monkeypatch):
     assert second.syn_stats == first.syn_stats
 
 
+def test_figure9_cache_of_another_grid_runs_the_new_grids_cells(tmp_path):
+    from repro.experiments.figure9 import run_figure9
+
+    kwargs = dict(client_counts=[2], configs=["accounting"], syn_rate=200,
+                  warmup_s=0.1, measure_s=0.2)
+    other = run_figure9(document="/doc-1k", checkpoint_dir=str(tmp_path),
+                        **kwargs)
+    fresh = run_figure9(document="/doc-1", **kwargs)
+    assert fresh.series != other.series
+    reused = run_figure9(document="/doc-1", checkpoint_dir=str(tmp_path),
+                         **kwargs)
+    assert reused.series == fresh.series
+    assert reused.syn_stats == fresh.syn_stats
+
+
+@pytest.mark.parametrize("argv,name,kind", [
+    (["figure9", "--clients", "2", "--configs", "accounting",
+      "--checkpoint-dir"], "figure9-cells.jrnl", "figure9-runs"),
+    (["resilience", "explore", "--budget", "1", "--cache-dir"],
+     "resilience-cells.jrnl", "resilience-cells"),
+], ids=["figure9", "explore"])
+def test_a_cache_file_of_an_old_kind_exits_2(tmp_path, capsys, argv, name,
+                                             kind):
+    from repro.__main__ import main
+
+    path = tmp_path / name
+    write_journal(str(path), [{"kind": kind, "cells": {}}])
+    assert main(argv + [str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not a sweep-cells file")
+
+
 def test_figure9_cache_of_another_value_shape_errors(tmp_path):
     from repro.experiments.figure9 import run_figure9
 

@@ -321,6 +321,17 @@ def test_sweeps_reject_out_of_range_flags_before_any_cell(capsys, no_runs,
      "argument --heartbeat-timeout: inf is not a finite number of seconds"),
     (["supervise", "--kind", "experiment", "--max-attempts", "0"],
      "argument --max-attempts: 0 is below 1"),
+    (["supervise", "--selftest", "--quick", "--kill-points", "0"],
+     "argument --kill-points: 0 is below 1"),
+    (["supervise", "--kind", "experiment", "--inject-kill", "-1"],
+     "argument --inject-kill: -1 is below 0"),
+    (["supervise", "--kind", "experiment", "--inject-hang", "-1"],
+     "argument --inject-hang: -1 is below 0"),
+    (["resilience", "explore", "--max-tests", "0"],
+     "argument --max-tests: 0 is below 1"),
+    (["resilience", "minimize", "--max-tests", "-1"],
+     "argument --max-tests: -1 is below 1"),
+    (["ablation", "--clients", "-3"], "argument --clients: -3 is below 0"),
 ], ids=["figure8-docs", "figure9-clients", "defense-seeds", "cluster-seeds",
         "figure10-configs", "figure11-attackers",
         "experiment-checkpoint-every", "experiment-checkpoint-every-zero",
@@ -328,7 +339,10 @@ def test_sweeps_reject_out_of_range_flags_before_any_cell(capsys, no_runs,
         "explore-workers", "supervise-checkpoint-every-negative",
         "supervise-checkpoint-every-zero", "supervise-heartbeat-negative",
         "supervise-heartbeat-zero", "supervise-heartbeat-nan",
-        "supervise-heartbeat-inf", "supervise-max-attempts-zero"])
+        "supervise-heartbeat-inf", "supervise-max-attempts-zero",
+        "supervise-kill-points-zero", "supervise-inject-kill-negative",
+        "supervise-inject-hang-negative", "explore-max-tests-zero",
+        "minimize-max-tests-negative", "ablation-clients-negative"])
 def test_list_flags_reject_bad_items_before_any_cell(capsys, no_runs, argv,
                                                      message):
     with pytest.raises(SystemExit) as exit_info:

@@ -11,7 +11,9 @@ attempt exhausts its bounded retry budget and is *recorded* as failed.
 from __future__ import annotations
 
 import os
+import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -316,9 +318,63 @@ def test_campaign_supervised_matches_oracle_verdicts(tmp_path):
     kw = dict(target="chaos", seed=5, budget=2, minimize=False)
     plain = explore(**kw)
     supervised = explore(supervised=True,
-                         supervise_dir=str(tmp_path / "state"),
                          cache_dir=str(tmp_path / "cache"), **kw)
     assert supervised.verdicts == plain.verdicts
+
+
+@pytest.mark.supervise
+def test_supervised_sweeps_without_a_directory_leave_no_state(
+        tmp_path, monkeypatch):
+    from repro.experiments.figure9 import run_figure9
+    from repro.resilience.campaign import explore
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    run_figure9(client_counts=[2], configs=["accounting"], syn_rate=300,
+                warmup_s=0.1, measure_s=0.2, supervised=True)
+    explore("chaos", seed=5, budget=1, minimize=False, supervised=True)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.supervise
+def test_a_supervised_cell_that_gave_up_keeps_and_names_its_state(
+        tmp_path, monkeypatch):
+    from repro.perf.pool import CellFailure, SweepCell, run_cells
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    bad_spec = {"run": "chaos", "scenario": "no-such-scenario", "seed": 1,
+                "rollback": False}
+    failure = run_cells([SweepCell("bad", "run", {"spec": bad_spec})],
+                        supervised=True)["bad"]
+    assert isinstance(failure, CellFailure)
+    assert failure.kind == "supervision:exception:ValueError"
+    [root] = os.listdir(tmp_path)
+    state = failure.error.rsplit("state kept in ", 1)[1].rstrip(")")
+    assert Path(state).parent == tmp_path / root
+    assert (Path(state) / "error.json").exists()
+
+
+@pytest.mark.parametrize("ok", [True, False], ids=["passed", "failed"])
+def test_selftest_removes_its_temp_state_only_when_every_case_passed(
+        tmp_path, monkeypatch, capsys, ok):
+    import repro.supervise
+    from repro.__main__ import main
+
+    def fake_selftest(base, **kwargs):
+        (Path(base) / "experiment-kill-1").mkdir()
+        return SimpleNamespace(ok=ok, summary=lambda: "fake summary")
+
+    monkeypatch.setattr(repro.supervise, "crash_injection_selftest",
+                        fake_selftest)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert main(["supervise", "--selftest", "--quick"]) == (0 if ok else 1)
+    out = capsys.readouterr().out
+    if ok:
+        assert os.listdir(tmp_path) == []
+        assert "state dir" not in out
+    else:
+        [kept] = os.listdir(tmp_path)
+        assert kept.startswith("supervise-selftest-")
+        assert out.endswith(f"fake summary\nstate dir: {tmp_path / kept}\n")
 
 
 @pytest.mark.supervise
