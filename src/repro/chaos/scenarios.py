@@ -93,31 +93,30 @@ class ChaosReport:
         return "\n".join(lines)
 
 
+#: Phase lengths of every scenario, in simulated seconds.
+WARMUP_S = 0.25
+CHAOS_S = 0.8
+RECOVERY_S = 0.5
+PROBE_S = 0.6
+
+
 class ChaosScenario:
     """One canned chaos scenario: a testbed builder plus a fault schedule.
 
     ``build`` returns ``(testbed, fault_injector_or_None)``;
-    ``make_schedule`` returns the :class:`FaultSchedule` for one seed.
-    Phase lengths are simulated seconds.
+    ``make_schedule`` returns the :class:`FaultSchedule` for one seed,
+    spread over the ``CHAOS_S`` window.
     """
 
     def __init__(self, name: str, description: str, *,
                  build: Callable[[int], Tuple[Testbed,
                                               Optional[FaultInjector]]],
-                 make_schedule: Callable[[int, float], FaultSchedule],
-                 warmup_s: float = 0.25,
-                 chaos_s: float = 0.8,
-                 recovery_s: float = 0.5,
-                 probe_s: float = 0.6,
+                 make_schedule: Callable[[int], FaultSchedule],
                  watchdog_kwargs: Optional[dict] = None):
         self.name = name
         self.description = description
         self.build = build
         self.make_schedule = make_schedule
-        self.warmup_s = warmup_s
-        self.chaos_s = chaos_s
-        self.recovery_s = recovery_s
-        self.probe_s = probe_s
         self.watchdog_kwargs = watchdog_kwargs or {}
 
 
@@ -143,15 +142,15 @@ def _build_lossy_syn_flood(seed: int):
     return bed, injector
 
 
-def _schedule_lossy_syn_flood(seed: int, chaos_s: float) -> FaultSchedule:
+def _schedule_lossy_syn_flood(seed: int) -> FaultSchedule:
     events = [
-        FaultEvent(0.10 * chaos_s, STUCK_THREAD),
-        FaultEvent(0.40 * chaos_s, LINK_FLAP, duration_s=0.03),
-        FaultEvent(0.60 * chaos_s, CLOCK_SKEW, duration_s=0.2,
+        FaultEvent(0.10 * CHAOS_S, STUCK_THREAD),
+        FaultEvent(0.40 * CHAOS_S, LINK_FLAP, duration_s=0.03),
+        FaultEvent(0.60 * CHAOS_S, CLOCK_SKEW, duration_s=0.2,
                    magnitude=2.0),
     ]
     events += FaultSchedule.random(
-        seed, chaos_s, kinds=(LINK_FLAP, CLOCK_SKEW),
+        seed, CHAOS_S, kinds=(LINK_FLAP, CLOCK_SKEW),
         rate_per_second=2.0).events
     return FaultSchedule(events, seed=seed)
 
@@ -168,15 +167,15 @@ def _build_oom_cgi(seed: int):
     return bed, None
 
 
-def _schedule_oom_cgi(seed: int, chaos_s: float) -> FaultSchedule:
+def _schedule_oom_cgi(seed: int) -> FaultSchedule:
     events = [
-        FaultEvent(0.15 * chaos_s, PAGE_PRESSURE, duration_s=0.3,
+        FaultEvent(0.15 * CHAOS_S, PAGE_PRESSURE, duration_s=0.3,
                    magnitude=0.97),
-        FaultEvent(0.55 * chaos_s, IOBUF_FAIL, duration_s=0.15,
+        FaultEvent(0.55 * CHAOS_S, IOBUF_FAIL, duration_s=0.15,
                    magnitude=0.5),
     ]
     events += FaultSchedule.random(
-        seed, chaos_s, kinds=(MODULE_EXCEPTION, IOBUF_FAIL),
+        seed, CHAOS_S, kinds=(MODULE_EXCEPTION, IOBUF_FAIL),
         rate_per_second=2.0, exception_targets=("http", "fs")).events
     return FaultSchedule(events, seed=seed)
 
@@ -190,11 +189,11 @@ def _build_domain_crash(seed: int):
     return bed, None
 
 
-def _schedule_domain_crash(seed: int, chaos_s: float) -> FaultSchedule:
+def _schedule_domain_crash(seed: int) -> FaultSchedule:
     events = [
-        FaultEvent(0.25 * chaos_s, DOMAIN_CRASH, target="pd-http"),
-        FaultEvent(0.55 * chaos_s, STUCK_THREAD),
-        FaultEvent(0.70 * chaos_s, MODULE_EXCEPTION, target="http",
+        FaultEvent(0.25 * CHAOS_S, DOMAIN_CRASH, target="pd-http"),
+        FaultEvent(0.55 * CHAOS_S, STUCK_THREAD),
+        FaultEvent(0.70 * CHAOS_S, MODULE_EXCEPTION, target="http",
                    duration_s=0.1, magnitude=0.5),
     ]
     return FaultSchedule(events, seed=seed)
@@ -265,12 +264,11 @@ class ChaosRun(ReplayableRun):
             self.seed)
 
     def milestones(self) -> List[Tuple[int, str]]:
-        sc = SCENARIOS[self.scenario]
         settle = seconds_to_ticks(SETTLE_S)
-        t_chaos = settle + seconds_to_ticks(sc.warmup_s)
-        t_probe = (t_chaos + seconds_to_ticks(sc.chaos_s)
-                   + seconds_to_ticks(sc.recovery_s))
-        t_verdict = t_probe + seconds_to_ticks(sc.probe_s)
+        t_chaos = settle + seconds_to_ticks(WARMUP_S)
+        t_probe = (t_chaos + seconds_to_ticks(CHAOS_S)
+                   + seconds_to_ticks(RECOVERY_S))
+        t_verdict = t_probe + seconds_to_ticks(PROBE_S)
         return [(0, "boot"), (settle, "start_load"), (t_chaos, "arm_chaos"),
                 (t_probe, "disarm_probe"), (t_verdict, "verdict")]
 
@@ -292,7 +290,7 @@ class ChaosRun(ReplayableRun):
         self.checker = InvariantChecker(kernel)
         self.checker.start(period_s=0.05)
         schedule = (self.schedule if self.schedule is not None
-                    else sc.make_schedule(self.seed, sc.chaos_s))
+                    else sc.make_schedule(self.seed))
         self.chaos = ChaosInjector(bed.server, schedule,
                                    fault_injector=self.net_injector)
         self.chaos.arm()

@@ -29,7 +29,7 @@ a wedged state is never captured as a rollback target.
 Every detection, kill, escalation, and verified recovery is logged as a
 :class:`WatchdogAction`, so tests can assert the full
 detect → kill → recover cycle actually happened.  The scan itself is
-charged to the kernel owner (``scan_cost_cycles`` per sweep) — the
+charged to the kernel owner (``SCAN_COST_CYCLES`` per sweep) — the
 watchdog lives inside the machine and pays for its cycles, unlike the
 invariant checker, which observes from outside.
 """
@@ -69,66 +69,52 @@ class Watchdog:
 
     Parameters
     ----------
-    period_s:
-        Scan period in simulated seconds.
-    cycle_budget_fraction:
-        An owner consuming more than this fraction of one scan window's
-        CPU cycles is flagged (0.5 = half the machine).
-    page_budget:
-        An owner holding more pages than this is flagged.
-    stuck_scans:
-        A thread observed on the CPU for this many consecutive scans
-        without leaving is declared non-progressing.
-    escalate_after:
-        Offenses from the same owner-name family before escalating to
-        shedding.
-    backoff_s / backoff_max_s:
-        Initial shedding window; doubles per escalation up to the max.
     shed_on_free_pages / shed_off_free_pages:
         Hysteresis thresholds on the page pool for saturation shedding.
     service_probe / service_revive:
         Optional liveness hook: when ``service_probe()`` goes false the
         watchdog logs a detection and calls ``service_revive()`` (wired to
         :class:`repro.chaos.recovery.DomainRecovery` by the scenarios).
-    snapshotter / rollback_limit:
+    snapshotter:
         Optional :class:`~repro.snapshot.rollback.DomainSnapshotter`.
         When attached, a misbehaving domain is first rolled back to its
-        last good snapshot (at most ``rollback_limit`` times per domain)
+        last good snapshot (at most ``ROLLBACK_LIMIT`` times per domain)
         and only torn down when rollback is unavailable or reclaims
         nothing.
     """
 
+    #: Scan period in simulated seconds.
+    PERIOD_S = 0.05
+    #: An owner burning more cycles than this in one scan window is
+    #: flagged: half the machine.
+    CYCLE_BUDGET = int(0.5 * PERIOD_S * SERVER_CYCLE_HZ)
+    #: An owner holding more pages than this is flagged.
+    PAGE_BUDGET = 1024
+    #: A thread seen on the CPU for this many consecutive scans without
+    #: leaving is declared non-progressing.
+    STUCK_SCANS = 3
+    #: Offenses from one owner-name family before shedding escalates.
+    ESCALATE_AFTER = 2
+    #: First shedding window; it doubles per escalation up to the max.
+    BACKOFF_S = 0.05
+    BACKOFF_MAX_S = 0.8
+    #: Kernel cycles one scan costs.
+    SCAN_COST_CYCLES = 2_000
+    #: Rollbacks allowed per domain before teardown.
+    ROLLBACK_LIMIT = 1
+
     def __init__(self, kernel: Kernel,
-                 period_s: float = 0.05,
-                 cycle_budget_fraction: float = 0.5,
-                 page_budget: int = 1024,
-                 stuck_scans: int = 3,
-                 escalate_after: int = 2,
-                 backoff_s: float = 0.05,
-                 backoff_max_s: float = 0.8,
-                 scan_cost_cycles: int = 2_000,
                  shed_on_free_pages: int = 64,
                  shed_off_free_pages: int = 256,
                  service_probe: Optional[Callable[[], bool]] = None,
                  service_revive: Optional[Callable[[], None]] = None,
-                 snapshotter=None,
-                 rollback_limit: int = 1):
+                 snapshotter=None):
         self.kernel = kernel
-        self.period_s = period_s
-        self.cycle_budget = int(cycle_budget_fraction
-                                * period_s * SERVER_CYCLE_HZ)
-        self.page_budget = page_budget
-        self.stuck_scans = stuck_scans
-        self.escalate_after = escalate_after
-        self.backoff_s = backoff_s
-        self.backoff_max_s = backoff_max_s
-        self.scan_cost_cycles = scan_cost_cycles
         self.shed_on_free_pages = shed_on_free_pages
         self.shed_off_free_pages = shed_off_free_pages
         self.service_probe = service_probe
         self.service_revive = service_revive
         self.snapshotter = snapshotter
-        self.rollback_limit = rollback_limit
         #: Optional adaptive :class:`~repro.defense.DefenseController`: a
         #: rung between rollback and pathKill.  A first offense the
         #: controller can absorb (throttle/contain) avoids the kill; the
@@ -201,7 +187,7 @@ class Watchdog:
         if self._running:
             return
         self._running = True
-        self.kernel.sim.schedule(seconds_to_ticks(self.period_s), self._scan)
+        self.kernel.sim.schedule(seconds_to_ticks(self.PERIOD_S), self._scan)
 
     def stop(self) -> None:
         self._running = False
@@ -234,22 +220,22 @@ class Watchdog:
         # The scan walked kernel tables: charge it like any other
         # interrupt-level kernel work.
         self.kernel.cpu.post_interrupt(Interrupt(
-            [(self.kernel.kernel_owner, self.scan_cost_cycles)],
+            [(self.kernel.kernel_owner, self.SCAN_COST_CYCLES)],
             label="watchdog-scan"))
-        self.kernel.sim.schedule(seconds_to_ticks(self.period_s), self._scan)
+        self.kernel.sim.schedule(seconds_to_ticks(self.PERIOD_S), self._scan)
 
     # -- detectors ------------------------------------------------------
     def _check_cycle_budgets(self) -> bool:
         hit = False
         for owner, cycles in list(self._window.items()):
-            if cycles <= self.cycle_budget:
+            if cycles <= self.CYCLE_BUDGET:
                 continue
             if not self._is_killable(owner):
                 continue
             hit = True
             self._log("detect", owner.name,
                       f"{cycles} cycles this window "
-                      f"(budget {self.cycle_budget})")
+                      f"(budget {self.CYCLE_BUDGET})")
             self._respond(owner)
         return hit
 
@@ -259,10 +245,10 @@ class Watchdog:
             if not self._is_killable(owner):
                 continue
             pages = owner.usage.pages
-            if pages > self.page_budget:
+            if pages > self.PAGE_BUDGET:
                 hit = True
                 self._log("detect", owner.name,
-                          f"{pages} pages held (budget {self.page_budget})")
+                          f"{pages} pages held (budget {self.PAGE_BUDGET})")
                 self._respond(owner)
         return hit
 
@@ -273,7 +259,7 @@ class Watchdog:
         else:
             self._last_thread = current
             self._streak = 1 if current is not None else 0
-        if current is None or self._streak < self.stuck_scans:
+        if current is None or self._streak < self.STUCK_SCANS:
             return False
         owner = current.owner
         if not self._is_killable(owner):
@@ -324,7 +310,7 @@ class Watchdog:
             return
         skip = set(self._offended_names)
         for pd in self.kernel.domains:
-            if self._window.get(pd, 0) > self.cycle_budget // 2:
+            if self._window.get(pd, 0) > self.CYCLE_BUDGET // 2:
                 skip.add(pd.name)
         self.snapshotter.observe(skip=skip)
 
@@ -372,13 +358,13 @@ class Watchdog:
         elif not self._try_defend(owner, offenses):
             self.kernel.kill_owner(owner)
 
-        if offenses >= self.escalate_after:
+        if offenses >= self.ESCALATE_AFTER:
             # The family keeps offending: killing individuals is not
             # containing the source, so shed new admissions for a backoff
             # window that doubles with each escalation.
-            backoff = self._family_backoff.get(family, self.backoff_s)
+            backoff = self._family_backoff.get(family, self.BACKOFF_S)
             self._family_backoff[family] = min(backoff * 2,
-                                               self.backoff_max_s)
+                                               self.BACKOFF_MAX_S)
             until = self.kernel.sim.now + seconds_to_ticks(backoff)
             self._shed_until = max(self._shed_until, until)
             self.escalations += 1
@@ -401,7 +387,7 @@ class Watchdog:
         """
         if self.defense_controller is None:
             return False
-        if offenses >= self.escalate_after:
+        if offenses >= self.ESCALATE_AFTER:
             return False
         if not self.defense_controller.absorb(owner):
             return False
@@ -419,7 +405,7 @@ class Watchdog:
         """
         if self.snapshotter is None:
             return False
-        if self._rollbacks_by_domain.get(pd.name, 0) >= self.rollback_limit:
+        if self._rollbacks_by_domain.get(pd.name, 0) >= self.ROLLBACK_LIMIT:
             return False
         if not self.snapshotter.can_rollback(pd):
             return False

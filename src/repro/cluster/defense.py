@@ -61,25 +61,24 @@ PREFIX_RATE_FLOOR = 1500.0
 class ClusterDefense:
     """Aggregated signal scan loop over the whole cluster.
 
-    ``rate_floor`` (default :data:`PREFIX_RATE_FLOOR`) gates shedding on
-    cluster-wide per-/24 SYN rate in addition to the anomaly score.
+    Shedding is gated on the cluster-wide per-/24 SYN rate
+    (:data:`PREFIX_RATE_FLOOR`) in addition to the anomaly score.
     """
 
-    def __init__(self, sim, replicas, dispatcher, health, *,
-                 period_s: float = 0.05,
-                 score_on: float = 4.0,
-                 rate_floor: float = PREFIX_RATE_FLOOR,
-                 allow_rate: int = 50,
-                 release_scans: int = 8):
+    #: Scan period in simulated seconds.
+    PERIOD_S = 0.05
+    #: A prefix this anomalous somewhere, and loud cluster-wide, is shed
+    #: at the edge to ALLOW_RATE SYN/s; it is released after
+    #: RELEASE_SCANS scans under that rate.
+    SCORE_ON = 4.0
+    ALLOW_RATE = 50
+    RELEASE_SCANS = 8
+
+    def __init__(self, sim, replicas, dispatcher, health):
         self.sim = sim
         self.replicas = replicas
         self.dispatcher = dispatcher
         self.health = health
-        self.period_s = period_s
-        self.score_on = score_on
-        self.rate_floor = rate_floor
-        self.allow_rate = allow_rate
-        self.release_scans = release_scans
 
         self.scans = 0
         self.log: List[ClusterDefenseAction] = []
@@ -91,7 +90,7 @@ class ClusterDefense:
         if self._running:
             return
         self._running = True
-        self.sim.schedule(seconds_to_ticks(self.period_s), self._scan)
+        self.sim.schedule(seconds_to_ticks(self.PERIOD_S), self._scan)
 
     def stop(self) -> None:
         self._running = False
@@ -108,15 +107,15 @@ class ClusterDefense:
         for prefix in sorted(scores):
             if prefix in self.dispatcher.edge_buckets:
                 continue
-            if scores[prefix] >= self.score_on \
-                    and rates.get(prefix, 0.0) >= self.rate_floor:
-                burst = max(8, self.allow_rate // 4)
+            if scores[prefix] >= self.SCORE_ON \
+                    and rates.get(prefix, 0.0) >= PREFIX_RATE_FLOOR:
+                burst = max(8, self.ALLOW_RATE // 4)
                 self.dispatcher.edge_buckets[prefix] = TokenBucket(
-                    self.allow_rate, burst, now=now)
+                    self.ALLOW_RATE, burst, now=now)
                 self.dispatcher.steer_map[prefix] = self._quarantine()
                 self._quiet[prefix] = 0
                 self._log("escalate", prefix,
-                          f"shed to {self.allow_rate}/s at the edge, "
+                          f"shed to {self.ALLOW_RATE}/s at the edge, "
                           f"quarantined to replica "
                           f"{self.dispatcher.steer_map[prefix]} "
                           f"(cluster rate {rates.get(prefix, 0):.0f}/s, "
@@ -125,18 +124,18 @@ class ClusterDefense:
         # Release: offered rate back under the limit for long enough.
         for prefix in sorted(self.dispatcher.edge_buckets):
             offered = rates.get(prefix, 0.0)
-            if offered <= self.allow_rate:
+            if offered <= self.ALLOW_RATE:
                 self._quiet[prefix] = self._quiet.get(prefix, 0) + 1
             else:
                 self._quiet[prefix] = 0
-            if self._quiet[prefix] >= self.release_scans:
+            if self._quiet[prefix] >= self.RELEASE_SCANS:
                 del self.dispatcher.edge_buckets[prefix]
                 self.dispatcher.steer_map.pop(prefix, None)
                 del self._quiet[prefix]
                 self._log("deescalate", prefix,
                           f"released (offered {offered:.0f}/s)")
 
-        self.sim.schedule(seconds_to_ticks(self.period_s), self._scan)
+        self.sim.schedule(seconds_to_ticks(self.PERIOD_S), self._scan)
 
     def _aggregate(self):
         """Sum rates, max scores, across every replica's last sample."""

@@ -54,11 +54,12 @@ def _prefix(ip: str) -> str:
 class ClusterDispatcher:
     """MAC-level L4 dispatcher in front of N Escort replicas."""
 
-    def __init__(self, sim, vip: str, replica_macs: List[MacAddr],
-                 health=None):
+    def __init__(self, sim, vip: str, replica_macs: List[MacAddr]):
         self.sim = sim
         self.vip = vip
-        self.health = health  # attached after HealthMonitor construction
+        #: The :class:`~repro.cluster.health.HealthMonitor`, attached by
+        #: the harness once the monitor is built.
+        self.health = None
         self.front = NIC(sim, label="lb-front")
         self.front.on_receive = self._from_edge
         self.backs: List[NIC] = []

@@ -18,7 +18,7 @@ from repro.sim.costs import CostModel
 from repro.sim.engine import Simulator
 from repro.net.addressing import Subnet
 from repro.net.link import Hub, Switch
-from repro.workload.clients import HttpClient, RetryPolicy
+from repro.workload.clients import HttpClient
 from repro.workload.stats import WorkloadStats
 from repro.workload.syn_attacker import SynAttacker
 
@@ -32,6 +32,8 @@ from repro.cluster.replica import Replica
 VIP = "10.0.0.80"
 TRUSTED_SUBNET = Subnet("10.1.0.0/16")
 UNTRUSTED_SUBNET = Subnet("10.9.0.0/16")
+#: Each replica's SYN_RCVD cap on the untrusted passive path.
+UNTRUSTED_CAP = 16
 
 
 class ClusterTestbed:
@@ -39,16 +41,11 @@ class ClusterTestbed:
 
     __test__ = False  # not a pytest test class despite the harness role
 
-    def __init__(self, *, replicas: int = 3, adaptive: bool = True,
-                 untrusted_cap: int = 16,
-                 costs: Optional[CostModel] = None,
-                 documents=None,
-                 probe_period_s: float = 0.01,
-                 probe_timeout_s: float = 0.015):
+    def __init__(self, *, replicas: int = 3, adaptive: bool = True):
         if replicas < 1:
             raise ValueError("a cluster needs at least one replica")
         self.sim = Simulator()
-        self.costs = costs or CostModel.default()
+        self.costs = CostModel.default()
         self.stats = WorkloadStats()
         self.adaptive = adaptive
 
@@ -61,8 +58,8 @@ class ClusterTestbed:
         for index in range(replicas):
             self.replicas.append(Replica(
                 self.sim, index, VIP,
-                policies=self._replica_policies(untrusted_cap),
-                costs=self.costs, documents=documents))
+                policies=self._replica_policies(),
+                costs=self.costs))
 
         self.dispatcher = ClusterDispatcher(
             self.sim, VIP,
@@ -70,7 +67,6 @@ class ClusterTestbed:
         self.dispatcher.attach_front(self.hub)
         self.health = HealthMonitor(
             self.sim, self.dispatcher.send_probe, replicas,
-            period_s=probe_period_s, timeout_s=probe_timeout_s,
             on_down=self.dispatcher.drain)
         self.dispatcher.health = self.health
 
@@ -87,7 +83,7 @@ class ClusterTestbed:
         self.syn_attacker: Optional[SynAttacker] = None
         self._client_seq = 0
 
-    def _replica_policies(self, untrusted_cap: int) -> List:
+    def _replica_policies(self) -> List:
         """Fresh policy objects per replica (policies hold server state).
 
         The per-replica controller keeps every rung of the standalone
@@ -100,7 +96,7 @@ class ClusterTestbed:
         from repro.cluster.defense import PREFIX_RATE_FLOOR
         from repro.policy import AdaptivePolicy, SynFloodPolicy
         static = [SynFloodPolicy(TRUSTED_SUBNET,
-                                 untrusted_cap=untrusted_cap)]
+                                 untrusted_cap=UNTRUSTED_CAP)]
         if self.adaptive:
             return [AdaptivePolicy(
                 *static, prefix_rate_floor=PREFIX_RATE_FLOOR)]
@@ -117,9 +113,9 @@ class ClusterTestbed:
     # Workload construction (mirrors the single-server Testbed)
     # ------------------------------------------------------------------
     def add_clients(self, count: int, document: str = "/doc-1k",
-                    retry: Optional[RetryPolicy] = None
-                    ) -> List[HttpClient]:
-        """Attach serial-request clients on the switch, retry stack on."""
+                    retry: bool = False) -> List[HttpClient]:
+        """Attach serial-request clients on the switch (with the retry
+        stack when ``retry``)."""
         added = []
         for _ in range(count):
             self._client_seq += 1
@@ -149,7 +145,7 @@ class ClusterTestbed:
         attacker = SynAttacker(
             self.sim, VIP, self.dispatcher.front.mac,
             spoof_subnet=spoof_subnet or UNTRUSTED_SUBNET,
-            rate_per_second=rate_per_second, costs=self.costs,
+            rate_per_second=rate_per_second,
             ramp_to=ramp_to, ramp_seconds=ramp_seconds,
             spoof_hosts=spoof_hosts)
         attacker.attach(self.hub)

@@ -51,25 +51,26 @@ class HealthMonitor:
 
     ``send_probe(index, seq)`` is injected by the dispatcher (it owns the
     backside NICs); the monitor owns the timing, scoring and hysteresis.
+    ``on_down(index)`` is called when a replica is marked down.
     """
+
+    #: Probe period and timeout.  The timeout is under two periods, so at
+    #: most two probes per replica are ever in flight.
+    PERIOD_TICKS = seconds_to_ticks(0.01)
+    TIMEOUT_TICKS = seconds_to_ticks(0.015)
+    #: EWMA weight of each probe sample in the health score.
+    ALPHA = 0.3
+    #: Consecutive misses that mark a replica down, and consecutive
+    #: replies that bring it back.
+    DOWN_AFTER = 2
+    UP_AFTER = 2
 
     def __init__(self, sim, send_probe: Callable[[int, int], None],
                  replica_count: int, *,
-                 period_s: float = 0.01, timeout_s: float = 0.015,
-                 alpha: float = 0.3, down_after: int = 2, up_after: int = 2,
-                 on_down: Optional[Callable[[int], None]] = None,
-                 on_up: Optional[Callable[[int], None]] = None):
-        if timeout_s > period_s * 2:
-            raise ValueError("timeout must be at most two probe periods")
+                 on_down: Optional[Callable[[int], None]] = None):
         self.sim = sim
         self.send_probe = send_probe
-        self.period_ticks = seconds_to_ticks(period_s)
-        self.timeout_ticks = seconds_to_ticks(timeout_s)
-        self.alpha = alpha
-        self.down_after = down_after
-        self.up_after = up_after
         self.on_down = on_down
-        self.on_up = on_up
         self.replicas: List[ReplicaHealth] = [
             ReplicaHealth(i) for i in range(replica_count)]
         #: Every up/down transition: (tick, replica index, "down" | "up").
@@ -85,7 +86,7 @@ class HealthMonitor:
             # Stagger the loops by replica index so N probes never share a
             # tick (the hub would serialize them anyway; this keeps the
             # event order independent of replica count).
-            self.sim.schedule(self.period_ticks + health.index,
+            self.sim.schedule(self.PERIOD_TICKS + health.index,
                               lambda h=health: self._probe(h))
 
     def stop(self) -> None:
@@ -104,10 +105,10 @@ class HealthMonitor:
         seq = health.next_seq()
         health.probes_sent += 1
         timeout_ev = self.sim.schedule(
-            self.timeout_ticks, lambda: self._timeout(health, seq))
+            self.TIMEOUT_TICKS, lambda: self._timeout(health, seq))
         health.outstanding[seq] = timeout_ev
         self.send_probe(health.index, seq)
-        self.sim.schedule(self.period_ticks,
+        self.sim.schedule(self.PERIOD_TICKS,
                           lambda: self._probe(health))
 
     def on_reply(self, index: int, seq: int) -> None:
@@ -128,20 +129,18 @@ class HealthMonitor:
 
     # ------------------------------------------------------------------
     def _sample(self, health: ReplicaHealth, value: float) -> None:
-        health.score = (1 - self.alpha) * health.score + self.alpha * value
+        health.score = (1 - self.ALPHA) * health.score + self.ALPHA * value
         if value > 0:
             health.consecutive_replies += 1
             health.consecutive_misses = 0
             if (not health.up
-                    and health.consecutive_replies >= self.up_after):
+                    and health.consecutive_replies >= self.UP_AFTER):
                 health.up = True
                 self.transitions.append((self.sim.now, health.index, "up"))
-                if self.on_up is not None:
-                    self.on_up(health.index)
         else:
             health.consecutive_misses += 1
             health.consecutive_replies = 0
-            if health.up and health.consecutive_misses >= self.down_after:
+            if health.up and health.consecutive_misses >= self.DOWN_AFTER:
                 health.up = False
                 self.transitions.append((self.sim.now, health.index,
                                          "down"))

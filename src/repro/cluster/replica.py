@@ -26,7 +26,7 @@ class Replica:
 
     def __init__(self, sim, index: int, vip: str, *,
                  policies: Optional[List] = None,
-                 costs=None, documents=None):
+                 costs=None):
         self.sim = sim
         self.index = index
         self.vip = vip
@@ -40,7 +40,7 @@ class Replica:
 
         self.server = ScoutWebServer(
             sim, accounting=True, protection_domains=False,
-            ip=vip, documents=documents,
+            ip=vip,
             cgi_scripts={"loop": runaway_cgi, "busy": busy_cgi},
             listen_specs=listen_specs, costs=costs)
         for policy in self.policies:

@@ -110,13 +110,11 @@ class ClusterRun(WindowedRun):
     def build(self) -> None:
         from repro.cluster.harness import ClusterTestbed
         from repro.net.addressing import Subnet
-        from repro.workload.clients import RetryPolicy
 
         self.bed = ClusterTestbed(replicas=self.replicas,
                                   adaptive=self.adaptive)
-        retry = RetryPolicy() if self.retry else None
         self.bed.add_clients(self.clients, document=self.document,
-                             retry=retry)
+                             retry=self.retry)
         # Per-seed determinism: client RNGs (request jitter + backoff
         # jitter) are the only stochastic element, reseeded per (ip, seed).
         for client in self.bed.clients:

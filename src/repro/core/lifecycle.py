@@ -26,6 +26,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.modules.graph import ModuleGraph
 
 
+#: Every path's inbound queue capacity and its thread-pool size.
+PATH_QUEUE_CAPACITY = 64
+PATH_POOL_SIZE = 1
+
+
 class PathCreateError(EscortError):
     """A module rejected the path during creation."""
 
@@ -58,8 +63,7 @@ class PathManager:
     # pathCreate
     # ------------------------------------------------------------------
     def path_create(self, attrs: Attributes, start_module: str,
-                    name: str = "", pool_size: int = 1,
-                    queue_capacity: int = 64) -> Generator:
+                    name: str = "") -> Generator:
         """Thread-body helper: ``path = yield from mgr.path_create(...)``.
 
         Costs are charged to the new path itself — it is the principal the
@@ -95,11 +99,12 @@ class PathManager:
             raise
         self._assemble(path, stages)
 
-        queue = kernel.create_queue(queue_capacity, name=f"{path.name}-in")
+        queue = kernel.create_queue(PATH_QUEUE_CAPACITY,
+                                    name=f"{path.name}-in")
         path.queues[Q_NET_IN] = queue
         from repro.kernel.threads import ThreadPool  # local: avoid cycle
         path.pool = ThreadPool(kernel, path, queue, default_work_handler,
-                               size=pool_size,
+                               size=PATH_POOL_SIZE,
                                stack_domains=len(path.domains_crossed()),
                                name=f"{path.name}-pool")
         for stage in path.stages:

@@ -30,6 +30,10 @@ from repro.defense.signals import AccountingMonitor, DefenseSignals
 
 RUNGS = ("ratelimit", "syncookies", "quota", "degrade")
 
+#: The quota rung 3 puts on every new connection path while it is up.
+TIGHT_QUOTA = ResourceQuota(max_pages=16, max_heap_bytes=16 * 1024,
+                            max_events=8)
+
 
 @dataclass
 class DefenseAction:
@@ -45,48 +49,40 @@ class DefenseAction:
 
 
 class DefenseController:
-    """Closed-loop controller over one :class:`ScoutWebServer`."""
+    """Closed-loop controller over one :class:`ScoutWebServer`.
 
-    def __init__(self, server,
-                 monitor: Optional[AccountingMonitor] = None,
-                 period_s: float = 0.05,
-                 scan_cost_cycles: int = 1_500,
-                 # rung 1: adaptive rate limiting
-                 score_on: float = 4.0,
-                 prefix_rate_floor: float = 300.0,
-                 allow_rate_floor: int = 50,
-                 limit_release_scans: int = 8,
-                 # rung 2: SYN cookies
-                 halfopen_on: int = 48,
-                 halfopen_off: int = 8,
-                 cookie_release_scans: int = 6,
-                 # rung 3: quota tightening
-                 quota_release_scans: int = 8,
-                 tight_quota: Optional[ResourceQuota] = None,
-                 # rung 4: graceful degradation
-                 pages_on: int = 128,
-                 pages_off: int = 512,
-                 degrade_after_scans: int = 3,
-                 degrade_release_scans: int = 8):
+    ``prefix_rate_floor`` is the per-/24 SYN rate below which rung 1
+    never limits a source: 300/s on a standalone server, the cluster-wide
+    :data:`~repro.cluster.defense.PREFIX_RATE_FLOOR` on a replica.
+    """
+
+    #: Scan period (simulated seconds) and the kernel cycles one scan costs.
+    PERIOD_S = 0.05
+    SCAN_COST_CYCLES = 1_500
+    #: Rung 1: a prefix is limited at this anomaly score, to this rate
+    #: (SYN/s), and released after this many scans under the limit.
+    SCORE_ON = 4.0
+    ALLOW_RATE_FLOOR = 50
+    LIMIT_RELEASE_SCANS = 8
+    #: Rung 2: cookies on at this many half-open connections, off after
+    #: this many scans at or under the low watermark.
+    HALFOPEN_ON = 48
+    HALFOPEN_OFF = 8
+    COOKIE_RELEASE_SCANS = 6
+    #: Rung 3: quotas relax after this many scans without a runaway trap.
+    QUOTA_RELEASE_SCANS = 8
+    #: Rung 4: pressure at or under PAGES_ON free pages; a tier is shed
+    #: after DEGRADE_AFTER_SCANS pressured scans and restored after
+    #: DEGRADE_RELEASE_SCANS quiet ones with at least PAGES_OFF free.
+    PAGES_ON = 128
+    PAGES_OFF = 512
+    DEGRADE_AFTER_SCANS = 3
+    DEGRADE_RELEASE_SCANS = 8
+
+    def __init__(self, server, prefix_rate_floor: float = 300.0):
         self.server = server
-        self.monitor = monitor or AccountingMonitor(server)
-        self.period_s = period_s
-        self.scan_cost_cycles = scan_cost_cycles
-
-        self.score_on = score_on
+        self.monitor = AccountingMonitor(server)
         self.prefix_rate_floor = prefix_rate_floor
-        self.allow_rate_floor = allow_rate_floor
-        self.limit_release_scans = limit_release_scans
-        self.halfopen_on = halfopen_on
-        self.halfopen_off = halfopen_off
-        self.cookie_release_scans = cookie_release_scans
-        self.quota_release_scans = quota_release_scans
-        self.tight_quota = tight_quota or ResourceQuota(
-            max_pages=16, max_heap_bytes=16 * 1024, max_events=8)
-        self.pages_on = pages_on
-        self.pages_off = pages_off
-        self.degrade_after_scans = degrade_after_scans
-        self.degrade_release_scans = degrade_release_scans
 
         self.log: List[DefenseAction] = []
         self.scans = 0
@@ -131,7 +127,7 @@ class DefenseController:
             return
         self._running = True
         self.server.kernel.sim.schedule(
-            seconds_to_ticks(self.period_s), self._scan)
+            seconds_to_ticks(self.PERIOD_S), self._scan)
 
     def stop(self) -> None:
         self._running = False
@@ -153,14 +149,14 @@ class DefenseController:
 
         kernel = self.server.kernel
         kernel.cpu.post_interrupt(Interrupt(
-            [(kernel.kernel_owner, self.scan_cost_cycles)],
+            [(kernel.kernel_owner, self.SCAN_COST_CYCLES)],
             label="defense-scan"))
-        kernel.sim.schedule(seconds_to_ticks(self.period_s), self._scan)
+        kernel.sim.schedule(seconds_to_ticks(self.PERIOD_S), self._scan)
 
     # -- rung 1: adaptive per-source rate limiting ----------------------
     def _drive_ratelimit(self, sig: DefenseSignals) -> None:
         now = sig.at
-        for prefix in sig.hot_prefixes(self.score_on,
+        for prefix in sig.hot_prefixes(self.SCORE_ON,
                                        self.prefix_rate_floor):
             if prefix in self.buckets:
                 continue
@@ -168,7 +164,7 @@ class DefenseController:
             # been dragged up by the anomaly, so the baseline cannot size
             # the limit — clamp a flagged source to the flat floor (a
             # legitimate steady source never gets flagged at all).
-            allow = self.allow_rate_floor
+            allow = self.ALLOW_RATE_FLOOR
             burst = max(8, allow // 4)
             self.buckets[prefix] = TokenBucket(allow, burst, now=now)
             self._bucket_quiet[prefix] = 0
@@ -184,7 +180,7 @@ class DefenseController:
                 self._bucket_quiet[prefix] += 1
             else:
                 self._bucket_quiet[prefix] = 0
-            if self._bucket_quiet[prefix] >= self.limit_release_scans:
+            if self._bucket_quiet[prefix] >= self.LIMIT_RELEASE_SCANS:
                 del self.buckets[prefix]
                 del self._bucket_quiet[prefix]
                 self._transition("deescalate", "ratelimit",
@@ -196,19 +192,19 @@ class DefenseController:
     def _drive_syncookies(self, sig: DefenseSignals) -> None:
         tcp = self.server.tcp
         if not tcp.syncookies:
-            if sig.half_open >= self.halfopen_on:
+            if sig.half_open >= self.HALFOPEN_ON:
                 tcp.set_syncookies(True)
                 self._cookie_quiet = 0
                 self.rung_active["syncookies"] = True
                 self._transition("escalate", "syncookies",
                                  f"half-open {sig.half_open} >= "
-                                 f"{self.halfopen_on}: stateless fallback on")
+                                 f"{self.HALFOPEN_ON}: stateless fallback on")
             return
-        if sig.half_open <= self.halfopen_off:
+        if sig.half_open <= self.HALFOPEN_OFF:
             self._cookie_quiet += 1
         else:
             self._cookie_quiet = 0
-        if self._cookie_quiet >= self.cookie_release_scans:
+        if self._cookie_quiet >= self.COOKIE_RELEASE_SCANS:
             tcp.set_syncookies(False)
             self.rung_active["syncookies"] = False
             self._transition("deescalate", "syncookies",
@@ -232,7 +228,7 @@ class DefenseController:
         self.server.kernel.quotas.sweep(
             [p for p in self.server.tcp.conn_table.values()
              if not p.destroyed])
-        if self._quota_quiet >= self.quota_release_scans:
+        if self._quota_quiet >= self.QUOTA_RELEASE_SCANS:
             self._relax_quota()
 
     def _tighten_quota(self, sig: DefenseSignals) -> None:
@@ -241,7 +237,7 @@ class DefenseController:
         self._saved_quota = tcp.active_path_quota
         self._saved_runtime_limit = tcp.active_path_runtime_limit
         quotas.set_mode("throttle")
-        tcp.active_path_quota = self.tight_quota
+        tcp.active_path_quota = TIGHT_QUOTA
         if tcp.active_path_runtime_limit is not None:
             tcp.active_path_runtime_limit = max(
                 1, tcp.active_path_runtime_limit // 2)
@@ -261,15 +257,15 @@ class DefenseController:
         self._quota_pressure = 0
         self._transition("deescalate", "quota",
                          "no runaway traps for "
-                         f"{self.quota_release_scans} scans: quotas restored")
+                         f"{self.QUOTA_RELEASE_SCANS} scans: quotas restored")
 
     # -- rung 4: graceful degradation -----------------------------------
     def _drive_degrade(self, sig: DefenseSignals) -> None:
         http = self.server.http
         level = http.degrade_level
         pressured = (sig.trap_delta > 0
-                     or sig.free_pages <= self.pages_on
-                     or (level >= 1 and sig.free_pages < self.pages_off
+                     or sig.free_pages <= self.PAGES_ON
+                     or (level >= 1 and sig.free_pages < self.PAGES_OFF
                          and self._quota_pressure > 0))
         if pressured:
             self._degrade_pressure += 1
@@ -278,7 +274,7 @@ class DefenseController:
             self._degrade_pressure = 0
             self._degrade_quiet += 1
 
-        if self._degrade_pressure >= self.degrade_after_scans and level < 2:
+        if self._degrade_pressure >= self.DEGRADE_AFTER_SCANS and level < 2:
             # Sustained pressure the earlier rungs did not relieve: shed.
             http.degrade_level = level + 1
             self._degrade_pressure = 0
@@ -289,8 +285,8 @@ class DefenseController:
                              f"tier {level + 1}: {what} "
                              f"(traps {sig.trap_delta}, "
                              f"free pages {sig.free_pages})")
-        elif (self._degrade_quiet >= self.degrade_release_scans
-              and level > 0 and sig.free_pages >= self.pages_off):
+        elif (self._degrade_quiet >= self.DEGRADE_RELEASE_SCANS
+              and level > 0 and sig.free_pages >= self.PAGES_OFF):
             http.degrade_level = level - 1
             self._degrade_quiet = 0
             self.rung_active["degrade"] = http.degrade_level > 0

@@ -83,11 +83,13 @@ class AccountingMonitor:
     identical behavior.
     """
 
-    def __init__(self, server, alpha: float = 0.25,
-                 dev_floor: float = 5.0):
+    #: EWMA weight of each new sample, and the deviation floor that keeps
+    #: a steady prefix from scoring noise as anomalous.
+    ALPHA = 0.25
+    DEV_FLOOR = 5.0
+
+    def __init__(self, server):
         self.server = server
-        self.alpha = alpha
-        self.dev_floor = dev_floor
         #: prefix -> EWMA of its per-second SYN arrival rate.
         self.baselines: Dict[str, EwmaBaseline] = {}
         self._last_arrivals: Dict[str, int] = {}
@@ -126,7 +128,7 @@ class AccountingMonitor:
             base = self.baselines.get(prefix)
             if base is None:
                 base = self.baselines[prefix] = EwmaBaseline(
-                    self.alpha, self.dev_floor)
+                    self.ALPHA, self.DEV_FLOOR)
             # Score against the baseline *before* folding the new sample
             # in, or a step attack would teach its own baseline first.
             sig.syn_scores[prefix] = base.score(rate)

@@ -170,7 +170,6 @@ class Testbed:
                  protection_domains: bool = False,
                  policies: Optional[List[Policy]] = None,
                  costs: Optional[CostModel] = None,
-                 documents: Optional[Dict[str, int]] = None,
                  domain_groups: Optional[List[List[str]]] = None):
         self.sim = Simulator()
         self.costs = costs or CostModel.default()
@@ -195,7 +194,6 @@ class Testbed:
                 accounting=accounting,
                 protection_domains=protection_domains,
                 ip=SERVER_IP,
-                documents=documents,
                 cgi_scripts={"loop": runaway_cgi, "busy": busy_cgi},
                 listen_specs=listen_specs,
                 costs=self.costs,
@@ -206,7 +204,6 @@ class Testbed:
             self.ledger.attach(self.server.kernel.cpu)
         elif kind == "linux":
             self.server = LinuxServer(self.sim, ip=SERVER_IP,
-                                      documents=documents,
                                       costs=self.costs)
             self.ledger = None
         else:
@@ -307,7 +304,6 @@ class Testbed:
         attacker = SynAttacker(self.sim, SERVER_IP, self.server.nic.mac,
                                spoof_subnet=spoof_subnet or UNTRUSTED_SUBNET,
                                rate_per_second=rate_per_second,
-                               costs=self.costs,
                                ramp_to=ramp_to, ramp_seconds=ramp_seconds,
                                spoof_hosts=spoof_hosts)
         attacker.attach(self.hub)

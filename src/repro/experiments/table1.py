@@ -86,7 +86,7 @@ class Table1Result:
         ]
 
 
-def run_table1(config: str = "accounting", requests: int = 100,
+def run_table1(config: str = "accounting",
                measure_s: float = 2.0) -> Table1Result:
     """Serve serial one-byte requests and break down the cycles.
 

@@ -39,6 +39,10 @@ from repro.kernel.sched import ProportionalShareScheduler
 from repro.kernel.threads import EscortThread
 
 
+#: Physical pages of every Escort machine.
+TOTAL_PAGES = 8192
+
+
 @dataclass
 class KernelConfig:
     """Build-time configuration of an Escort kernel."""
@@ -47,13 +51,7 @@ class KernelConfig:
     accounting: bool = True
     #: Enforce protection domains (the paper's "Accounting_PD" config).
     protection_domains: bool = False
-    total_pages: int = 8192
     costs: CostModel = field(default_factory=CostModel.default)
-    #: Contain exceptions escaping thread bodies by destroying the faulting
-    #: owner instead of crashing the simulation.  Off by default so that
-    #: programming errors in tests still surface as tracebacks; the chaos
-    #: harness turns it on (a real Escort kernel always contains faults).
-    contain_thread_faults: bool = False
 
 
 @dataclass
@@ -92,7 +90,7 @@ class Kernel:
                        idle_owner=self.idle_owner)
         self.cpu.on_runaway = self._handle_runaway
 
-        self.allocator = PageAllocator(self.config.total_pages)
+        self.allocator = PageAllocator(TOTAL_PAGES)
         self.iobufs = IOBufferCache(self.allocator, self.kernel_owner)
         self.softclock = Softclock(self)
         self.acl = AccessControlList()
@@ -116,8 +114,6 @@ class Kernel:
         #: Faults whose owner could not be destroyed (kernel/idle pseudo-
         #: owners and the privileged domain are never killed).
         self.uncontained_faults = 0
-        if self.config.contain_thread_faults:
-            self.enable_fault_containment()
 
         #: Kernel watchdog (see :mod:`repro.chaos.watchdog`); attached by
         #: the chaos harness, notified of every owner destruction.

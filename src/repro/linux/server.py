@@ -98,13 +98,12 @@ class LinuxServer:
     LISTEN_BACKLOG = 128
 
     def __init__(self, sim: Simulator, ip: str = "10.0.0.80",
-                 documents: Optional[Dict[str, int]] = None,
                  costs: Optional[CostModel] = None):
         self.sim = sim
         self.ip = ip
         self.costs = costs or CostModel.default()
         from repro.server.webserver import DEFAULT_DOCUMENTS
-        self.documents = dict(documents or DEFAULT_DOCUMENTS)
+        self.documents = dict(DEFAULT_DOCUMENTS)
         self.nic = NIC(sim, label=f"linux-{ip}")
         self.nic.on_receive = self._on_frame
         self.arp_map: Dict[str, MacAddr] = {}

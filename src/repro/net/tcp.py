@@ -19,11 +19,6 @@ Era-faithful details that matter to the paper's figures:
 * exponential RTO backoff with connection abort after a retry budget —
   this is how half-open connections created by the SYN attacker eventually
   expire.
-
-TIME_WAIT is optional: with ``time_wait_ticks=0`` (the default, used by
-the experiments) the active closer collapses straight to CLOSED; with a
-positive value the engine holds TIME_WAIT for that long, re-ACKing any
-retransmitted FIN, before closing — the RFC 793 behaviour.
 """
 
 from __future__ import annotations
@@ -55,7 +50,6 @@ class TcpState:
     CLOSE_WAIT = "CLOSE_WAIT"
     LAST_ACK = "LAST_ACK"
     CLOSING = "CLOSING"
-    TIME_WAIT = "TIME_WAIT"
 
 
 @dataclass
@@ -124,19 +118,16 @@ class TCPEngine:
     MAX_RTO = seconds_to_ticks(48)
     MAX_RETRIES = 7
     MAX_SYN_RETRIES = 3
+    #: Initial congestion window in segments (RFC 2001).
+    INITIAL_CWND_SEGMENTS = 1
 
     def __init__(self, local_ip: str, local_port: int,
                  remote_ip: str, remote_port: int,
-                 mss: int = TCP_MSS,
-                 initial_cwnd_segments: int = 1,
-                 delayed_ack_ticks: int = 0,
-                 rto_ticks: Optional[int] = None,
-                 time_wait_ticks: int = 0):
+                 delayed_ack_ticks: int = 0):
         self.local_ip = local_ip
         self.local_port = local_port
         self.remote_ip = remote_ip
         self.remote_port = remote_port
-        self.mss = mss
         self.state = TcpState.CLOSED
 
         # Send side (absolute byte offsets from our ISS of 0).
@@ -155,17 +146,15 @@ class TCPEngine:
         self._unacked_rx_bytes = 0
 
         # Congestion control.
-        self.cwnd = initial_cwnd_segments * mss
+        self.cwnd = self.INITIAL_CWND_SEGMENTS * TCP_MSS
         self.ssthresh = 64 * 1024
 
         # Timers (logical armed-state lives here; env schedules).
-        self.rto_base = rto_ticks if rto_ticks is not None else self.DEFAULT_RTO
-        self.rto_current = self.rto_base
+        self.rto_current = self.DEFAULT_RTO
         self.rto_armed = False
         self.retries = 0
         self.delayed_ack_ticks = delayed_ack_ticks
         self.delack_armed = False
-        self.time_wait_ticks = time_wait_ticks
 
         # Statistics.
         self.bytes_sent = 0
@@ -292,13 +281,6 @@ class TCPEngine:
             actions.cancel_delack = True
             return actions
 
-        if self.state == TcpState.TIME_WAIT:
-            # 2MSL hold: the only job left is re-ACKing a retransmitted
-            # FIN from a peer that missed our final ACK.
-            if seg.flags & FLAG_FIN:
-                actions.segments.append(self._pure_ack())
-            return actions
-
         if seg.flags & FLAG_SYN:
             self._handle_syn_phase(seg, actions)
             return actions
@@ -340,7 +322,7 @@ class TCPEngine:
             return
         self.snd_una = ack
         self.retries = 0
-        self.rto_current = self.rto_base
+        self.rto_current = self.DEFAULT_RTO
         payload_acked = 0
         while self._unacked and (self._unacked[0].seq
                                  + self._unacked[0].span) <= ack:
@@ -352,9 +334,9 @@ class TCPEngine:
         # handshake and FIN acknowledgements do not open the window.
         if payload_acked:
             if self.cwnd < self.ssthresh:
-                self.cwnd += self.mss                 # slow start
+                self.cwnd += TCP_MSS                  # slow start
             else:
-                self.cwnd += max(1, self.mss * self.mss // self.cwnd)
+                self.cwnd += max(1, TCP_MSS * TCP_MSS // self.cwnd)
         if self._unacked:
             actions.set_rto = self._arm_rto()
         else:
@@ -363,9 +345,7 @@ class TCPEngine:
         if self.fin_acked:
             if self.state == TcpState.FIN_WAIT_1:
                 self.state = TcpState.FIN_WAIT_2
-            elif self.state == TcpState.CLOSING:
-                self._enter_time_wait(actions)
-            elif self.state == TcpState.LAST_ACK:
+            elif self.state in (TcpState.CLOSING, TcpState.LAST_ACK):
                 self._enter_closed()
                 actions.closed = True
 
@@ -389,11 +369,13 @@ class TCPEngine:
             elif self.state == TcpState.FIN_WAIT_1:
                 self.state = TcpState.CLOSING
             elif self.state == TcpState.FIN_WAIT_2:
-                self._enter_time_wait(actions)
+                # The active closer goes straight to CLOSED: no 2MSL hold.
+                self._enter_closed()
+                actions.closed = True
         # ACK policy: immediate on FIN or >= 2 MSS of unacked data;
         # otherwise delayed when a delayed-ACK timer is configured.
         if fin or self.delayed_ack_ticks == 0 \
-                or self._unacked_rx_bytes >= 2 * self.mss:
+                or self._unacked_rx_bytes >= 2 * TCP_MSS:
             self._ack_now(actions)
         elif not self.delack_armed:
             self.delack_armed = True
@@ -403,13 +385,9 @@ class TCPEngine:
     # Timers
     # ------------------------------------------------------------------
     def on_rto(self) -> TCPActions:
-        """Retransmission timer fired (doubles as the 2MSL timer)."""
+        """Retransmission timer fired."""
         actions = TCPActions()
         self.rto_armed = False
-        if self.state == TcpState.TIME_WAIT:
-            self._enter_closed()
-            actions.closed = True
-            return actions
         if not self._unacked or self.state == TcpState.CLOSED:
             return actions
         self.retries += 1
@@ -424,8 +402,8 @@ class TCPEngine:
             return actions
         # Classic Tahoe-style response.
         flight = self.snd_nxt - self.snd_una
-        self.ssthresh = max(flight // 2, 2 * self.mss)
-        self.cwnd = self.mss
+        self.ssthresh = max(flight // 2, 2 * TCP_MSS)
+        self.cwnd = TCP_MSS
         self.rto_current = min(self.rto_current * 2, self.MAX_RTO)
         sent = self._unacked[0]
         self.retransmits += 1
@@ -460,7 +438,7 @@ class TCPEngine:
                 available = self.cwnd - flight
                 if available <= 0:
                     break
-                payload = min(self.mss, self._queued_bytes)
+                payload = min(TCP_MSS, self._queued_bytes)
                 if payload > available:
                     # Sender-side silly-window avoidance: never emit a
                     # runt segment just to top up the window — a partial
@@ -545,17 +523,6 @@ class TCPEngine:
     def _arm_rto(self) -> int:
         self.rto_armed = True
         return self.rto_current
-
-    def _enter_time_wait(self, actions: TCPActions) -> None:
-        """Active close complete: hold 2MSL if configured, else close."""
-        if self.time_wait_ticks > 0:
-            self.state = TcpState.TIME_WAIT
-            self.rto_armed = True
-            actions.set_rto = self.time_wait_ticks
-            actions.cancel_delack = True
-            return
-        self._enter_closed()
-        actions.closed = True
 
     def _enter_closed(self) -> None:
         self.state = TcpState.CLOSED

@@ -15,8 +15,8 @@ Layers:
 * :mod:`repro.obs.spans`    — parent-linked causal spans (signal →
   rung → watchdog → pathKill chains);
 * :mod:`repro.obs.recorder` — the CRC-framed ``obs.jrnl`` sidecar that
-  survives SIGKILL (ESCJRNL framing shared with the run journal);
-* :mod:`repro.obs.export`   — JSON / Prometheus-text / JSONL dumps;
+  survives SIGKILL (ESCJRNL framing shared with the run journal), the
+  run's one telemetry file;
 * :mod:`repro.obs.session`  — the wiring;
 * :mod:`repro.obs.cli`      — ``python -m repro obs``.
 """

@@ -49,15 +49,14 @@ class ObsSession:
     """One run's metrics registry + span log + flight recorder."""
 
     def __init__(self, obs_dir: Optional[str] = None, *,
-                 append: bool = False,
-                 recorder: Optional[FlightRecorder] = None):
+                 append: bool = False):
         self.registry = MetricsRegistry()
         self.spans = SpanLog(sink=self._sink_span)
         self.obs_dir = obs_dir
-        if recorder is None and obs_dir is not None:
-            recorder = FlightRecorder(os.path.join(obs_dir, SIDECAR_NAME),
-                                      append=append)
-        self.recorder = recorder
+        self.recorder: Optional[FlightRecorder] = None
+        if obs_dir is not None:
+            self.recorder = FlightRecorder(
+                os.path.join(obs_dir, SIDECAR_NAME), append=append)
         self.driver = None
         self.bed = None
         self.sim = None
@@ -169,7 +168,7 @@ class ObsSession:
 
         lk = self._lkey(labels)
         now = sig.at
-        for prefix in sig.hot_prefixes(controller.score_on,
+        for prefix in sig.hot_prefixes(controller.SCORE_ON,
                                        controller.prefix_rate_floor):
             skey = (lk, "syn", prefix)
             if skey in self._signal_span:
@@ -186,15 +185,15 @@ class ObsSession:
                 baseline=round(mean, 3))
             self._signal_span[skey] = span.id
             self._last_signal_id = span.id
-        if sig.half_open >= controller.halfopen_on:
+        if sig.half_open >= controller.HALFOPEN_ON:
             skey = (lk, "halfopen", "")
             if skey not in self._signal_span:
                 span = self.spans.add(
                     "signal", "half-open",
                     f"{sig.half_open} half-open connections >= watermark "
-                    f"{controller.halfopen_on}", tick=now,
+                    f"{controller.HALFOPEN_ON}", tick=now,
                     half_open=sig.half_open,
-                    watermark=controller.halfopen_on)
+                    watermark=controller.HALFOPEN_ON)
                 self._signal_span[skey] = span.id
                 self._last_signal_id = span.id
         if sig.trap_delta > 0:
@@ -206,15 +205,15 @@ class ObsSession:
                     tick=now, trap_delta=sig.trap_delta)
                 self._signal_span[skey] = span.id
                 self._last_signal_id = span.id
-        if sig.free_pages <= controller.pages_on:
+        if sig.free_pages <= controller.PAGES_ON:
             skey = (lk, "pages", "")
             if skey not in self._signal_span:
                 span = self.spans.add(
                     "signal", "page-pool",
                     f"{sig.free_pages} free pages <= watermark "
-                    f"{controller.pages_on}", tick=now,
+                    f"{controller.PAGES_ON}", tick=now,
                     free_pages=sig.free_pages,
-                    watermark=controller.pages_on)
+                    watermark=controller.PAGES_ON)
                 self._signal_span[skey] = span.id
                 self._last_signal_id = span.id
 
@@ -510,7 +509,7 @@ class ObsSession:
                            separators=(",", ":")) + "\n").encode()
 
     def finish(self) -> Dict:
-        """Final sample, final record, dump files; returns a summary."""
+        """Final sample and final sidecar record; returns a summary."""
         if self._finished:
             return self._summary()
         self._finished = True
@@ -529,9 +528,6 @@ class ObsSession:
                 "metrics_digest": self.metrics_digest,
             })
             self.recorder.close()
-        if self.obs_dir is not None:
-            from repro.obs.export import write_dump
-            write_dump(self.obs_dir, self)
         return self._summary()
 
     def _summary(self) -> Dict:
@@ -555,10 +551,9 @@ class ObsSession:
         return line
 
 
-def attach_obs(driver, obs_dir: Optional[str] = None, *,
-               append: bool = False) -> ObsSession:
+def attach_obs(driver, obs_dir: Optional[str] = None) -> ObsSession:
     """Create a session (with a sidecar when ``obs_dir``) and attach it."""
-    return ObsSession(obs_dir, append=append).attach(driver)
+    return ObsSession(obs_dir).attach(driver)
 
 
 def run_with_obs(run, obs_dir: Optional[str] = None):

@@ -19,9 +19,9 @@ from repro.policy.base import Policy
 class AdaptivePolicy(Policy):
     """Wrap static policies with the closed-loop defense controller."""
 
-    def __init__(self, *wrapped: Policy, **controller_kwargs):
+    def __init__(self, *wrapped: Policy, prefix_rate_floor: float = 300.0):
         self.wrapped: List[Policy] = list(wrapped)
-        self.controller_kwargs = controller_kwargs
+        self.prefix_rate_floor = prefix_rate_floor
         self.controller = None
 
     def listen_specs(self) -> Optional[List]:
@@ -36,7 +36,8 @@ class AdaptivePolicy(Policy):
         from repro.defense import DefenseController
         for policy in self.wrapped:
             policy.apply(server)
-        self.controller = DefenseController(server, **self.controller_kwargs)
+        self.controller = DefenseController(
+            server, prefix_rate_floor=self.prefix_rate_floor)
         self.controller.start()
         watchdog = server.kernel.watchdog
         if watchdog is not None and hasattr(watchdog, "attach_defense"):

@@ -13,7 +13,7 @@ every path killed for exceeding its runtime limit.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.policy.base import Policy
 
@@ -21,12 +21,10 @@ from repro.policy.base import Policy
 class MisbehaverPolicy(Policy):
     """Demux known offenders to a low-allocation penalty passive path."""
 
-    def __init__(self, penalty_cap: int = 2, penalty_tickets: int = 1,
-                 forget_after_offenses: Optional[int] = None):
+    def __init__(self, penalty_cap: int = 2):
         if penalty_cap <= 0:
             raise ValueError("penalty cap must be positive")
         self.penalty_cap = penalty_cap
-        self.penalty_tickets = penalty_tickets
         self.offenders: Set[str] = set()
         self.offenses_recorded = 0
         self._server = None
@@ -39,7 +37,6 @@ class MisbehaverPolicy(Policy):
         # split), the extra catch-all is simply never reached.
         return [ListenSpec(port=80, name="passive-penalty",
                            syn_cap=self.penalty_cap,
-                           tickets=self.penalty_tickets,
                            penalty=True),
                 ListenSpec(port=80, name="passive-default")]
 

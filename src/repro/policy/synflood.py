@@ -14,7 +14,7 @@ function (the count check) and the ETH driver (the cheap early drop).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.net.addressing import Subnet
 from repro.policy.base import Policy
@@ -23,14 +23,11 @@ from repro.policy.base import Policy
 class SynFloodPolicy(Policy):
     """Trusted/untrusted passive paths with SYN_RCVD caps."""
 
-    def __init__(self, trusted_subnet: Subnet,
-                 untrusted_cap: int = 64,
-                 trusted_cap: Optional[int] = None):
+    def __init__(self, trusted_subnet: Subnet, untrusted_cap: int = 64):
         if untrusted_cap <= 0:
             raise ValueError("untrusted cap must be positive")
         self.trusted_subnet = trusted_subnet
         self.untrusted_cap = untrusted_cap
-        self.trusted_cap = trusted_cap
 
     def listen_specs(self) -> List:
         from repro.modules.http import ListenSpec
@@ -38,7 +35,7 @@ class SynFloodPolicy(Policy):
         # subnet is carved out before the catch-all untrusted path.
         return [
             ListenSpec(port=80, subnet=self.trusted_subnet,
-                       name="passive-trusted", syn_cap=self.trusted_cap),
+                       name="passive-trusted"),
             ListenSpec(port=80, subnet=Subnet("0.0.0.0/0"),
                        name="passive-untrusted", syn_cap=self.untrusted_cap),
         ]

@@ -37,6 +37,7 @@ import math
 import random
 from typing import Dict, List, Optional, Sequence
 
+from repro.chaos.scenarios import CHAOS_S
 from repro.chaos.schedule import (
     CLOCK_SKEW,
     DOMAIN_CRASH,
@@ -55,9 +56,6 @@ TARGETS = ("chaos", "defense", "cluster")
 #: only the PD bed has protection domains to crash.
 _CHAOS_SCENARIOS = ("lossy-syn-flood", "oom-cgi", "domain-crash")
 _CRASH_TARGETS = ("pd-http", "pd-tcp", "pd-fs")
-
-#: Chaos window length of the canned scenarios (see ChaosScenario).
-_CHAOS_WINDOW_S = 0.8
 
 _DEFAULT_INTENSITY = {"rate": 1.0, "magnitude": 1.0, "duration": 1.0}
 
@@ -80,11 +78,11 @@ def _sample_chaos_entries(rng: random.Random, intensity: Dict[str, float],
     rate_m = intensity["rate"]
     mag_m = intensity["magnitude"]
     dur_m = intensity["duration"]
-    n = max(1, int(_CHAOS_WINDOW_S * 3.0 * rate_m))
+    n = max(1, int(CHAOS_S * 3.0 * rate_m))
     entries = []
     for _ in range(n):
         kind = rng.choice(kinds)
-        at = rng.uniform(0.0, _CHAOS_WINDOW_S)
+        at = rng.uniform(0.0, CHAOS_S)
         target, duration, magnitude = "", 0.0, 1.0
         if kind == MODULE_EXCEPTION:
             target = rng.choice(["http", "fs", "scsi"])

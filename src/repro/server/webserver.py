@@ -20,7 +20,6 @@ from repro.kernel.acl import Role
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.modules.arp import ArpModule
 from repro.modules.eth import EthModule
-from repro.modules.filters import FilterModule
 from repro.modules.fs import FsModule
 from repro.modules.graph import ModuleGraph
 from repro.modules.http import HttpModule, ListenSpec
@@ -39,6 +38,9 @@ DEFAULT_DOCUMENTS = {
     "/stream-meta": 64,
 }
 
+#: The server's delayed-ACK timer, in milliseconds.
+SERVER_DELACK_MS = 50.0
+
 #: Graph positions (network end low, disk end high; gaps leave room for
 #: filters).
 POSITIONS = {"eth": 0, "arp": 5, "ip": 10, "icmp": 12, "udp": 14,
@@ -52,12 +54,9 @@ class ScoutWebServer:
                  accounting: bool = True,
                  protection_domains: bool = False,
                  ip: str = "10.0.0.80",
-                 documents: Optional[Dict[str, int]] = None,
                  cgi_scripts: Optional[Dict[str, Callable]] = None,
                  listen_specs: Optional[List[ListenSpec]] = None,
-                 filters: Optional[List[FilterModule]] = None,
                  costs: Optional[CostModel] = None,
-                 server_delack_ms: float = 50.0,
                  domain_groups: Optional[List[List[str]]] = None):
         self.sim = sim
         self.ip = ip
@@ -111,12 +110,12 @@ class ScoutWebServer:
         self.udp = UdpModule(self.kernel, "udp", pd_udp, local_ip=ip)
         self.tcp = TcpModule(
             self.kernel, "tcp", pd_tcp, local_ip=ip,
-            server_delack_ticks=millis_to_ticks(server_delack_ms))
+            server_delack_ticks=millis_to_ticks(SERVER_DELACK_MS))
         self.http = HttpModule(self.kernel, "http", pd_http,
                                listen_specs=listen_specs,
                                cgi_scripts=cgi_scripts)
         self.fs = FsModule(self.kernel, "fs", pd_fs,
-                           documents=documents or dict(DEFAULT_DOCUMENTS))
+                           documents=dict(DEFAULT_DOCUMENTS))
         self.scsi = ScsiModule(self.kernel, "scsi", pd_scsi)
 
         for module in (self.eth, self.arp, self.ip_mod, self.icmp,
@@ -132,9 +131,6 @@ class ScoutWebServer:
         self.graph.connect("tcp", "http")
         self.graph.connect("http", "fs")
         self.graph.connect("fs", "scsi")
-
-        # Optional policy filters (pre-positioned by the caller).
-        self.filters = filters or []
 
         # Wire kernel services into the modules that create paths.
         self.arp.path_manager = self.path_manager

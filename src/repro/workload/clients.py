@@ -8,11 +8,11 @@ overhead (process wakeup, socket setup) and a per-packet turnaround delay,
 both of which shape the sub-saturation region of Figure 8.
 
 :class:`HttpClient` is the paper's "Client" load: a serial loop fetching
-one document over and over.  With a :class:`RetryPolicy` attached it gains
-an application-level retry stack — per-request deadlines, capped
-exponential backoff with seeded jitter, and a retry *budget* — which is
-what lets it survive a replica failover in the clustered testbed without
-turning goodput collapse into a self-inflicted retry storm.
+one document over and over.  With ``retry=True`` it gains an
+application-level retry stack — per-request deadlines, capped exponential
+backoff with seeded jitter, and a retry *budget* — which is what lets it
+survive a replica failover in the clustered testbed without turning
+goodput collapse into a self-inflicted retry storm.
 """
 
 from __future__ import annotations
@@ -197,53 +197,37 @@ class ClientHost:
         return int(base_ticks * self.rng.uniform(1 - spread, 1 + spread))
 
 
-class RetryPolicy:
-    """Application-level retry behaviour for :class:`HttpClient`.
+#: The retry stack of :class:`HttpClient` (``retry=True``).  Three
+#: mechanisms, all deterministic:
+#:
+#: * **per-attempt deadline** — an attempt that has not completed after
+#:   RETRY_DEADLINE_TICKS is aborted client-side (the stalled-replica
+#:   case a TCP RTO alone handles far too slowly for interactive goodput);
+#: * **capped exponential backoff with seeded jitter** — attempt *n* waits
+#:   ``min(cap, base * 2^(n-2))`` scaled by the client host's own seeded
+#:   RNG, so a failover does not re-synchronize every client into a
+#:   thundering herd (:func:`retry_backoff_ticks`);
+#: * **retry budget** — a token account that earns RETRY_BUDGET_RATIO_MILS
+#:   thousandths of a token per fresh request and spends one whole token
+#:   per retry (fixed-point, so replay is exact).  When the budget is
+#:   empty the failure is final: a dead server makes the clients *back
+#:   off*, not amplify the outage into a self-inflicted retry storm.
+RETRY_MAX_ATTEMPTS = 4
+RETRY_DEADLINE_TICKS = seconds_to_ticks(0.25)
+RETRY_BACKOFF_BASE_TICKS = seconds_to_ticks(0.02)
+RETRY_BACKOFF_CAP_TICKS = seconds_to_ticks(0.16)
+RETRY_JITTER = 0.5
+RETRY_BUDGET_RATIO_MILS = 200
+RETRY_BUDGET_CAP_MILS = 20_000
+RETRY_BUDGET_INITIAL_MILS = 5_000
 
-    Three mechanisms, all deterministic:
 
-    * **per-attempt deadline** — an attempt that has not completed after
-      ``deadline_s`` is aborted client-side (the stalled-replica case a
-      TCP RTO alone handles far too slowly for interactive goodput);
-    * **capped exponential backoff with seeded jitter** — attempt *n*
-      waits ``min(cap, base * 2^(n-1))`` scaled by the client host's own
-      seeded RNG, so a failover does not re-synchronize every client into
-      a thundering herd;
-    * **retry budget** — a token account that earns ``budget_ratio``
-      tokens per fresh request and spends one whole token per retry
-      (fixed-point thousandths, so replay is exact).  When the budget is
-      empty the failure is final: a dead server makes the clients *back
-      off*, not amplify the outage into a self-inflicted retry storm.
-    """
-
-    __slots__ = ("max_attempts", "deadline_ticks", "backoff_base_ticks",
-                 "backoff_cap_ticks", "jitter", "budget_ratio_mils",
-                 "budget_cap_mils", "budget_initial_mils")
-
-    def __init__(self, max_attempts: int = 4, deadline_s: float = 0.25,
-                 backoff_base_s: float = 0.02, backoff_cap_s: float = 0.16,
-                 jitter: float = 0.5, budget_ratio: float = 0.2,
-                 budget_cap: int = 20, budget_initial: int = 5):
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-        self.max_attempts = max_attempts
-        self.deadline_ticks = seconds_to_ticks(deadline_s)
-        self.backoff_base_ticks = seconds_to_ticks(backoff_base_s)
-        self.backoff_cap_ticks = seconds_to_ticks(backoff_cap_s)
-        self.jitter = jitter
-        #: Budget arithmetic in integer thousandths of a token.
-        self.budget_ratio_mils = int(budget_ratio * 1000)
-        self.budget_cap_mils = budget_cap * 1000
-        self.budget_initial_mils = budget_initial * 1000
-
-    def backoff_ticks(self, attempt: int, rng: random.Random) -> int:
-        """Delay before retry attempt ``attempt`` (2, 3, ...), jittered."""
-        base = min(self.backoff_cap_ticks,
-                   self.backoff_base_ticks << max(0, attempt - 2))
-        return max(1, int(base * rng.uniform(1 - self.jitter,
-                                             1 + self.jitter)))
+def retry_backoff_ticks(attempt: int, rng: random.Random) -> int:
+    """Delay before retry attempt ``attempt`` (2, 3, ...), jittered."""
+    base = min(RETRY_BACKOFF_CAP_TICKS,
+               RETRY_BACKOFF_BASE_TICKS << max(0, attempt - 2))
+    return max(1, int(base * rng.uniform(1 - RETRY_JITTER,
+                                         1 + RETRY_JITTER)))
 
 
 class HttpClient(ClientHost):
@@ -255,7 +239,7 @@ class HttpClient(ClientHost):
                  document: str, costs: Optional[CostModel] = None,
                  stats: Optional[WorkloadStats] = None,
                  stats_class: str = "client",
-                 retry: Optional[RetryPolicy] = None):
+                 retry: bool = False):
         super().__init__(sim, ip, costs=costs, stats=stats,
                          label=f"client-{ip}")
         self.server_ip = server_ip
@@ -278,7 +262,7 @@ class HttpClient(ClientHost):
         #: Response size of each completed request (header + body).
         self.response_sizes: list = []
         self._running = False
-        self._budget_mils = retry.budget_initial_mils if retry else 0
+        self._budget_mils = RETRY_BUDGET_INITIAL_MILS if retry else 0
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -298,10 +282,10 @@ class HttpClient(ClientHost):
         if not self._running:
             return
         self.requests_started += 1
-        if self.retry is not None:
-            self._budget_mils = min(self.retry.budget_cap_mils,
+        if self.retry:
+            self._budget_mils = min(RETRY_BUDGET_CAP_MILS,
                                     self._budget_mils
-                                    + self.retry.budget_ratio_mils)
+                                    + RETRY_BUDGET_RATIO_MILS)
         self._start_attempt(1)
 
     def _take_retry_token(self) -> bool:
@@ -318,14 +302,13 @@ class HttpClient(ClientHost):
                             delayed_ack_ticks=self.costs.client_delayed_ack_ticks)
         got = {"bytes": 0, "tag": None}
         deadline_ev = None
-        if self.retry is not None:
+        if self.retry:
             def expire() -> None:
                 # Attempt still open past its deadline: abort client-side
                 # (emits RST) and let the closed handler decide on retry.
                 self.deadline_aborts += 1
                 conn.abort()
-            deadline_ev = self.sim.schedule(self.retry.deadline_ticks,
-                                            expire)
+            deadline_ev = self.sim.schedule(RETRY_DEADLINE_TICKS, expire)
 
         conn.on_established = lambda: conn.send(
             self.REQUEST_BYTES, app_data=HTTPRequest("GET", self.document))
@@ -369,9 +352,7 @@ class HttpClient(ClientHost):
         scheduled; False when the failure is final (the caller then closes
         out the request and moves on).
         """
-        policy = self.retry
-        if policy is not None and self._running \
-                and attempt < policy.max_attempts:
+        if self.retry and self._running and attempt < RETRY_MAX_ATTEMPTS:
             if self._take_retry_token():
                 # The attempt is recorded as `retried`, never as a fresh
                 # start or a completion — the logical request stays open.
@@ -379,7 +360,7 @@ class HttpClient(ClientHost):
                 self.stats.outcome(self.stats_class, "retried",
                                    self.sim.now)
                 self.sim.schedule(
-                    policy.backoff_ticks(attempt + 1, self.rng),
+                    retry_backoff_ticks(attempt + 1, self.rng),
                     lambda: self._retry_attempt(attempt + 1))
                 return True
             self.retries_denied += 1

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.sim.clock import TICKS_PER_SECOND
-from repro.sim.costs import CostModel
 from repro.sim.engine import Simulator
 from repro.net.addressing import MacAddr, Subnet
 from repro.net.link import NIC
@@ -27,13 +26,15 @@ from repro.net.packet import (
 )
 
 
+#: The web server's port, where every spoofed SYN is aimed.
+TARGET_PORT = 80
+
+
 class SynAttacker:
     """Raw SYN flood source with spoofed addresses."""
 
     def __init__(self, sim: Simulator, server_ip: str, server_mac: MacAddr,
                  spoof_subnet: Subnet, rate_per_second: int = 1000,
-                 target_port: int = 80,
-                 costs: Optional[CostModel] = None,
                  ramp_to: Optional[int] = None,
                  ramp_seconds: float = 0.0,
                  spoof_hosts: int = 4094):
@@ -48,7 +49,6 @@ class SynAttacker:
         self.server_mac = server_mac
         self.spoof_subnet = spoof_subnet
         self.rate = rate_per_second
-        self.target_port = target_port
         self.nic = NIC(sim, label="syn-attacker")
         self.sent = 0
         self._running = False
@@ -96,7 +96,7 @@ class SynAttacker:
         src_ip = next(self.spoof_subnet.hosts(
             1, start=1 + (self._spoof_index % self.spoof_hosts)))
         src_port = 1024 + (self._spoof_index % 60_000)
-        seg = TCPSegment(src_port, self.target_port, seq=0, ack=0,
+        seg = TCPSegment(src_port, TARGET_PORT, seq=0, ack=0,
                          flags=FLAG_SYN)
         dgram = IPDatagram(src_ip, self.server_ip, IPPROTO_TCP, seg)
         self.nic.send(EthFrame(self.nic.mac, self.server_mac,

@@ -1,10 +1,12 @@
 """Meta-tests: documentation and API hygiene across the whole package.
 
 Deliverable-level checks: every module, public class, and public function
-in ``repro`` carries a docstring, and the package imports cleanly with no
-circular-import landmines.
+in ``repro`` carries a docstring, the package imports cleanly with no
+circular-import landmines, and no constructor or public function accepts
+a parameter it never reads.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -102,3 +104,47 @@ def test_exports_resolve():
             if not hasattr(module, exported):
                 broken.append(f"{name}.{exported}")
     assert not broken, broken
+
+
+#: Callbacks whose signature a protocol fixes: they must accept the
+#: argument even when they do not need it.
+UNREAD_PARAMETER_EXEMPT = {
+    # A CGI script factory is called with its stage; the runaway loop
+    # ignores it.
+    "repro.workload.cgi_attacker.runaway_cgi(stage)",
+}
+
+
+def _unread_parameters(func: ast.FunctionDef, label: str):
+    """``label(param)`` for each parameter ``func``'s body never reads."""
+    args = func.args
+    params = [a.arg for a in (args.posonlyargs + args.args + args.kwonlyargs)]
+    params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    read = {node.id for stmt in func.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{label}({p})" for p in params
+            if p not in ("self", "cls") and p not in read]
+
+
+def test_every_parameter_is_read():
+    """An option a constructor or public function accepts and then
+    ignores looks configurable but is not: every parameter of every
+    ``__init__`` of a class defined in ``repro``, and of every public
+    module-level function, is read in its body."""
+    unread = []
+    for name in ALL_MODULES:
+        module = importlib.import_module(name)
+        tree = ast.parse(inspect.getsource(module))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) \
+                    and not node.name.startswith("_"):
+                unread += _unread_parameters(node, f"{name}.{node.name}")
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) \
+                        and item.name == "__init__":
+                    unread += _unread_parameters(
+                        item, f"{name}.{cls.name}.__init__")
+    assert sorted(set(unread) - UNREAD_PARAMETER_EXEMPT) == []

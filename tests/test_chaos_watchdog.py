@@ -1,13 +1,13 @@
 """Unit tests for the kernel watchdog's detect → kill → recover ladder.
 
-Each detector is exercised in isolation (the others parked with
-out-of-reach thresholds), then the escalation/backoff machinery and the
-never-kill-the-kernel rule.
+Each detector is exercised in isolation (the others parked by patching
+their thresholds out of reach), then the escalation/backoff machinery and
+the never-kill-the-kernel rule.
 """
 
-import pytest
+from unittest import mock
 
-from repro.sim.clock import millis_to_ticks, seconds_to_ticks
+from repro.sim.clock import seconds_to_ticks
 from repro.sim.cpu import Block, Cycles
 from repro.kernel.owner import Owner, OwnerType
 from repro.chaos.watchdog import Watchdog
@@ -26,18 +26,22 @@ def hog():
 def run_scans(sim, watchdog, scans):
     watchdog.start()
     sim.run(until=sim.now
-            + seconds_to_ticks(watchdog.period_s * (scans + 0.5)))
+            + seconds_to_ticks(Watchdog.PERIOD_S * (scans + 0.5)))
+
+
+#: Out-of-reach thresholds that park one detector.
+park_cycle_budget = mock.patch.object(Watchdog, "CYCLE_BUDGET", 10**12)
+park_progress = mock.patch.object(Watchdog, "STUCK_SCANS", 10**6)
 
 
 # ----------------------------------------------------------------------
 # Detectors
 # ----------------------------------------------------------------------
+@park_progress
 def test_cycle_budget_detects_and_kills(sim, kernel):
     owner = make_owner("cgi-hog")
     kernel.spawn_thread(owner, hog())
-    watchdog = Watchdog(kernel, period_s=0.001,
-                        cycle_budget_fraction=0.1,
-                        stuck_scans=10**6)      # park progress detection
+    watchdog = Watchdog(kernel)
     run_scans(sim, watchdog, 5)
     assert owner.destroyed
     assert watchdog.actions("detect")
@@ -46,41 +50,37 @@ def test_cycle_budget_detects_and_kills(sim, kernel):
                for a in watchdog.actions("detect"))
 
 
+@park_cycle_budget
 def test_progress_detector_catches_stuck_thread(sim, kernel):
     owner = make_owner("stuck-1")
     kernel.spawn_thread(owner, hog())
-    watchdog = Watchdog(kernel, period_s=0.001,
-                        cycle_budget_fraction=10.0,  # park cycle budget
-                        stuck_scans=3)
+    watchdog = Watchdog(kernel)
     run_scans(sim, watchdog, 6)
     assert owner.destroyed
     assert any("consecutive scans" in a.detail
                for a in watchdog.actions("detect"))
 
 
+@park_cycle_budget
+@park_progress
 def test_page_budget_detects_hoarder(sim, kernel):
     owner = make_owner("hoard-1")
-    kernel.allocator.alloc(owner, count=40)
-
-    def nibble():
-        # The page detector only examines owners active in the window.
-        for _ in range(10**6):
-            yield Cycles(1_000)
-
-    kernel.spawn_thread(owner, nibble())
-    watchdog = Watchdog(kernel, period_s=0.001, page_budget=16,
-                        cycle_budget_fraction=10.0, stuck_scans=10**6)
+    kernel.allocator.alloc(owner, count=Watchdog.PAGE_BUDGET + 1)
+    # The page detector only examines owners active in the window.
+    kernel.spawn_thread(owner, hog())
+    watchdog = Watchdog(kernel)
     run_scans(sim, watchdog, 4)
     assert owner.destroyed
     assert any("pages held" in a.detail for a in watchdog.actions("detect"))
 
 
+@mock.patch.object(Watchdog, "CYCLE_BUDGET", 0)
+@mock.patch.object(Watchdog, "PAGE_BUDGET", 0)
+@mock.patch.object(Watchdog, "STUCK_SCANS", 1)
 def test_kernel_and_idle_owners_are_never_killed(sim, kernel):
     # Only kernel/idle work happens: whatever the counters say, the
     # watchdog must not touch the privileged owners.
-    watchdog = Watchdog(kernel, period_s=0.001,
-                        cycle_budget_fraction=0.0, page_budget=0,
-                        stuck_scans=1)
+    watchdog = Watchdog(kernel)
     run_scans(sim, watchdog, 10)
     assert watchdog.kills == 0
     assert not kernel.kernel_owner.destroyed
@@ -90,11 +90,11 @@ def test_kernel_and_idle_owners_are_never_killed(sim, kernel):
 # ----------------------------------------------------------------------
 # Recovery verification and the full cycle
 # ----------------------------------------------------------------------
+@park_cycle_budget
 def test_full_detect_kill_recover_cycle(sim, kernel):
     owner = make_owner("stuck-1")
     kernel.spawn_thread(owner, hog())
-    watchdog = Watchdog(kernel, period_s=0.001, stuck_scans=2,
-                        cycle_budget_fraction=10.0)
+    watchdog = Watchdog(kernel)
     run_scans(sim, watchdog, 8)
     assert watchdog.saw_recovery_cycle()
     recover = watchdog.actions("recover")
@@ -104,27 +104,28 @@ def test_full_detect_kill_recover_cycle(sim, kernel):
 
 def test_scan_cost_is_charged_to_the_kernel(sim, kernel):
     before = kernel.kernel_owner.usage.cycles
-    watchdog = Watchdog(kernel, period_s=0.001, scan_cost_cycles=2_000)
+    watchdog = Watchdog(kernel)
     run_scans(sim, watchdog, 5)
     charged = kernel.kernel_owner.usage.cycles - before
-    assert charged >= 2_000 * 3  # several scans' worth landed
+    # Several scans' worth landed.
+    assert charged >= Watchdog.SCAN_COST_CYCLES * 3
 
 
 # ----------------------------------------------------------------------
 # Escalation and shedding
 # ----------------------------------------------------------------------
+@park_cycle_budget
+@mock.patch.object(Watchdog, "ESCALATE_AFTER", 1)
 def test_offense_escalates_to_shedding_with_backoff(sim, kernel):
-    # escalate_after=1: the very first offense trips the shedding ladder
+    # ESCALATE_AFTER=1: the very first offense trips the shedding ladder
     # (clean scans between offenders would otherwise cool the counter).
-    watchdog = Watchdog(kernel, period_s=0.001, stuck_scans=2,
-                        cycle_budget_fraction=10.0,
-                        escalate_after=1, backoff_s=0.004)
+    watchdog = Watchdog(kernel)
     kernel.spawn_thread(make_owner("stuck-1"), hog())
     run_scans(sim, watchdog, 10)
     assert watchdog.escalations >= 1
     assert watchdog.actions("escalate")
     # The backoff window expires and admission control reopens.
-    sim.run(until=sim.now + seconds_to_ticks(0.05))
+    sim.run(until=sim.now + seconds_to_ticks(Watchdog.BACKOFF_S))
     assert not kernel.shedding
     assert any(a.kind == "shed-off" for a in watchdog.log)
 
@@ -133,14 +134,13 @@ def test_saturation_shedding_hysteresis(sim, kernel):
     ballast = Owner(OwnerType.KERNEL, name="ballast")
     free = kernel.allocator.free_pages
     kernel.allocator.alloc(ballast, count=free - 10)
-    watchdog = Watchdog(kernel, period_s=0.001,
-                        shed_on_free_pages=64, shed_off_free_pages=256,
-                        stuck_scans=10**6, cycle_budget_fraction=10.0)
+    watchdog = Watchdog(kernel, shed_on_free_pages=64,
+                        shed_off_free_pages=256)
     run_scans(sim, watchdog, 3)
     assert kernel.shedding
     assert any(a.kind == "shed-on" for a in watchdog.log)
     kernel.allocator.reclaim_all(ballast)
-    sim.run(until=sim.now + seconds_to_ticks(0.005))
+    sim.run(until=sim.now + seconds_to_ticks(Watchdog.PERIOD_S))
     assert not kernel.shedding
     assert any(a.kind == "shed-off" for a in watchdog.log)
 
@@ -166,13 +166,11 @@ def test_service_probe_triggers_revive_and_recovery(sim, kernel):
         state["revives"] += 1
         state["up"] = True
 
-    watchdog = Watchdog(kernel, period_s=0.001,
-                        service_probe=probe, service_revive=revive,
-                        stuck_scans=10**6, cycle_budget_fraction=10.0)
+    watchdog = Watchdog(kernel, service_probe=probe, service_revive=revive)
     watchdog.start()
-    sim.run(until=sim.now + seconds_to_ticks(0.003))
+    sim.run(until=sim.now + seconds_to_ticks(3 * Watchdog.PERIOD_S))
     state["up"] = False
-    sim.run(until=sim.now + seconds_to_ticks(0.005))
+    sim.run(until=sim.now + seconds_to_ticks(5 * Watchdog.PERIOD_S))
     assert state["revives"] == 1
     assert state["up"]
     assert any(a.subject == "service" for a in watchdog.actions("detect"))

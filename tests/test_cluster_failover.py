@@ -10,7 +10,6 @@ continues.  On restore the replica is probed back up and rejoins.
 import pytest
 
 from repro.sim.clock import seconds_to_ticks
-from repro.workload.clients import RetryPolicy
 
 pytestmark = pytest.mark.cluster
 
@@ -19,7 +18,7 @@ def warmed_bed(replicas=3, clients=6, retry=True, adaptive=False):
     from repro.cluster.harness import ClusterTestbed
 
     bed = ClusterTestbed(replicas=replicas, adaptive=adaptive)
-    bed.add_clients(clients, retry=RetryPolicy() if retry else None)
+    bed.add_clients(clients, retry=retry)
     bed.boot()
     bed.sim.run(until=seconds_to_ticks(0.01))
     bed.start_load()

@@ -4,7 +4,7 @@ and the AdaptivePolicy wrapper."""
 
 import pytest
 
-from repro.defense.controller import DefenseController
+from repro.defense.controller import TIGHT_QUOTA, DefenseController
 from repro.defense.signals import DefenseSignals
 from repro.experiments.harness import TRUSTED_SUBNET, Testbed
 from repro.policy import AdaptivePolicy, RunawayPolicy, SynFloodPolicy
@@ -18,9 +18,9 @@ def _booted(policies=None):
     return bed
 
 
-def _controller(bed, **kwargs) -> DefenseController:
+def _controller(bed) -> DefenseController:
     """A controller wired to the bed but not running its scan loop."""
-    return DefenseController(bed.server, **kwargs)
+    return DefenseController(bed.server)
 
 
 def _signals(bed, **kwargs) -> DefenseSignals:
@@ -41,7 +41,7 @@ def test_ratelimit_escalates_on_hot_prefix():
                    syn_scores={"10.1.64": 50.0})
     ctl._drive_ratelimit(sig)
     assert "10.1.64" in ctl.buckets
-    assert ctl.buckets["10.1.64"].rate == ctl.allow_rate_floor
+    assert ctl.buckets["10.1.64"].rate == ctl.ALLOW_RATE_FLOOR
     assert ctl.rung_active["ratelimit"]
     assert [a.rung for a in ctl.escalations()] == ["ratelimit"]
 
@@ -69,12 +69,14 @@ def test_ratelimit_gate_drops_at_demux():
 
 def test_ratelimit_releases_after_quiet_scans():
     bed = _booted()
-    ctl = _controller(bed, limit_release_scans=3)
+    ctl = _controller(bed)
     ctl._drive_ratelimit(_signals(bed, syn_rates={"10.1.64": 900.0},
                                   syn_scores={"10.1.64": 50.0}))
     quiet = _signals(bed, syn_rates={"10.1.64": 0.0}, syn_scores={})
-    for _ in range(3):
+    for _ in range(ctl.LIMIT_RELEASE_SCANS - 1):
         ctl._drive_ratelimit(quiet)
+    assert "10.1.64" in ctl.buckets
+    ctl._drive_ratelimit(quiet)
     assert ctl.buckets == {}
     assert not ctl.rung_active["ratelimit"]
     assert [a.rung for a in ctl.deescalations()] == ["ratelimit"]
@@ -82,11 +84,11 @@ def test_ratelimit_releases_after_quiet_scans():
 
 def test_ratelimit_still_loud_is_not_released():
     bed = _booted()
-    ctl = _controller(bed, limit_release_scans=3)
+    ctl = _controller(bed)
     ctl._drive_ratelimit(_signals(bed, syn_rates={"10.1.64": 900.0},
                                   syn_scores={"10.1.64": 50.0}))
     loud = _signals(bed, syn_rates={"10.1.64": 900.0}, syn_scores={})
-    for _ in range(10):
+    for _ in range(ctl.LIMIT_RELEASE_SCANS + 2):
         ctl._drive_ratelimit(loud)
     assert "10.1.64" in ctl.buckets
 
@@ -96,18 +98,17 @@ def test_ratelimit_still_loud_is_not_released():
 # ----------------------------------------------------------------------
 def test_syncookies_escalate_and_release_with_hysteresis():
     bed = _booted()
-    ctl = _controller(bed, halfopen_on=48, halfopen_off=8,
-                      cookie_release_scans=2)
+    ctl = _controller(bed)
     tcp = bed.server.tcp
-    ctl._drive_syncookies(_signals(bed, half_open=47))
+    ctl._drive_syncookies(_signals(bed, half_open=ctl.HALFOPEN_ON - 1))
     assert not tcp.syncookies
-    ctl._drive_syncookies(_signals(bed, half_open=48))
+    ctl._drive_syncookies(_signals(bed, half_open=ctl.HALFOPEN_ON))
     assert tcp.syncookies
     # Between the watermarks: stays on (hysteresis).
-    ctl._drive_syncookies(_signals(bed, half_open=20))
+    ctl._drive_syncookies(_signals(bed, half_open=ctl.HALFOPEN_OFF + 1))
     assert tcp.syncookies
-    for _ in range(2):
-        ctl._drive_syncookies(_signals(bed, half_open=5))
+    for _ in range(ctl.COOKIE_RELEASE_SCANS):
+        ctl._drive_syncookies(_signals(bed, half_open=ctl.HALFOPEN_OFF))
     assert not tcp.syncookies
     assert tcp._cookie_armed  # in-flight cookie ACKs still accepted
 
@@ -133,14 +134,14 @@ def test_syncookie_handshake_end_to_end():
 # ----------------------------------------------------------------------
 def test_quota_tightens_on_traps_and_relaxes():
     bed = _booted()
-    ctl = _controller(bed, quota_release_scans=2)
+    ctl = _controller(bed)
     tcp = bed.server.tcp
     saved_quota = tcp.active_path_quota
     ctl._drive_quota(_signals(bed, trap_delta=1))
     assert ctl.rung_active["quota"]
     assert bed.server.kernel.quotas.mode == "throttle"
-    assert tcp.active_path_quota is ctl.tight_quota
-    for _ in range(2):
+    assert tcp.active_path_quota is TIGHT_QUOTA
+    for _ in range(ctl.QUOTA_RELEASE_SCANS):
         ctl._drive_quota(_signals(bed, trap_delta=0))
     assert not ctl.rung_active["quota"]
     assert bed.server.kernel.quotas.mode == "kill"
@@ -152,12 +153,13 @@ def test_quota_tightens_on_traps_and_relaxes():
 
 def test_quota_runtime_limit_halves_and_restores():
     bed = _booted(policies=[RunawayPolicy(2.0)])
-    ctl = _controller(bed, quota_release_scans=1)
+    ctl = _controller(bed)
     tcp = bed.server.tcp
     assert tcp.active_path_runtime_limit == 600_000
     ctl._drive_quota(_signals(bed, trap_delta=1))
     assert tcp.active_path_runtime_limit == 300_000
-    ctl._drive_quota(_signals(bed, trap_delta=0))
+    for _ in range(ctl.QUOTA_RELEASE_SCANS):
+        ctl._drive_quota(_signals(bed, trap_delta=0))
     assert tcp.active_path_runtime_limit == 600_000
 
 
@@ -166,14 +168,15 @@ def test_quota_runtime_limit_halves_and_restores():
 # ----------------------------------------------------------------------
 def test_degrade_climbs_tiers_under_sustained_pressure():
     bed = _booted()
-    ctl = _controller(bed, degrade_after_scans=2)
+    ctl = _controller(bed)
     http = bed.server.http
     pressure = _signals(bed, trap_delta=1)
-    ctl._drive_degrade(pressure)
-    assert http.degrade_level == 0  # one scan is not sustained
+    for _ in range(ctl.DEGRADE_AFTER_SCANS - 1):
+        ctl._drive_degrade(pressure)
+    assert http.degrade_level == 0  # not sustained yet
     ctl._drive_degrade(pressure)
     assert http.degrade_level == 1
-    for _ in range(2):
+    for _ in range(ctl.DEGRADE_AFTER_SCANS):
         ctl._drive_degrade(pressure)
     assert http.degrade_level == 2
     for _ in range(10):
@@ -183,15 +186,15 @@ def test_degrade_climbs_tiers_under_sustained_pressure():
 
 def test_degrade_releases_one_tier_at_a_time():
     bed = _booted()
-    ctl = _controller(bed, degrade_after_scans=1, degrade_release_scans=2)
+    ctl = _controller(bed)
     http = bed.server.http
     http.degrade_level = 2
     calm = _signals(bed, trap_delta=0)
-    assert calm.free_pages >= ctl.pages_off
-    for _ in range(2):
+    assert calm.free_pages >= ctl.PAGES_OFF
+    for _ in range(ctl.DEGRADE_RELEASE_SCANS):
         ctl._drive_degrade(calm)
     assert http.degrade_level == 1
-    for _ in range(2):
+    for _ in range(ctl.DEGRADE_RELEASE_SCANS):
         ctl._drive_degrade(calm)
     assert http.degrade_level == 0
     assert not ctl.rung_active["degrade"]
@@ -199,12 +202,12 @@ def test_degrade_releases_one_tier_at_a_time():
 
 def test_degrade_holds_while_memory_is_scarce():
     bed = _booted()
-    ctl = _controller(bed, degrade_after_scans=1, degrade_release_scans=1)
+    ctl = _controller(bed)
     http = bed.server.http
     http.degrade_level = 1
     scarce = _signals(bed, trap_delta=0)
-    scarce.free_pages = ctl.pages_off - 1
-    for _ in range(5):
+    scarce.free_pages = ctl.PAGES_OFF - 1
+    for _ in range(ctl.DEGRADE_RELEASE_SCANS + 2):
         ctl._drive_degrade(scarce)
     assert http.degrade_level == 1
 
@@ -246,14 +249,13 @@ def test_watchdog_try_defend_respects_escalation_threshold():
     from repro.chaos.watchdog import Watchdog
     bed = _booted()
     ctl = _controller(bed)
-    watchdog = Watchdog(bed.server.kernel, period_s=0.001,
-                        escalate_after=2)
+    watchdog = Watchdog(bed.server.kernel)
     watchdog.attach_defense(ctl)
     bed.add_clients(1, document="/doc-1k")
     bed.start_load()
     path = _live_path(bed)
-    # Repeat offenders (offenses >= escalate_after) go straight to kill.
-    assert watchdog._try_defend(path, 2) is False
+    # Repeat offenders (offenses >= ESCALATE_AFTER) go straight to kill.
+    assert watchdog._try_defend(path, Watchdog.ESCALATE_AFTER) is False
     assert watchdog._try_defend(path, 1) is True
     assert path.policy_state.get("throttled")
 
@@ -261,7 +263,7 @@ def test_watchdog_try_defend_respects_escalation_threshold():
 def test_watchdog_without_defense_controller_defends_nothing():
     from repro.chaos.watchdog import Watchdog
     bed = _booted()
-    watchdog = Watchdog(bed.server.kernel, period_s=0.001)
+    watchdog = Watchdog(bed.server.kernel)
     assert watchdog._try_defend(bed.server.kernel.kernel_owner, 0) is False
 
 
@@ -292,11 +294,12 @@ def test_adaptive_policy_wraps_nothing_gracefully():
 
 def test_controller_scan_loop_charges_kernel_and_repeats():
     bed = _booted()
-    ctl = _controller(bed, period_s=0.01)
+    ctl = _controller(bed)
     ctl.start()
-    bed.sim.run(until=bed.sim.now + seconds_to_ticks(0.1))
+    period = seconds_to_ticks(ctl.PERIOD_S)
+    bed.sim.run(until=bed.sim.now + 10 * period)
     assert ctl.scans >= 8
     ctl.stop()
     scans = ctl.scans
-    bed.sim.run(until=bed.sim.now + seconds_to_ticks(0.05))
+    bed.sim.run(until=bed.sim.now + 5 * period)
     assert ctl.scans == scans  # stop() really stops the loop

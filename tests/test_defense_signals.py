@@ -131,7 +131,7 @@ def test_monitor_computes_per_prefix_rates():
 
 def test_monitor_scores_before_learning():
     bed = _booted_bed()
-    monitor = AccountingMonitor(bed.server, dev_floor=5.0)
+    monitor = AccountingMonitor(bed.server)
     tcp = bed.server.tcp
     monitor.sample()
     total = 0

@@ -40,6 +40,16 @@ RECORDED_DIGESTS = {
                         "4dbb51928a17dd7b8a3758439fe2dfd8"),
     "cluster": (87220, "8cad81a313c054b446a2a70b044b9f7c"
                        "22b741ef27f8bf6f635413098b09bc0e"),
+    "chaos-lossy-syn-flood": (9851, "e4f5577446d9430fcebf925f362468b0"
+                                    "ce48be509cf1999d1662292f1b22a303"),
+    "chaos-oom-cgi": (33217, "be360a33885c0ca6897ded635ad08b30"
+                             "31d041cd213551efe6c0b6df1340bb8c"),
+    "chaos-rollback": (26565, "8432c0df1ee9f430b78a1e4e6a8b3afb"
+                              "51af70a091facd51132dd76062111c2e"),
+    "defense-mixed": (66023, "c04402014df0ccb5872b274107b3aa1e"
+                             "b794559f0b68e1c2754ace7059b4caa4"),
+    "cluster-edge": (110535, "b8c62a30c25fa90e58136db1b97b4d6e"
+                             "82d752264d3259a214a75641b68bb82c"),
 }
 
 #: (events, sha256 of the journal's events/light/entries/final digest).
@@ -98,7 +108,44 @@ def _make_run(name: str):
         return ChaosRun("domain-crash", seed=1)
     if name == "defense":
         return DefenseRun("synflood", seed=2)
+    if name == "chaos-lossy-syn-flood":
+        return ChaosRun("lossy-syn-flood", 1)
+    if name == "chaos-oom-cgi":
+        return ChaosRun("oom-cgi", 1)
+    if name == "chaos-rollback":
+        return ChaosRun("domain-crash", 1, use_rollback=True)
+    if name == "defense-mixed":
+        # A short ramp and few clients bring every rung up, and quota and
+        # degrade back down, inside a 1.5 s window.
+        return DefenseRun("mixed", seed=1, clients=4, cgi_attackers=8,
+                          syn_ramp_to=1500, syn_ramp_s=0.5,
+                          warmup_s=0.2, measure_s=1.5)
+    if name == "cluster-edge":
+        return ClusterRun("crash", seed=1, clients=6, syn_rate=200,
+                          measure_s=1.0)
     return ClusterRun("crash", seed=1, clients=6, measure_s=1.0)
+
+
+def _check_guarded_behaviour(name: str, run) -> None:
+    """Each added row pins a run for the mechanism it names; assert that
+    the mechanism fired, so a shorter window cannot silently stop
+    covering it."""
+    if name.startswith("chaos-"):
+        kinds = {a.kind for a in run.watchdog.log}
+        assert run.watchdog.saw_recovery_cycle()
+        if name == "chaos-oom-cgi":
+            assert {"shed-on", "shed-off"} <= kinds
+        if name == "chaos-rollback":
+            assert run.snapshotter.taken > 0
+            assert run.snapshotter.rollbacks > 0
+    elif name == "defense-mixed":
+        log = run.bed.server.defense.log
+        assert {a.rung for a in log if a.kind == "escalate"} \
+            == {"ratelimit", "syncookies", "quota", "degrade"}
+        assert {a.rung for a in log if a.kind == "deescalate"} \
+            >= {"quota", "degrade"}
+    elif name == "cluster-edge":
+        assert any(a.kind == "escalate" for a in run.bed.defense.log)
 
 
 @pytest.mark.parametrize("name", [
@@ -107,6 +154,11 @@ def _make_run(name: str):
     pytest.param("chaos", marks=pytest.mark.chaos),
     pytest.param("defense", marks=pytest.mark.defense),
     pytest.param("cluster", marks=pytest.mark.cluster),
+    pytest.param("chaos-lossy-syn-flood", marks=pytest.mark.chaos),
+    pytest.param("chaos-oom-cgi", marks=pytest.mark.chaos),
+    pytest.param("chaos-rollback", marks=pytest.mark.chaos),
+    pytest.param("defense-mixed", marks=pytest.mark.defense),
+    pytest.param("cluster-edge", marks=pytest.mark.cluster),
 ])
 def test_run_digest_matches_the_recording(name):
     from repro.snapshot import RunDriver
@@ -114,6 +166,7 @@ def test_run_digest_matches_the_recording(name):
     run = _make_run(name)
     RunDriver(run).run_all()
     run.bed.sim.check_invariant()
+    _check_guarded_behaviour(name, run)
     assert (run.bed.sim.events_processed, run.digest()) \
         == RECORDED_DIGESTS[name]
 

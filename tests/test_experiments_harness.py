@@ -94,11 +94,6 @@ def test_multiple_runs_accumulate_windows():
     assert second.window_start >= first.window_end
 
 
-def test_documents_parameter_overrides_default():
-    bed = Testbed.escort(documents={"/only": 512})
-    assert bed.server.fs.documents == {"/only": 512}
-
-
 # ----------------------------------------------------------------------
 # Fold-on-destroy: the ledger keeps no destroyed owner alive
 # ----------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_retries_reset_on_progress(sim):
     server.apply(server.engine.send(1000))
     sim.run(until=sim.now + millis_to_ticks(4000))
     assert server.engine.retries == 0      # reset once the ACK arrived
-    assert server.engine.rto_current == server.engine.rto_base
+    assert server.engine.rto_current == TCPEngine.DEFAULT_RTO
 
 
 def test_simultaneous_close(sim):
@@ -148,41 +148,8 @@ def test_close_is_idempotent(sim):
 
 
 # ----------------------------------------------------------------------
-# Optional TIME_WAIT (RFC 793 behaviour)
+# No TIME_WAIT: the active closer goes straight to CLOSED
 # ----------------------------------------------------------------------
-def test_time_wait_holds_then_closes(sim):
-    tw = millis_to_ticks(100)
-    client, server = make_pair(sim, client_kwargs={"time_wait_ticks": tw})
-    sim.run(until=millis_to_ticks(10))
-    # Client actively closes; server answers with its own FIN.
-    client.apply(client.engine.close())
-    server.apply(server.engine.close())
-    sim.run(until=sim.now + millis_to_ticks(20))
-    assert client.engine.state == TcpState.TIME_WAIT
-    assert server.engine.state == TcpState.CLOSED  # passive closer
-    # After 2MSL the client finally closes.
-    sim.run(until=sim.now + millis_to_ticks(200))
-    assert client.engine.state == TcpState.CLOSED
-    assert "closed" in client.events
-
-
-def test_time_wait_reacks_retransmitted_fin(sim):
-    tw = millis_to_ticks(200)
-    client, server = make_pair(sim, client_kwargs={"time_wait_ticks": tw})
-    sim.run(until=millis_to_ticks(10))
-    client.apply(client.engine.close())
-    server.apply(server.engine.close())
-    sim.run(until=sim.now + millis_to_ticks(20))
-    assert client.engine.state == TcpState.TIME_WAIT
-    # The server's FIN shows up again (as if our final ACK was lost).
-    fin = TCPSegment(80, 5000, server.engine.snd_nxt - 1,
-                     client.engine.snd_nxt, FLAG_FIN | FLAG_ACK)
-    actions = client.engine.on_segment(fin)
-    assert len(actions.segments) == 1
-    assert actions.segments[0].flags & FLAG_ACK
-    assert client.engine.state == TcpState.TIME_WAIT
-
-
 def test_time_wait_disabled_by_default(sim):
     client, server = make_pair(sim)
     sim.run(until=millis_to_ticks(10))

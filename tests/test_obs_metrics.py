@@ -1,13 +1,11 @@
-"""Unit tests for the obs building blocks: registry, spans, recorder,
-exporters.  The end-to-end determinism tests live in test_obs_session.py."""
+"""Unit tests for the obs building blocks: registry, spans, recorder.
+The end-to-end determinism tests live in test_obs_session.py."""
 
 import json
-import os
 from pathlib import Path
 
 import pytest
 
-from repro.obs.export import prom_name, prom_text, write_dump
 from repro.obs.metrics import Histogram, MetricsRegistry, metric_key
 from repro.obs.recorder import SIDECAR_NAME, FlightRecorder, scan_obs
 from repro.obs.spans import Span, SpanLog
@@ -202,39 +200,3 @@ def test_scan_missing_and_empty(tmp_path):
     empty = str(tmp_path / "empty.jrnl")
     open(empty, "w").close()
     assert scan_obs(empty).records == 0
-
-
-# ----------------------------------------------------------------------
-# exporters
-# ----------------------------------------------------------------------
-def test_prom_text_sanitizes_and_structures():
-    reg = MetricsRegistry()
-    reg.inc(metric_key("kernel", "kills_by_family", family="conn"), 3)
-    reg.gauge(metric_key("sim", "wheel-pending"), 7)
-    reg.observe("kernel.kill_cycles", 500, bounds=(100, 1000))
-    text = prom_text(reg)
-    assert prom_name("sim.wheel-pending") == "sim_wheel_pending"
-    assert '# TYPE kernel_kills_by_family counter' in text
-    assert 'kernel_kills_by_family{family="conn"} 3' in text
-    assert "sim_wheel_pending 7" in text
-    assert 'kernel_kill_cycles_bucket{le="1000"} 1' in text
-    assert 'kernel_kill_cycles_bucket{le="+Inf"} 1' in text
-    assert "kernel_kill_cycles_sum 500" in text
-
-
-def test_write_dump_files(tmp_path):
-    class FakeSession:
-        registry = MetricsRegistry()
-        spans = SpanLog()
-
-        def metrics_json_bytes(self):
-            return b'{"ok":1}\n'
-
-    FakeSession.registry.inc("a.b")
-    FakeSession.spans.add("signal", "x", tick=1)
-    paths = write_dump(str(tmp_path / "obs"), FakeSession())
-    assert Path(paths["metrics_json"]).read_bytes() == b'{"ok":1}\n'
-    assert "a_b 1" in Path(paths["metrics_prom"]).read_text()
-    line = json.loads(Path(paths["spans_jsonl"]).read_text())
-    assert line["span"] == "signal"
-    assert os.path.dirname(paths["metrics_json"]).endswith("obs")

@@ -52,10 +52,10 @@ def test_telemetry_byte_identical_across_reruns(tmp_path):
         _, session = run_with_obs(_small_defense(), d)
         sessions.append(session)
     assert sessions[0].metrics_digest == sessions[1].metrics_digest
-    for name in ("metrics.json", "metrics.prom", "spans.jsonl",
-                 SIDECAR_NAME):
-        assert filecmp.cmp(os.path.join(dirs[0], name),
-                           os.path.join(dirs[1], name), shallow=False), name
+    assert filecmp.cmp(os.path.join(dirs[0], SIDECAR_NAME),
+                       os.path.join(dirs[1], SIDECAR_NAME), shallow=False)
+    # The sidecar is the run's one telemetry file.
+    assert os.listdir(dirs[0]) == [SIDECAR_NAME]
     # And the recorder's final record carries the same digest the
     # in-memory registry hashed to.
     scan = scan_obs(os.path.join(dirs[0], SIDECAR_NAME))

@@ -10,6 +10,8 @@ rollback budget is spent, the ladder falls through to teardown.
 
 from __future__ import annotations
 
+from unittest import mock
+
 from repro.sim.clock import seconds_to_ticks
 from repro.sim.cpu import Cycles
 from repro.kernel.events import KernelEvent, Semaphore
@@ -26,6 +28,10 @@ def hog():
 
 def make_path(name):
     return Owner(OwnerType.PATH, name=name)
+
+
+#: One watchdog scan period, in ticks.
+SCAN = seconds_to_ticks(Watchdog.PERIOD_S)
 
 
 # ----------------------------------------------------------------------
@@ -116,6 +122,7 @@ def test_observe_skips_suspects_and_dead_domains(pd_kernel):
 # ----------------------------------------------------------------------
 # Watchdog integration: rollback rung, then teardown
 # ----------------------------------------------------------------------
+@mock.patch.object(Watchdog, "STUCK_SCANS", 10**6)  # park progress detector
 def test_watchdog_rolls_back_then_tears_down(pd_kernel, sim):
     kernel = pd_kernel
     pd = kernel.create_domain("pd-app")
@@ -126,16 +133,13 @@ def test_watchdog_rolls_back_then_tears_down(pd_kernel, sim):
 
     checker = InvariantChecker(kernel)
     snapper = DomainSnapshotter(kernel)
-    watchdog = Watchdog(kernel, period_s=0.001,
-                        cycle_budget_fraction=0.1,
-                        stuck_scans=10**6,          # park progress detector
-                        snapshotter=snapper, rollback_limit=1)
+    watchdog = Watchdog(kernel, snapshotter=snapper)
     watchdog.start()
 
     # Let a few clean scans capture the healthy domain, then wedge it.
-    sim.schedule(seconds_to_ticks(0.0035),
+    sim.schedule(int(3.5 * SCAN),
                  lambda: kernel.spawn_thread(pd, hog(), name="pd-hog-1"))
-    sim.run(until=seconds_to_ticks(0.008))
+    sim.run(until=8 * SCAN)
 
     assert snapper.taken >= 2
     assert watchdog.rollbacks == 1
@@ -157,8 +161,9 @@ def test_watchdog_rolls_back_then_tears_down(pd_kernel, sim):
 
     # Second offense: the per-domain rollback budget (1) is spent, so the
     # ladder falls through to whole-domain teardown.
+    assert Watchdog.ROLLBACK_LIMIT == 1
     kernel.spawn_thread(pd, hog(), name="pd-hog-2")
-    sim.run(until=sim.now + seconds_to_ticks(0.004))
+    sim.run(until=sim.now + 4 * SCAN)
     assert pd.destroyed
     assert watchdog.rollbacks == 1          # no second rollback
     assert resident_path.destroyed          # teardown takes the paths too
@@ -166,6 +171,7 @@ def test_watchdog_rolls_back_then_tears_down(pd_kernel, sim):
     assert checker.check_now() == []
 
 
+@mock.patch.object(Watchdog, "STUCK_SCANS", 10**6)
 def test_rollback_that_reclaims_nothing_falls_through(pd_kernel, sim):
     # The wedge predates every snapshot we hold: the snapshot set equals
     # the current set, rollback reclaims nothing, teardown must follow.
@@ -175,25 +181,23 @@ def test_rollback_that_reclaims_nothing_falls_through(pd_kernel, sim):
 
     snapper = DomainSnapshotter(kernel)
     snapper.snapshot_domain(pd)  # captures the hog as "good" state
-    watchdog = Watchdog(kernel, period_s=0.001,
-                        cycle_budget_fraction=0.1, stuck_scans=10**6,
-                        snapshotter=snapper, rollback_limit=5)
+    watchdog = Watchdog(kernel, snapshotter=snapper)
     watchdog.start()
-    sim.run(until=seconds_to_ticks(0.005))
+    sim.run(until=5 * SCAN)
 
     assert watchdog.rollbacks == 0
     assert pd.destroyed
     assert not thread.alive
 
 
+@mock.patch.object(Watchdog, "STUCK_SCANS", 10**6)
 def test_watchdog_without_snapshotter_still_tears_down(pd_kernel, sim):
     kernel = pd_kernel
     pd = kernel.create_domain("pd-app")
     kernel.spawn_thread(pd, hog(), name="pd-hog")
-    watchdog = Watchdog(kernel, period_s=0.001,
-                        cycle_budget_fraction=0.1, stuck_scans=10**6)
+    watchdog = Watchdog(kernel)
     watchdog.start()
-    sim.run(until=seconds_to_ticks(0.005))
+    sim.run(until=5 * SCAN)
     assert pd.destroyed
     assert watchdog.rollbacks == 0
     assert not watchdog.actions("rollback")

@@ -1,17 +1,19 @@
 """The client retry stack and the ``retried`` outcome (cluster satellites).
 
-Covers the :class:`RetryPolicy` math (deadlines, capped exponential
-backoff with seeded jitter, the retry *budget* that prevents retry
-storms), the four-way outcome partition in :class:`WorkloadStats`, and
-the end-to-end behaviour of a retrying client against a dead cluster.
+Covers the retry math (deadlines, capped exponential backoff with seeded
+jitter, the retry *budget* that prevents retry storms), the four-way
+outcome partition in :class:`WorkloadStats`, and the end-to-end behaviour
+of a retrying client against a dead cluster.
 """
 
 import random
+from unittest import mock
 
 import pytest
 
 from repro.sim.clock import millis_to_ticks, seconds_to_ticks
-from repro.workload.clients import RetryPolicy
+from repro.workload import clients
+from repro.workload.clients import retry_backoff_ticks
 from repro.workload.stats import WorkloadStats
 
 
@@ -41,13 +43,12 @@ def test_unknown_outcome_is_rejected():
 
 
 # ----------------------------------------------------------------------
-# RetryPolicy: backoff and budget math
+# Backoff and budget math
 # ----------------------------------------------------------------------
+@mock.patch.object(clients, "RETRY_JITTER", 0.0)
 def test_backoff_doubles_then_caps():
-    policy = RetryPolicy(backoff_base_s=0.02, backoff_cap_s=0.16,
-                         jitter=0.0)
     rng = random.Random(7)
-    ticks = [policy.backoff_ticks(attempt, rng)
+    ticks = [retry_backoff_ticks(attempt, rng)
              for attempt in range(2, 8)]
     base = millis_to_ticks(20)
     cap = millis_to_ticks(160)
@@ -60,37 +61,27 @@ def test_backoff_doubles_then_caps():
 
 
 def test_backoff_jitter_stays_in_bounds_and_is_seeded():
-    policy = RetryPolicy(backoff_base_s=0.02, backoff_cap_s=0.16,
-                         jitter=0.5)
     base = millis_to_ticks(20)
-    draws = [policy.backoff_ticks(2, random.Random(seed))
+    draws = [retry_backoff_ticks(2, random.Random(seed))
              for seed in range(50)]
     assert all(base * 0.5 <= t <= base * 1.5 for t in draws)
     assert len(set(draws)) > 1  # jitter actually spreads
     # Same seed, same draw: the backoff is replayable.
-    assert policy.backoff_ticks(3, random.Random(9)) == \
-        policy.backoff_ticks(3, random.Random(9))
-
-
-def test_policy_validates_parameters():
-    with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError):
-        RetryPolicy(jitter=1.0)
+    assert retry_backoff_ticks(3, random.Random(9)) == \
+        retry_backoff_ticks(3, random.Random(9))
 
 
 # ----------------------------------------------------------------------
 # End to end: a retrying client against a dead cluster
 # ----------------------------------------------------------------------
 @pytest.mark.cluster
+@mock.patch.object(clients, "RETRY_BUDGET_INITIAL_MILS", 2_000)
+@mock.patch.object(clients, "RETRY_BUDGET_RATIO_MILS", 0)
 def test_retry_stack_exhausts_budget_against_dead_replica():
     from repro.cluster.harness import ClusterTestbed
 
     bed = ClusterTestbed(replicas=1, adaptive=False)
-    policy = RetryPolicy(deadline_s=0.05, backoff_base_s=0.01,
-                         backoff_cap_s=0.04,
-                         budget_initial=2, budget_ratio=0.0)
-    bed.add_clients(3, retry=policy)
+    bed.add_clients(3, retry=True)
     bed.boot()
     bed.sim.run(until=seconds_to_ticks(0.01))
     # The only replica is dark before any load starts: every attempt
@@ -117,7 +108,7 @@ def test_client_without_retry_policy_has_no_retry_state():
     from repro.cluster.harness import ClusterTestbed
 
     bed = ClusterTestbed(replicas=1, adaptive=False)
-    bed.add_clients(2, retry=None)
+    bed.add_clients(2, retry=False)
     bed.boot()
     bed.sim.run(until=seconds_to_ticks(0.01))
     bed.start_load()
