@@ -39,7 +39,6 @@ class DomainRecovery:
     def __init__(self, server: "ScoutWebServer"):
         self.server = server
         self.recoveries = 0
-        self.domains_rebuilt = 0
         self.log: List[str] = []
 
     # ------------------------------------------------------------------
@@ -65,7 +64,6 @@ class DomainRecovery:
                 role = (Role.driver() if module.name in DRIVER_MODULES
                         else Role.module())
                 replacement[old] = kernel.create_domain(old.name, role=role)
-                self.domains_rebuilt += 1
                 self._note(f"rebuilt domain {old.name}")
             module.pd = replacement[old]
             module.pd.module_names.append(module.name)

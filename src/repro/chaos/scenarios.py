@@ -63,7 +63,10 @@ class ChaosReport:
     sheds: int
     fault_traps: int
     kills: int
-    rollbacks: int = 0
+    #: Rollbacks the watchdog applied; ``None`` when the run did not arm
+    #: the snapshotter (``--rollback``), without which the watchdog has
+    #: no rollback rung.
+    rollbacks: Optional[int] = None
     notes: List[str] = field(default_factory=list)
 
     def summary(self) -> str:
@@ -76,7 +79,9 @@ class ChaosReport:
             skp = ", ".join(f"{k}={v}"
                             for k, v in sorted(self.faults_skipped.items()))
             lines.append(f"  skipped:  {skp}")
-        lines.append(f"  watchdog: {self.kills} kills, "
+        rollbacks = ("" if self.rollbacks is None
+                     else f"{self.rollbacks} rollbacks, ")
+        lines.append(f"  watchdog: {self.kills} kills, {rollbacks}"
                      f"{self.sheds} admissions shed, "
                      f"{self.fault_traps} faults contained, "
                      f"recovery cycle: "
@@ -331,7 +336,8 @@ class ChaosRun(ReplayableRun):
             sheds=bed.server.kernel.sheds,
             fault_traps=bed.server.kernel.fault_traps,
             kills=self.watchdog.kills,
-            rollbacks=self.watchdog.rollbacks,
+            rollbacks=(self.watchdog.rollbacks
+                       if self.snapshotter is not None else None),
             notes=notes,
         )
 

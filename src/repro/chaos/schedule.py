@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from repro.snapshot.runs import check_fields, spec_field
 
@@ -87,13 +87,6 @@ class FaultEvent:
                              f"{', '.join(keys)}, got {payload!r}")
         return cls(**payload)
 
-    def replaced(self, **changes) -> "FaultEvent":
-        """A copy with ``changes`` applied (the mutation hook shrinking
-        uses to reduce one parameter at a time)."""
-        fields = self.to_jsonable()
-        fields.update(changes)
-        return FaultEvent(**fields)
-
 
 class FaultSchedule:
     """An ordered, replayable list of fault events plus its seed.
@@ -125,8 +118,7 @@ class FaultSchedule:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    # Serialization + mutation hooks (what makes generated schedules
-    # first-class run specs and delta-debuggable)
+    # Serialization (what makes generated schedules first-class run specs)
     # ------------------------------------------------------------------
     def to_jsonable(self) -> Dict:
         """A plain JSON-able payload; ``from_jsonable`` inverts it."""
@@ -147,27 +139,6 @@ class FaultSchedule:
         if any(b.at_s < a.at_s for a, b in zip(events, events[1:])):
             raise ValueError("fault events must be in time order")
         return cls(events, seed=payload["seed"])
-
-    def without(self, indices) -> "FaultSchedule":
-        """A new schedule with the events at ``indices`` removed.
-
-        Indices refer to the sorted event order (what ``__iter__`` yields);
-        the schedule's seed — and therefore the probabilistic injector
-        streams — is preserved, so deleting an event changes exactly the
-        faults that event caused plus the RNG rolls it consumed.
-        """
-        drop = set(indices)
-        return FaultSchedule(
-            [ev for i, ev in enumerate(self.events) if i not in drop],
-            seed=self.seed)
-
-    def with_event(self, index: int, **changes) -> "FaultSchedule":
-        """A new schedule with event ``index`` replaced field-wise (the
-        per-entry shrinking hook: reduce a magnitude, shorten a duration,
-        move a fault earlier)."""
-        events = list(self.events)
-        events[index] = events[index].replaced(**changes)
-        return FaultSchedule(events, seed=self.seed)
 
     # ------------------------------------------------------------------
     @classmethod

@@ -26,7 +26,7 @@ mirroring the per-replica ladder's hysteresis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.sim.clock import seconds_to_ticks, ticks_to_seconds
 from repro.defense.ratelimit import TokenBucket

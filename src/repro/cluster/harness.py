@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.sim.clock import seconds_to_ticks
 from repro.sim.costs import CostModel
 from repro.sim.engine import Simulator
 from repro.net.addressing import Subnet
@@ -57,9 +56,7 @@ class ClusterTestbed:
         self.replicas: List[Replica] = []
         for index in range(replicas):
             self.replicas.append(Replica(
-                self.sim, index, VIP,
-                policies=self._replica_policies(),
-                costs=self.costs))
+                self.sim, index, VIP, policies=self._replica_policies()))
 
         self.dispatcher = ClusterDispatcher(
             self.sim, VIP,
@@ -172,16 +169,3 @@ class ClusterTestbed:
     def begin_window(self) -> int:
         return self.sim.now
 
-    def run(self, warmup_s: float = 0.5, measure_s: float = 1.0) -> int:
-        """Boot, settle, load, warm up; returns the open window's start.
-
-        Convenience for tests; the replayable path is
-        :class:`~repro.cluster.run.ClusterRun`.
-        """
-        self.boot()
-        self.sim.run(until=self.sim.now + seconds_to_ticks(0.01))
-        self.start_load()
-        self.sim.run(until=self.sim.now + seconds_to_ticks(warmup_s))
-        start = self.begin_window()
-        self.sim.run(until=start + seconds_to_ticks(measure_s))
-        return start

@@ -25,8 +25,7 @@ class Replica:
     """One cluster member: server + backside link + fault gate."""
 
     def __init__(self, sim, index: int, vip: str, *,
-                 policies: Optional[List] = None,
-                 costs=None):
+                 policies: Optional[List] = None):
         self.sim = sim
         self.index = index
         self.vip = vip
@@ -42,7 +41,7 @@ class Replica:
             sim, accounting=True, protection_domains=False,
             ip=vip,
             cgi_scripts={"loop": runaway_cgi, "busy": busy_cgi},
-            listen_specs=listen_specs, costs=costs)
+            listen_specs=listen_specs)
         for policy in self.policies:
             policy.apply(self.server)
 

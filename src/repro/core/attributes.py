@@ -59,12 +59,6 @@ class Attributes:
     def __len__(self) -> int:
         return len(self._values)
 
-    def with_values(self, **kwargs) -> "Attributes":
-        """A copy with additional/overridden values (builder pattern)."""
-        merged = dict(self._values)
-        merged.update(kwargs)
-        return Attributes(merged)
-
     def as_dict(self) -> Dict[str, Any]:
         return dict(self._values)
 

@@ -13,7 +13,7 @@ to the path being created or torn down.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, TYPE_CHECKING
+from typing import Generator, List, TYPE_CHECKING
 
 from repro.sim.cpu import Cycles, Sleep
 from repro.kernel.errors import EscortError, InvalidOperationError

@@ -147,10 +147,6 @@ class Path(Owner):
                 return stage
         raise KeyError(f"{self.name} has no stage for module {module_name}")
 
-    def has_module(self, module_name: str) -> bool:
-        """True if a stage of ``module_name`` is on this path."""
-        return any(s.module.name == module_name for s in self.stages)
-
     def domains_crossed(self) -> Set["ProtectionDomain"]:
         """The set of protection domains this path's stages live in."""
         return {stage.module.pd for stage in self.stages}
@@ -202,13 +198,6 @@ class Path(Owner):
         if queue is None or self.destroyed:
             return False
         return queue.put(work)
-
-    def input_queue(self) -> "BoundedQueue":
-        """The network-end input queue (where demux delivers work)."""
-        queue = self.queues[Q_NET_IN]
-        if queue is None:
-            raise InvalidOperationError(f"{self.name} has no input queue")
-        return queue
 
     # ------------------------------------------------------------------
     # Post-destruction cycle severing

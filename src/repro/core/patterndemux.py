@@ -20,7 +20,7 @@ the policy*, not contributed by an untrusted module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.demux import Classification, DROP, TO_PATH

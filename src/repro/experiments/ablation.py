@@ -35,6 +35,10 @@ GROUPINGS: Dict[int, List[List[str]]] = {
     7: [["arp", "icmp"]],  # otherwise one domain per module (Figure 3)
 }
 
+#: The early-drop ablation's untrusted SYN flood and its warmup.
+EARLY_DROP_SYN_RATE = 1000
+EARLY_DROP_WARMUP_S = 1.5
+
 
 @dataclass
 class DomainSweepResult:
@@ -132,8 +136,7 @@ class EarlyDropResult:
                  f"configuration")
 
 
-def run_early_drop_ablation(clients: int = 32, syn_rate: int = 1000,
-                            warmup_s: float = 1.5,
+def run_early_drop_ablation(clients: int = 32,
                             measure_s: float = 1.5,
                             workers: int = 0) -> EarlyDropResult:
     """Compare demux-time vs passive-path SYN-cap enforcement."""
@@ -142,7 +145,8 @@ def run_early_drop_ablation(clients: int = 32, syn_rate: int = 1000,
     cells = [SweepCell(key=f"drop/{'early' if early else 'late'}",
                        runner="ablation-early-drop",
                        params=dict(early=early, clients=clients,
-                                   syn_rate=syn_rate, warmup_s=warmup_s,
+                                   syn_rate=EARLY_DROP_SYN_RATE,
+                                   warmup_s=EARLY_DROP_WARMUP_S,
                                    measure_s=measure_s))
              for early in (True, False)]
     merged = completed(run_cells(cells, workers=workers))

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional
 from repro.sim.clock import seconds_to_ticks, ticks_to_server_cycles
 from repro.sim.costs import CostModel
 from repro.sim.engine import Simulator
-from repro.kernel.owner import Owner, OwnerType
 from repro.linux.server import LinuxServer
 from repro.net.addressing import Subnet
 from repro.net.link import Hub, Switch
@@ -39,27 +38,18 @@ QOS_IP = "10.0.0.90"
 
 
 class CycleLedger:
-    """Per-owner cycle accumulation over a measurement window.
+    """Cycles per Table 1 category over a measurement window.
 
-    Categorizes owners the way Table 1 does: Idle, the passive paths, the
-    active (connection) paths, the protection domains, and the kernel.
-
-    ``by_owner`` holds only owners that are still alive.  On an owner's
-    first charge in the window the ledger registers an ``on_destroy``
-    callback; when the owner dies, its tally moves into its category's
-    total and the key is dropped, so a destroyed path is not kept
-    reachable by the ledger and a run's memory does not grow with the
-    number of requests it served.  A charge that arrives after its owner
-    was destroyed (an interrupt posted before the kill) goes straight to
-    the category.
+    Each charge is tallied under its owner's :attr:`Owner.category` (Idle,
+    the passive paths, the active paths, each protection domain, the
+    kernel), so the ledger holds no owner, dead or alive, and a run's
+    memory does not grow with the number of requests it served.  The key
+    order of :meth:`by_category` is the order categories were first
+    charged in the window.
     """
 
     def __init__(self) -> None:
-        self.by_owner: Dict[Owner, int] = {}
-        #: Cycles of destroyed owners, per category.  Every category is
-        #: entered on its first owner's first charge, so the key order of
-        #: :meth:`by_category` is the order categories were first charged.
-        self._folded: Dict[str, int] = {}
+        self._cycles: Dict[str, int] = {}
         self.recording = False
         self._cpu = None
 
@@ -72,34 +62,11 @@ class CycleLedger:
     def _on_charge(self, owner, cycles: int) -> None:
         if not self.recording or owner is None:
             return
-        tally = self.by_owner.get(owner)
-        if tally is not None:
-            self.by_owner[owner] = tally + cycles
-        else:
-            self._first_charge(owner, cycles)
-
-    def _first_charge(self, owner, cycles: int) -> None:
-        on_destroy = getattr(owner, "on_destroy", None)
-        if on_destroy is None:          # a duck-typed owner: tally only
-            self.by_owner[owner] = cycles
-            return
-        category = self.category(owner)
-        if owner.destroyed:
-            self._folded[category] = self._folded.get(category, 0) + cycles
-            return
-        self._folded.setdefault(category, 0)
-        self.by_owner[owner] = cycles
-        on_destroy(self._fold)
-
-    def _fold(self, owner) -> None:
-        # A callback left over from an earlier window finds no tally.
-        tally = self.by_owner.pop(owner, None)
-        if tally is not None:
-            self._folded[self.category(owner)] += tally
+        category = owner.category
+        self._cycles[category] = self._cycles.get(category, 0) + cycles
 
     def start(self) -> None:
-        self.by_owner.clear()
-        self._folded.clear()
+        self._cycles = {}
         if not self.recording and self._cpu is not None:
             self._cpu.charge_listeners.append(self._on_charge)
         self.recording = True
@@ -113,29 +80,8 @@ class CycleLedger:
         self.recording = False
 
     # ------------------------------------------------------------------
-    def total(self) -> int:
-        return sum(self.by_owner.values()) + sum(self._folded.values())
-
     def by_category(self) -> Dict[str, int]:
-        out = dict(self._folded)
-        for owner, cycles in self.by_owner.items():
-            category = self.category(owner)
-            out[category] = out.get(category, 0) + cycles
-        return out
-
-    @staticmethod
-    def category(owner: Owner) -> str:
-        if owner.type == OwnerType.IDLE:
-            return "idle"
-        if owner.type == OwnerType.KERNEL:
-            return "kernel"
-        if owner.type == OwnerType.PROTECTION_DOMAIN:
-            return f"pd:{owner.name}"
-        if owner.name.startswith("passive"):
-            return "passive-path"
-        if owner.name.startswith("conn"):
-            return "active-path"
-        return f"path:{owner.name}"
+        return dict(self._cycles)
 
 
 @dataclass

@@ -5,15 +5,15 @@ their data as tables, and this module renders the same series as terminal
 line charts so the shapes (knees, plateaus, crossovers) are visible at a
 glance.  Pure stdlib — the environment has no plotting stack.
 
-    chart = AsciiChart(width=60, height=16, title="Figure 8 - 1B")
+    chart = AsciiChart(title="Figure 8 - 1B")
     chart.add_series("scout", xs, ys, marker="s")
     print(chart.render())
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 #: Markers assigned to unnamed series, in order.
 DEFAULT_MARKERS = "*o+x#@%&"
@@ -30,15 +30,13 @@ class _Series:
 class AsciiChart:
     """A scatter/line chart rendered to monospace text."""
 
-    def __init__(self, width: int = 64, height: int = 16, title: str = "",
-                 x_label: str = "", y_label: str = ""):
-        if width < 16 or height < 4:
-            raise ValueError("chart too small to be legible")
-        self.width = width
-        self.height = height
+    #: Plot area in characters (the figure panels' size).
+    WIDTH = 64
+    HEIGHT = 14
+
+    def __init__(self, title: str = "", x_label: str = ""):
         self.title = title
         self.x_label = x_label
-        self.y_label = y_label
         self._series: List[_Series] = []
 
     # ------------------------------------------------------------------
@@ -69,19 +67,19 @@ class AsciiChart:
         if not self._series:
             raise ValueError("no series to plot")
         x_min, x_max, y_min, y_max = self._bounds()
-        grid = [[" "] * self.width for _ in range(self.height)]
+        grid = [[" "] * self.WIDTH for _ in range(self.HEIGHT)]
 
         def cell(x: float, y: float) -> Tuple[int, int]:
-            col = round((x - x_min) / (x_max - x_min) * (self.width - 1))
-            row = round((y - y_min) / (y_max - y_min) * (self.height - 1))
-            return (self.height - 1 - row), col
+            col = round((x - x_min) / (x_max - x_min) * (self.WIDTH - 1))
+            row = round((y - y_min) / (y_max - y_min) * (self.HEIGHT - 1))
+            return (self.HEIGHT - 1 - row), col
 
         # Plot with simple linear interpolation between points so sparse
         # series still read as curves.
         for series in self._series:
             points = sorted(zip(series.xs, series.ys))
             for (x0, y0), (x1, y1) in zip(points, points[1:]):
-                steps = max(2, self.width // max(1, len(points)))
+                steps = max(2, self.WIDTH // max(1, len(points)))
                 for i in range(steps + 1):
                     t = i / steps
                     r, c = cell(x0 + (x1 - x0) * t, y0 + (y1 - y0) * t)
@@ -98,15 +96,15 @@ class AsciiChart:
         for i, row in enumerate(grid):
             if i == 0:
                 label = f"{y_max:.0f}"
-            elif i == self.height - 1:
+            elif i == self.HEIGHT - 1:
                 label = f"{y_min:.0f}"
             else:
                 label = ""
             lines.append(f"{label:>{label_w}} |" + "".join(row))
-        axis = " " * label_w + " +" + "-" * self.width
+        axis = " " * label_w + " +" + "-" * self.WIDTH
         lines.append(axis)
         x_axis = (f"{' ' * label_w}  {x_min:<.0f}"
-                  .ljust(label_w + self.width - len(f"{x_max:.0f}") + 1)
+                  .ljust(label_w + self.WIDTH - len(f"{x_max:.0f}") + 1)
                   + f"{x_max:.0f}")
         lines.append(x_axis)
         if self.x_label:
@@ -116,11 +114,9 @@ class AsciiChart:
         return "\n".join(lines)
 
 
-def figure8_chart(result, doc: str = "1B",
-                  width: int = 64, height: int = 14) -> str:
+def figure8_chart(result, doc: str = "1B") -> str:
     """Render one Figure 8 panel from a Figure8Result."""
-    chart = AsciiChart(width=width, height=height,
-                       title=f"Figure 8 — {doc} documents (conn/s vs "
+    chart = AsciiChart(title=f"Figure 8 — {doc} documents (conn/s vs "
                              f"clients)",
                        x_label="clients")
     for config, series in result.series[doc].items():
@@ -128,12 +124,11 @@ def figure8_chart(result, doc: str = "1B",
     return chart.render()
 
 
-def figure11_chart(result, width: int = 64, height: int = 14) -> str:
+def figure11_chart(result) -> str:
     """Render Figure 11 (best-effort conn/s vs attackers)."""
     from repro.experiments.figure8 import document_label
 
-    chart = AsciiChart(width=width, height=height,
-                       title=f"Figure 11 — {document_label(result.document)}"
+    chart = AsciiChart(title=f"Figure 11 — {document_label(result.document)}"
                              f" documents (conn/s vs CGI attackers)",
                        x_label="attackers")
     for config, series in result.series.items():

@@ -8,7 +8,7 @@ crossovers fall) at a glance.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 
 def format_table(title: str, headers: Sequence[str],
@@ -53,16 +53,3 @@ def _fmt(cell: object) -> str:
     if isinstance(cell, int):
         return f"{cell:,}"
     return str(cell)
-
-
-def ratio_note(name: str, measured: float, paper: float) -> str:
-    """One comparison line: measured vs paper, with the ratio."""
-    if paper == 0:
-        return f"{name}: measured {measured:,.1f} (paper 0)"
-    return (f"{name}: measured {measured:,.1f} vs paper {paper:,.1f} "
-            f"(x{measured / paper:.2f})")
-
-
-def within_band(value: float, low: float, high: float) -> bool:
-    """True when ``low <= value <= high`` (shape-band helper)."""
-    return low <= value <= high

@@ -46,6 +46,9 @@ PAPER = {
     },
 }
 
+#: Seconds of serial requests measured after a 0.5 s warmup.
+MEASURE_S = 2.0
+
 
 @dataclass
 class Table1Result:
@@ -86,8 +89,7 @@ class Table1Result:
         ]
 
 
-def run_table1(config: str = "accounting",
-               measure_s: float = 2.0) -> Table1Result:
+def run_table1(config: str = "accounting") -> Table1Result:
     """Serve serial one-byte requests and break down the cycles.
 
     The measurement windows are exactly the paper's: from the SYN being
@@ -106,10 +108,10 @@ def run_table1(config: str = "accounting",
 
     def log_charge(owner, cycles):
         if ledger.recording and owner is not None:
-            charge_log.append((bed.sim.now, ledger.category(owner), cycles))
+            charge_log.append((bed.sim.now, owner.category, cycles))
 
     bed.server.kernel.cpu.charge_listeners.append(log_charge)
-    run = bed.run(warmup_s=0.5, measure_s=measure_s)
+    run = bed.run(warmup_s=0.5, measure_s=MEASURE_S)
 
     tcp = bed.server.tcp
     windows = sorted(w for w in tcp.conn_windows

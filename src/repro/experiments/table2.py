@@ -14,7 +14,7 @@ general idea", not directly comparable).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.experiments.harness import Testbed
 from repro.experiments.report import format_table
@@ -26,6 +26,11 @@ PAPER = {
     "accounting_pd": 111_568,
     "linux": 11_003,
 }
+
+#: Kill reports averaged, and the seconds of one CGI attacker that
+#: produce them (one runaway request per second, after a 0.2 s warmup).
+ATTACKS = 3
+MEASURE_S = 4.0
 
 
 @dataclass
@@ -39,8 +44,7 @@ class Table2Result:
     domains: float = 0.0
 
 
-def run_table2(config: str = "accounting",
-               attacks: int = 3, measure_s: float = 4.0) -> Table2Result:
+def run_table2(config: str = "accounting") -> Table2Result:
     """Launch runaway-CGI requests and average the pathKill reports."""
     if config == "linux":
         # The Linux number is the constant cost of kill+waitpid; the
@@ -50,8 +54,8 @@ def run_table2(config: str = "accounting",
                             kills=0)
     bed = Testbed.by_name(config, policies=[RunawayPolicy(2.0)])
     bed.add_cgi_attackers(1)
-    bed.run(warmup_s=0.2, measure_s=measure_s)
-    reports = bed.server.kernel.kill_reports[:max(1, attacks)]
+    bed.run(warmup_s=0.2, measure_s=MEASURE_S)
+    reports = bed.server.kernel.kill_reports[:ATTACKS]
     if not reports:
         raise RuntimeError("no paths were killed; runaway policy broken?")
     n = len(reports)

@@ -14,8 +14,8 @@ representative (not bullet-proof) policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Optional
 
 from repro.kernel.domain import ProtectionDomain
 from repro.kernel.errors import PermissionError_

@@ -16,7 +16,7 @@ back to the domain.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, TYPE_CHECKING
+from typing import List, Optional, Set, TYPE_CHECKING
 
 from repro.kernel.errors import (
     InvalidOperationError,

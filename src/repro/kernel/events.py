@@ -17,7 +17,7 @@ threads are going away with the owner anyway.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Generator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Generator, List, Tuple, TYPE_CHECKING
 
 from repro.sim.cpu import Block, Cycles, Interrupt
 from repro.kernel.errors import InvalidOperationError
@@ -95,8 +95,6 @@ class Softclock:
         self.ticks = 0
         #: Cancelled events still sitting in the wheel (lazy deletion).
         self._cancelled_pending = 0
-        #: O(n) rebuilds performed to shed cancelled dead weight.
-        self.purges = 0
         #: Timer-skew knob (chaos injection): the next tick is scheduled
         #: ``period * period_scale`` ticks out.  1.0 = nominal clock.
         self.period_scale = 1.0
@@ -141,7 +139,6 @@ class Softclock:
             wheel[:] = [e for e in wheel if not e[2].cancelled]
             heapq.heapify(wheel)
             self._cancelled_pending = 0
-            self.purges += 1
 
     # ------------------------------------------------------------------
     def _schedule_tick(self) -> None:

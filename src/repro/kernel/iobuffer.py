@@ -117,8 +117,6 @@ class IOBufferCache:
         self._cache: Dict[Tuple[int, FrozenSet[ProtectionDomain]],
                           List[IOBuffer]] = {}
         self._cached_pages = 0
-        self.stats_allocs = 0
-        self.stats_cache_hits = 0
 
     # ------------------------------------------------------------------
     # Allocation
@@ -134,7 +132,6 @@ class IOBufferCache:
         nbytes = pages_for(nbytes) * PAGE_SIZE
         self._validate_owner(owner, current_pd)
         read_set = frozenset(read_pds) | {current_pd}
-        self.stats_allocs += 1
 
         key = (nbytes, read_set)
         bucket = self._cache.get(key)
@@ -143,7 +140,6 @@ class IOBufferCache:
             if not bucket:
                 del self._cache[key]
             self._cached_pages -= buf.pages
-            self.stats_cache_hits += 1
             buf.cached = False
             # Re-charge pages from the cache's holder to the new owner.
             self._charge_pages(buf, owner)

@@ -15,7 +15,7 @@ crossing).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Generator, List, Optional
 
 from repro.sim.clock import SERVER_TICKS_PER_CYCLE
 from repro.sim.cpu import CPU, Interrupt, SimThread

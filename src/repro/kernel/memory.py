@@ -10,7 +10,7 @@ can reclaim them by walking the list — the operation Table 2 prices.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Set
 
 from repro.kernel.errors import InvalidOperationError, ResourceLimitError
 from repro.kernel.owner import Owner
@@ -92,10 +92,6 @@ class PageAllocator:
         page.owner = new_owner
         new_owner.page_list.add(page)
         new_owner.usage.pages += 1
-
-    def usage_of(self, owner: Owner) -> int:
-        """Pages currently charged to ``owner`` (validates the counter)."""
-        return len(owner.page_list)
 
     def reclaim_all(self, owner: Owner) -> int:
         """Free every page owned by ``owner``; returns the count freed.

@@ -20,7 +20,7 @@ Mirroring the paper, the structure has three parts:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, TYPE_CHECKING
 
 from repro.kernel.errors import OwnerDestroyedError
@@ -73,6 +73,20 @@ class SchedState:
         self.stride_pass = 0
 
 
+def _category(otype: OwnerType, name: str) -> str:
+    if otype == OwnerType.IDLE:
+        return "idle"
+    if otype == OwnerType.KERNEL:
+        return "kernel"
+    if otype == OwnerType.PROTECTION_DOMAIN:
+        return f"pd:{name}"
+    if name.startswith("passive"):
+        return "passive-path"
+    if name.startswith("conn"):
+        return "active-path"
+    return f"path:{name}"
+
+
 class Owner:
     """A principal that resources are charged to.
 
@@ -88,6 +102,10 @@ class Owner:
         Owner._next_id += 1
         self.type = otype
         self.name = name or f"{otype.value}-{self.oid}"
+        #: Table 1's category, what the experiment harness's cycle ledger
+        #: tallies: ``idle``, ``kernel``, ``pd:<name>``, ``passive-path``,
+        #: ``active-path`` (connection paths) or ``path:<name>``.
+        self.category = _category(otype, self.name)
 
         # -- Accounting ------------------------------------------------
         self.usage = ResourceUsage()

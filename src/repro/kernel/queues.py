@@ -11,7 +11,7 @@ never block in interrupt context.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator, List, Optional, TYPE_CHECKING
+from typing import Deque, Generator, List, TYPE_CHECKING
 
 from repro.sim.cpu import Block
 

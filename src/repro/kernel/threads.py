@@ -15,10 +15,9 @@ Threads waiting (joined) on a thread whose owner is destroyed are woken.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional, TYPE_CHECKING
+from typing import Callable, Generator, List, TYPE_CHECKING
 
 from repro.sim.cpu import Block, Cycles, SimThread, YieldCPU
-from repro.kernel.errors import OwnerDestroyedError
 from repro.kernel.owner import Owner, OwnerType
 from repro.kernel.queues import BoundedQueue
 

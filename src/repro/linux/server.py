@@ -203,8 +203,3 @@ class LinuxServer:
     def seed_arp(self, ip: str, mac: MacAddr) -> None:
         """Static addressing, like the Scout server's seeded ARP."""
         self.arp_map[ip] = mac
-
-    # ------------------------------------------------------------------
-    def kill_process_cost(self) -> int:
-        """Table 2: cycles for kill + waitpid on the Linux baseline."""
-        return self.costs.linux_kill_process

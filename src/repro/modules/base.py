@@ -20,7 +20,7 @@ builder to draw protection boundaries between modules as needed".
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Generator, Iterable, Optional, TYPE_CHECKING
 
 from repro.core.demux import DemuxResult
 from repro.core.path import Path, Stage
@@ -68,11 +68,6 @@ class Module:
 
     def make_stage(self, path: Path) -> Stage:
         return Stage(self, path)
-
-    def neighbor(self, name: str) -> "Module":
-        if self.graph is None:
-            raise InvalidOperationError(f"{self.name} not in a graph")
-        return self.graph.find(name)
 
     # ------------------------------------------------------------------
     # Lifecycle hooks (overridden by concrete modules)

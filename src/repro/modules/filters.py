@@ -37,8 +37,6 @@ class FilterModule(Module):
 
     def __init__(self, kernel, name, pd):
         super().__init__(kernel, name, pd)
-        self.dropped_forward = 0
-        self.dropped_backward = 0
         self.dropped_demux = 0
 
     # -- policy hooks ----------------------------------------------------
@@ -76,7 +74,6 @@ class FilterModule(Module):
     def forward(self, stage: Stage, msg) -> Generator:
         yield Cycles(FILTER_COST + self.acct(1))
         if not self.permit(msg):
-            self.dropped_forward += 1
             return False
         result = yield from stage.send_forward(msg)
         return result
@@ -84,7 +81,6 @@ class FilterModule(Module):
     def backward(self, stage: Stage, msg) -> Generator:
         yield Cycles(FILTER_COST + self.acct(1))
         if not self.permit_backward(msg):
-            self.dropped_backward += 1
             return False
         result = yield from stage.send_backward(msg)
         return result

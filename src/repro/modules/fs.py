@@ -11,7 +11,7 @@ fully charged while it references the data.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Tuple
+from typing import Dict, Generator, Optional
 
 from repro.sim.cpu import Cycles
 from repro.core.path import Stage
@@ -44,11 +44,6 @@ class FsModule(Module):
         self.lookups = 0
         self.cache_hits = 0
         self.disk_reads = 0
-
-    def add_document(self, uri: str, size: int) -> None:
-        if size <= 0:
-            raise ValueError("document size must be positive")
-        self.documents[uri] = size
 
     def open(self, path, attrs, origin):
         stage = self.make_stage(path)

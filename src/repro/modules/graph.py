@@ -14,7 +14,7 @@ modules.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.kernel.errors import InvalidOperationError
 from repro.modules.base import Module

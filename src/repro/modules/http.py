@@ -16,9 +16,9 @@ connection's *active* path and serves it:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional
 
-from repro.sim.clock import millis_to_ticks, seconds_to_ticks
+from repro.sim.clock import millis_to_ticks
 from repro.sim.cpu import Cycles, Sleep
 from repro.core.attributes import Attributes
 from repro.core.path import Stage
@@ -45,10 +45,10 @@ class HTTPRequest:
 
     __slots__ = ("method", "uri", "size")
 
-    def __init__(self, method: str, uri: str, size: int = 0):
+    def __init__(self, method: str, uri: str):
         self.method = method
         self.uri = uri
-        self.size = size or (len(method) + len(uri) + 30)
+        self.size = len(method) + len(uri) + 30
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<HTTPRequest {self.method} {self.uri}>"
@@ -59,12 +59,11 @@ class ListenSpec:
 
     def __init__(self, port: int = 80, subnet: Optional[Subnet] = None,
                  name: str = "", syn_cap: Optional[int] = None,
-                 tickets: int = 1, penalty: bool = False):
+                 penalty: bool = False):
         self.port = port
         self.subnet = subnet or Subnet("0.0.0.0/0")
         self.name = name or f"passive-{self.subnet.cidr}"
         self.syn_cap = syn_cap
-        self.tickets = tickets
         #: Penalty-box passive paths (paper section 4.4.4) catch SYNs from
         #: previously-misbehaving clients instead of matching by subnet.
         self.penalty = penalty
@@ -77,15 +76,15 @@ class HttpModule(Module):
 
     def __init__(self, kernel, name, pd,
                  listen_specs: Optional[List[ListenSpec]] = None,
-                 cgi_scripts: Optional[Dict[str, Callable]] = None,
-                 stream_rate_bps: int = 1_000_000):
+                 cgi_scripts: Optional[Dict[str, Callable]] = None):
         super().__init__(kernel, name, pd)
         self.listen_specs = listen_specs or [ListenSpec()]
         #: name -> factory(stage) returning a thread-body generator.
         self.cgi_scripts = cgi_scripts or {}
-        self.stream_rate_bps = stream_rate_bps
-        #: Proportional-share tickets granted to stream paths (set by the
-        #: QoS policy; 1 = best effort).
+        #: The stream's rate in bytes/s and the proportional-share tickets
+        #: granted to stream paths, both set by the QoS policy (1 ticket =
+        #: best effort).
+        self.stream_rate_bps = 1_000_000
         self.stream_tickets = 1
         self.path_manager = None  # injected by the server assembly
         self.passive_paths: List = []
@@ -99,7 +98,6 @@ class HttpModule(Module):
         #: 2 = also shrink static responses to DEGRADE_BODY_PERCENT.
         self.degrade_level = 0
         self.cgi_shed = 0
-        self.responses_degraded = 0
 
     # ------------------------------------------------------------------
     # Boot: create the passive paths
@@ -113,7 +111,6 @@ class HttpModule(Module):
                 attrs, start_module=self.name, name=spec.name)
             if spec.syn_cap is not None:
                 path.policy_state["syn_cap"] = spec.syn_cap
-            path.sched.tickets = spec.tickets
             self.passive_paths.append(path)
 
     def open(self, path, attrs: Attributes, origin):
@@ -168,7 +165,6 @@ class HttpModule(Module):
             # useful answer, the machine sheds most of the copy/transmit
             # cost.  Tagged "206" so clients can count degraded replies.
             size = max(1, size * DEGRADE_BODY_PERCENT // 100)
-            self.responses_degraded += 1
             self.bytes_served += size
             yield from stage.send_backward(AppSend(
                 RESPONSE_HEADER_BYTES + size, fin=True,

@@ -13,7 +13,7 @@ the reply back down.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.sim.cpu import Cycles
 from repro.core.attributes import Attributes

@@ -10,7 +10,7 @@ also true of the paper's testbed.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.sim.cpu import Cycles, Sleep
 from repro.core.path import Stage

@@ -15,7 +15,7 @@ same stage (the reply is charged to the same path).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Callable, Dict, Generator
 
 from repro.sim.cpu import Cycles
 from repro.core.attributes import Attributes

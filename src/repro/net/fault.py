@@ -30,7 +30,7 @@ per-copy mutations on top.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.net.link import Medium, NIC
 from repro.net.packet import EthFrame

@@ -14,7 +14,6 @@ fraction in Table 1 and the TCP behaviour in Figure 8.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Dict, List, Optional
 
 from repro.sim.clock import TICKS_PER_ETHERNET_BIT, micros_to_ticks
@@ -75,9 +74,8 @@ class Medium:
 class Link(Medium):
     """Full-duplex point-to-point link between exactly two NICs."""
 
-    def __init__(self, sim: Simulator, latency: int = DEFAULT_LATENCY):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.latency = latency
         self.nics: List[NIC] = []
         self._busy_until: Dict[int, int] = {0: 0, 1: 0}
         self.frames = 0
@@ -100,7 +98,7 @@ class Link(Medium):
             start = busy
         done = start + frame.wire_size * 8 * TICKS_PER_ETHERNET_BIT
         self._busy_until[side] = done
-        self.sim.at(done + self.latency, lambda: peer.deliver(frame))
+        self.sim.at(done + DEFAULT_LATENCY, lambda: peer.deliver(frame))
 
 
 class Hub(Medium):

@@ -11,7 +11,7 @@ header fields.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 #: Ethernet header + CRC bytes on the wire.
 ETH_HEADER = 18

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
-from repro.sim.clock import millis_to_ticks, seconds_to_ticks
+from repro.sim.clock import seconds_to_ticks
 from repro.net.packet import (
     FLAG_ACK,
     FLAG_FIN,

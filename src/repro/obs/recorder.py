@@ -162,13 +162,11 @@ class FlightRecorder:
         self._fh, _ = open_for_append(path, what="telemetry sidecar",
                                       fresh=not append)
         self._fh.flush()
-        self.records_written = 0
 
     def record(self, record: Dict) -> None:
         """Frame and write one record; flushed so SIGKILL cannot eat it."""
         self._fh.write(encode_record(record))
         self._fh.flush()
-        self.records_written += 1
 
     def sync(self) -> None:
         """fsync — called at milestones, not per record (see module doc)."""

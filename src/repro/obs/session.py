@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry, metric_key
 from repro.obs.recorder import SIDECAR_NAME, FlightRecorder
-from repro.obs.spans import Span, SpanLog
+from repro.obs.spans import SpanLog
 from repro.snapshot.digest import sha256_hex
 
 __all__ = ["ObsSession", "attach_obs", "run_with_obs"]

@@ -7,9 +7,13 @@ import sys
 from typing import Iterator, Optional
 
 
+#: The profile report: the hottest frames by self time, to stderr.
+SORT = "tottime"
+LIMIT = 25
+
+
 @contextlib.contextmanager
-def maybe_profiled(enabled: bool, sort: str = "tottime", limit: int = 25,
-                   stream=None) -> Iterator[Optional["object"]]:
+def maybe_profiled(enabled: bool) -> Iterator[Optional["object"]]:
     """Profile the enclosed block when ``enabled``; print stats on exit.
 
     Usage::
@@ -28,8 +32,7 @@ def maybe_profiled(enabled: bool, sort: str = "tottime", limit: int = 25,
         yield profiler
     finally:
         profiler.disable()
-        stats = pstats.Stats(profiler, stream=stream or sys.stderr)
-        stats.sort_stats(sort)
-        print(f"--- profile (top {limit} by {sort}) ---",
-              file=stream or sys.stderr)
-        stats.print_stats(limit)
+        stats = pstats.Stats(profiler, stream=sys.stderr)
+        stats.sort_stats(SORT)
+        print(f"--- profile (top {LIMIT} by {SORT}) ---", file=sys.stderr)
+        stats.print_stats(LIMIT)

@@ -63,9 +63,6 @@ class MisbehaverPolicy(Policy):
     def is_offender(self, ip: str) -> bool:
         return ip in self.offenders
 
-    def pardon(self, ip: str) -> None:
-        self.offenders.discard(ip)
-
     def penalty_path(self):
         if self._server is None:
             return None

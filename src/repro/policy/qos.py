@@ -17,16 +17,17 @@ from repro.policy.base import Policy
 class QosPolicy(Policy):
     """Reserve CPU for QoS stream paths via proportional-share tickets."""
 
-    def __init__(self, bandwidth_bps: int = 1_000_000,
-                 cycles_per_byte: float = 40.0,
-                 pd_cycles_per_byte: float = 155.0,
-                 max_competing_owners: int = 80):
+    #: Server cycles the stream costs per byte sent (sending + ACK
+    #: processing), without and with protection domains.
+    CYCLES_PER_BYTE = 40.0
+    PD_CYCLES_PER_BYTE = 155.0
+    #: Single-ticket best-effort owners the reservation must out-weigh.
+    MAX_COMPETING_OWNERS = 80
+
+    def __init__(self, bandwidth_bps: int = 1_000_000):
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
         self.bandwidth_bps = bandwidth_bps
-        self.cycles_per_byte = cycles_per_byte
-        self.pd_cycles_per_byte = pd_cycles_per_byte
-        self.max_competing_owners = max_competing_owners
         self._pd_enabled = False
 
     def required_share(self, pd_enabled: bool = False) -> float:
@@ -35,15 +36,15 @@ class QosPolicy(Policy):
         Protection domains multiply the per-byte cost: every data segment
         pays the TCP->IP->ETH crossings on top of the protocol work.
         """
-        per_byte = self.pd_cycles_per_byte if pd_enabled \
-            else self.cycles_per_byte
+        per_byte = self.PD_CYCLES_PER_BYTE if pd_enabled \
+            else self.CYCLES_PER_BYTE
         return min(0.9, (self.bandwidth_bps * per_byte) / SERVER_CYCLE_HZ)
 
     def tickets(self, pd_enabled: bool = False) -> int:
         """Tickets such that share >= required even against a full house
         of single-ticket best-effort owners."""
         f = self.required_share(pd_enabled)
-        n = self.max_competing_owners
+        n = self.MAX_COMPETING_OWNERS
         return max(1, int(f * n / (1 - f)) + 1)
 
     def apply(self, server) -> None:

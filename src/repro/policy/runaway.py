@@ -19,7 +19,6 @@ class RunawayPolicy(Policy):
         if max_runtime_ms <= 0:
             raise ValueError("runtime limit must be positive")
         self.max_runtime_ms = max_runtime_ms
-        self._server = None
 
     @property
     def limit_cycles(self) -> int:
@@ -30,18 +29,6 @@ class RunawayPolicy(Policy):
         # default runaway handler destroys the offending owner, which is
         # exactly this policy's containment step.
         server.tcp.active_path_runtime_limit = self.limit_cycles
-        self._server = server
-
-    # ------------------------------------------------------------------
-    def kills(self) -> int:
-        if self._server is None:
-            return 0
-        return self._server.kernel.runaway_traps
-
-    def kill_reports(self):
-        if self._server is None:
-            return []
-        return list(self._server.kernel.kill_reports)
 
     def describe(self) -> str:
         return f"RunawayPolicy({self.max_runtime_ms} ms)"

@@ -44,11 +44,6 @@ class SynFloodPolicy(Policy):
         # Nothing post-boot: the listen specs carry the whole policy.
         pass
 
-    # ------------------------------------------------------------------
-    def dropped_syns(self, server) -> int:
-        """How many SYNs the demux-time cap has rejected so far."""
-        return server.tcp.demux_drops.get("syn-cap", 0)
-
     def describe(self) -> str:
         return (f"SynFloodPolicy(trusted={self.trusted_subnet.cidr}, "
                 f"untrusted_cap={self.untrusted_cap})")

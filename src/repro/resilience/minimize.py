@@ -67,18 +67,13 @@ class BudgetExceeded(RuntimeError):
 
 
 class Minimizer:
-    """Shrink one failing case to a 1-minimal reproducer.
-
-    ``oracle`` is injectable for tests (default: the real campaign
-    oracle); it must map a case dict to a verdict dict.
-    """
+    """Shrink one failing case to a 1-minimal reproducer; every candidate
+    is judged by the campaign oracle, :func:`evaluate_case`."""
 
     def __init__(self, case: Dict,
-                 oracle: Callable[[Dict], Dict] = evaluate_case,
                  max_tests: int = DEFAULT_MAX_TESTS,
                  log: Optional[Callable[[str], None]] = None):
         self.case = case
-        self.oracle = oracle
         self.max_tests = max_tests
         self.tests_run = 0
         self.cache_hits = 0
@@ -102,7 +97,7 @@ class Minimizer:
             raise BudgetExceeded(
                 f"minimization exceeded {self.max_tests} oracle runs")
         self.tests_run += 1
-        verdict = self.oracle(case_with_entries(self.case, entries))
+        verdict = evaluate_case(case_with_entries(self.case, entries))
         self._cache[key] = verdict
         return verdict
 

@@ -177,14 +177,6 @@ class ScoutWebServer:
         """Connections in SYN_RCVD across the listeners (defense signal)."""
         return self.tcp.half_open()
 
-    @property
-    def degrade_level(self) -> int:
-        return self.http.degrade_level
-
-    def set_degrade_level(self, level: int) -> None:
-        """Graceful-degradation actuator (defense ladder rung 4)."""
-        self.http.degrade_level = level
-
     def describe(self) -> str:
         cfg = self.kernel.config
         kind = ("Accounting_PD" if cfg.protection_domains

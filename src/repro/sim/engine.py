@@ -285,10 +285,6 @@ class Simulator:
         self._drain(until, False)
         self.finish_until(until)
 
-    def run_for(self, duration: int) -> None:
-        """Run for ``duration`` ticks from the current time."""
-        self.run(until=self.now + duration)
-
     @property
     def events_processed(self) -> int:
         """Total number of events executed so far (for engine diagnostics)."""

@@ -12,8 +12,7 @@ granularity by lockstep replay (:mod:`~repro.snapshot.replay`), and
 """
 
 from repro.snapshot.digest import (canonical_json, light_state,
-                                   machine_digest, machine_summary,
-                                   summary_diff)
+                                   machine_summary, summary_diff)
 from repro.snapshot.driver import RestoreMismatchError, RunDriver
 from repro.snapshot.journal import (JournalError, JournalScan, RunJournal,
                                     scan_journal)
@@ -25,8 +24,7 @@ from repro.snapshot.runs import (ExperimentRun, ReplayableRun, reset_ids,
                                  run_from_spec)
 
 __all__ = [
-    "canonical_json", "light_state", "machine_digest", "machine_summary",
-    "summary_diff",
+    "canonical_json", "light_state", "machine_summary", "summary_diff",
     "RestoreMismatchError", "RunDriver",
     "JournalError", "JournalScan", "RunJournal", "scan_journal",
     "Divergence", "Recording", "ReplayReport", "record", "replay",

@@ -7,7 +7,7 @@ ints/strings covering everything the paper's accounting story cares about —
 the virtual clock, the event heap's shape, per-owner cycle/page/object
 counters, the page pool, the softclock wheel, TCP demux state, workload
 statistics.  Two machine states are considered identical exactly when
-their summaries are identical; the :func:`machine_digest` SHA-256 of the
+their summaries are identical; the :func:`summary_digest` SHA-256 of the
 canonical JSON is what checkpoints pin and what replay compares.
 
 Summaries deliberately exclude anything tied to the host process — object
@@ -21,7 +21,7 @@ pinpointed divergence).
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 # The interpreter's built-in SHA-256, taken the way CPython's own
 # ``random`` takes its SHA-512: the OpenSSL-backed one would map ~3.6 MB
@@ -36,7 +36,6 @@ except ImportError:
 
 __all__ = [
     "machine_summary",
-    "machine_digest",
     "sha256_hex",
     "summary_digest",
     "light_state",
@@ -55,11 +54,6 @@ def _fallback(obj):
     # Last-resort encoder: enums and simple value objects stringify;
     # anything address-dependent must never reach here.
     return str(obj)
-
-
-def machine_digest(bed) -> str:
-    """SHA-256 digest of the canonical machine summary."""
-    return summary_digest(machine_summary(bed))
 
 
 def sha256_hex(data: bytes) -> str:
@@ -308,16 +302,19 @@ def _tcp_summary(server) -> Dict:
 # ----------------------------------------------------------------------
 # Diffing (for divergence reports)
 # ----------------------------------------------------------------------
-def summary_diff(expected, actual, prefix: str = "",
-                 limit: int = 40) -> List[str]:
+#: Differences :func:`summary_diff` lists before it stops.
+DIFF_LIMIT = 40
+
+
+def summary_diff(expected, actual, prefix: str = "") -> List[str]:
     """Human-readable list of leaf paths where two summaries differ."""
     diffs: List[str] = []
-    _diff(expected, actual, prefix, diffs, limit)
+    _diff(expected, actual, prefix, diffs)
     return diffs
 
 
-def _diff(a, b, path: str, out: List[str], limit: int) -> None:
-    if len(out) >= limit:
+def _diff(a, b, path: str, out: List[str]) -> None:
+    if len(out) >= DIFF_LIMIT:
         return
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
@@ -327,16 +324,16 @@ def _diff(a, b, path: str, out: List[str], limit: int) -> None:
             elif key not in b:
                 out.append(f"{sub}: only in expected ({_short(a[key])})")
             else:
-                _diff(a[key], b[key], sub, out, limit)
-            if len(out) >= limit:
+                _diff(a[key], b[key], sub, out)
+            if len(out) >= DIFF_LIMIT:
                 return
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             out.append(f"{path}: length {len(a)} != {len(b)}")
             return
         for i, (x, y) in enumerate(zip(a, b)):
-            _diff(x, y, f"{path}[{i}]", out, limit)
-            if len(out) >= limit:
+            _diff(x, y, f"{path}[{i}]", out)
+            if len(out) >= DIFF_LIMIT:
                 return
     elif a != b:
         out.append(f"{path}: expected {_short(a)} != actual {_short(b)}")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.supervise.supervisor import (Supervisor, SupervisedResult,
                                         supervision_verdict)

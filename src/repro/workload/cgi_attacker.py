@@ -45,17 +45,17 @@ class CgiAttacker(ClientHost):
     """Launches one runaway-CGI request per second."""
 
     REQUEST_BYTES = 120
+    #: "A GET request at a rate of one every second."
+    INTERVAL_TICKS = TICKS_PER_SECOND
 
     def __init__(self, sim: Simulator, ip: str, server_ip: str,
                  script: str = "loop",
-                 rate_per_second: float = 1.0,
                  costs: Optional[CostModel] = None,
                  stats: Optional[WorkloadStats] = None):
         super().__init__(sim, ip, costs=costs, stats=stats,
                          label=f"cgi-attacker-{ip}")
         self.server_ip = server_ip
         self.script = script
-        self.interval = int(TICKS_PER_SECOND / rate_per_second)
         self.attacks_launched = 0
         self._running = False
 
@@ -64,7 +64,8 @@ class CgiAttacker(ClientHost):
             return
         self._running = True
         # Spread attackers across the interval deterministically.
-        self.sim.schedule(self.jittered(self.interval, 0.9), self._attack)
+        self.sim.schedule(self.jittered(self.INTERVAL_TICKS, 0.9),
+                          self._attack)
 
     def stop(self) -> None:
         self._running = False
@@ -80,9 +81,9 @@ class CgiAttacker(ClientHost):
             self.REQUEST_BYTES, app_data=HTTPRequest("GET", uri))
         # The server will kill the path; our side eventually times out.
         # Launch the next attack on schedule regardless.
-        self.sim.schedule(self.interval, self._attack)
+        self.sim.schedule(self.INTERVAL_TICKS, self._attack)
         # Don't let dead engines accumulate timers forever: abort this
         # connection well before the next scheduled attack.
-        self.sim.schedule(self.interval - 1,
+        self.sim.schedule(self.INTERVAL_TICKS - 1,
                           lambda c=conn: c.abort() if not c.engine.closed
                           else None)

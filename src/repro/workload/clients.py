@@ -234,25 +234,22 @@ class HttpClient(ClientHost):
     """The paper's Client load: serial requests for one document."""
 
     REQUEST_BYTES = 110
+    #: The :class:`WorkloadStats` class its completions are counted under.
+    STATS_CLASS = "client"
 
     def __init__(self, sim: Simulator, ip: str, server_ip: str,
                  document: str, costs: Optional[CostModel] = None,
                  stats: Optional[WorkloadStats] = None,
-                 stats_class: str = "client",
                  retry: bool = False):
         super().__init__(sim, ip, costs=costs, stats=stats,
                          label=f"client-{ip}")
         self.server_ip = server_ip
         self.document = document
-        self.stats_class = stats_class
         self.retry = retry
-        self.requests_started = 0
         self.requests_completed = 0
         self.requests_failed = 0
-        self.requests_refused = 0
-        self.requests_degraded = 0
         #: Failed attempts redone by the retry stack (never counted as
-        #: started requests or completions in their own right).
+        #: requests or completions in their own right).
         self.requests_retried = 0
         #: Retries the budget refused (storm prevention engaging).
         self.retries_denied = 0
@@ -281,7 +278,6 @@ class HttpClient(ClientHost):
     def _begin_request(self) -> None:
         if not self._running:
             return
-        self.requests_started += 1
         if self.retry:
             self._budget_mils = min(RETRY_BUDGET_CAP_MILS,
                                     self._budget_mils
@@ -331,12 +327,11 @@ class HttpClient(ClientHost):
             else:
                 self.requests_completed += 1
                 self.response_sizes.append(got["bytes"])
-                self.stats.complete(self.stats_class, self.sim.now)
+                self.stats.complete(self.STATS_CLASS, self.sim.now)
                 if got["tag"] in ("206", "503"):
                     # Served, but under graceful degradation (shrunk body
                     # or shed CGI).
-                    self.requests_degraded += 1
-                    self.stats.outcome(self.stats_class, "degraded",
+                    self.stats.outcome(self.STATS_CLASS, "degraded",
                                        self.sim.now)
             if self._running:
                 self.sim.schedule(
@@ -357,7 +352,7 @@ class HttpClient(ClientHost):
                 # The attempt is recorded as `retried`, never as a fresh
                 # start or a completion — the logical request stays open.
                 self.requests_retried += 1
-                self.stats.outcome(self.stats_class, "retried",
+                self.stats.outcome(self.STATS_CLASS, "retried",
                                    self.sim.now)
                 self.sim.schedule(
                     retry_backoff_ticks(attempt + 1, self.rng),
@@ -368,12 +363,11 @@ class HttpClient(ClientHost):
         # from a silent abort after the retry budget — the latter is the
         # signature of a defense dropping a legitimate client.
         self.requests_failed += 1
-        self.stats.fail(self.stats_class)
+        self.stats.fail(self.STATS_CLASS)
         if conn.refused:
-            self.requests_refused += 1
-            self.stats.outcome(self.stats_class, "refused", self.sim.now)
+            self.stats.outcome(self.STATS_CLASS, "refused", self.sim.now)
         else:
-            self.stats.outcome(self.stats_class, "aborted", self.sim.now)
+            self.stats.outcome(self.STATS_CLASS, "aborted", self.sim.now)
         return False
 
     def _retry_attempt(self, attempt: int) -> None:

@@ -20,22 +20,20 @@ class QosReceiver(ClientHost):
     """Receiver of the guaranteed 1 MBps stream."""
 
     REQUEST_BYTES = 90
+    #: The :class:`WorkloadStats` class its bytes are counted under.
+    STATS_CLASS = "qos"
 
     def __init__(self, sim: Simulator, ip: str, server_ip: str,
                  costs: Optional[CostModel] = None,
-                 stats: Optional[WorkloadStats] = None,
-                 stats_class: str = "qos"):
+                 stats: Optional[WorkloadStats] = None):
         super().__init__(sim, ip, costs=costs, stats=stats,
                          label=f"qos-{ip}")
         self.server_ip = server_ip
-        self.stats_class = stats_class
         self.bytes_received = 0
-        self.started_at: Optional[int] = None
         self.conn = None
 
     def start(self) -> None:
         from repro.modules.http import HTTPRequest
-        self.started_at = self.sim.now
         conn = self.connect(self.server_ip, 80,
                             delayed_ack_ticks=self.costs.client_delayed_ack_ticks)
         self.conn = conn
@@ -44,7 +42,7 @@ class QosReceiver(ClientHost):
 
         def deliver(nbytes: int, _data) -> None:
             self.bytes_received += nbytes
-            self.stats.add_bytes(self.stats_class, self.sim.now, nbytes)
+            self.stats.add_bytes(self.STATS_CLASS, self.sim.now, nbytes)
 
         conn.on_deliver = deliver
 
@@ -54,9 +52,9 @@ class QosReceiver(ClientHost):
 
     # ------------------------------------------------------------------
     def achieved_bandwidth(self, start_tick: int, end_tick: int) -> float:
-        return self.stats.bandwidth_bps(self.stats_class, start_tick,
+        return self.stats.bandwidth_bps(self.STATS_CLASS, start_tick,
                                         end_tick)
 
     def ten_second_averages(self, start_tick: int, end_tick: int):
         return self.stats.windowed_bandwidth(
-            self.stats_class, start_tick, end_tick, seconds_to_ticks(10))
+            self.STATS_CLASS, start_tick, end_tick, seconds_to_ticks(10))

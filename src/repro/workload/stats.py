@@ -8,7 +8,7 @@ is timestamped, and rates are computed over an arbitrary window.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.sim.clock import TICKS_PER_SECOND
 
@@ -96,11 +96,6 @@ class WorkloadStats:
 
     def outcome_total(self, cls: str, kind: str) -> int:
         return len(self._outcomes.get((cls, kind), []))
-
-    def outcome_summary(self, cls: str) -> Dict[str, int]:
-        """Total count per outcome kind for one class (stable keys)."""
-        return {kind: self.outcome_total(cls, kind)
-                for kind in self.OUTCOMES}
 
     def total(self, cls: str) -> int:
         return len(self._completions.get(cls, []))

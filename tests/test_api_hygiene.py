@@ -2,14 +2,16 @@
 
 Deliverable-level checks: every module, public class, and public function
 in ``repro`` carries a docstring, the package imports cleanly with no
-circular-import landmines, and no constructor or public function accepts
-a parameter it never reads.
+circular-import landmines, no constructor or public function accepts
+a parameter it never reads, no class keeps an attribute nothing reads and
+no module imports a name it never uses.
 """
 
 import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -148,3 +150,119 @@ def test_every_parameter_is_read():
                     unread += _unread_parameters(
                         item, f"{name}.{cls.name}.__init__")
     assert sorted(set(unread) - UNREAD_PARAMETER_EXEMPT) == []
+
+
+#: Attributes a class keeps although no code reads them.
+WRITE_ONLY_EXEMPT = {
+    # ARP's wire format (RFC 826) carries the target hardware address;
+    # the packet class mirrors every field of it.
+    "repro.net.packet.ArpPacket.target_mac",
+}
+
+#: The repository's code: an attribute loaded anywhere here is read.
+REPO_ROOT = Path(repro.__file__).resolve().parents[2]
+CODE_DIRS = ("src", "tests", "examples", "benchmarks", "perfbench")
+
+
+def _self_attributes(cls: ast.ClassDef):
+    """Names ``cls``'s methods assign on ``self``."""
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Attribute) \
+                        and isinstance(sub.value, ast.Name) \
+                        and sub.value.id == "self":
+                    yield sub.attr
+
+
+def _loaded_attributes():
+    """Every attribute name the repository's code loads, directly or as
+    a ``getattr``/``hasattr`` string."""
+    loaded = set()
+    for top in CODE_DIRS:
+        for path in (REPO_ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+                elif isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Name) \
+                        and node.func.id in ("getattr", "hasattr") \
+                        and len(node.args) >= 2 \
+                        and isinstance(node.args[1], ast.Constant):
+                    loaded.add(node.args[1].value)
+    return loaded
+
+
+def test_no_write_only_attributes():
+    """A counter that is assigned and never read costs every run its
+    updates and shows nothing: every attribute a class in ``repro``
+    assigns on ``self`` is loaded somewhere in the repository's code
+    (``+=`` is a store, not a read)."""
+    loaded = _loaded_attributes()
+    write_only = set()
+    for name in ALL_MODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                write_only |= {f"{name}.{cls.name}.{attr}"
+                               for attr in _self_attributes(cls)
+                               if attr not in loaded}
+    assert sorted(write_only - WRITE_ONLY_EXEMPT) == []
+
+
+def _names_in_string_annotations(tree):
+    """Names used inside quoted annotations (``-> "Kernel"``)."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations += [a.annotation for a in (
+                args.posonlyargs + args.args + args.kwonlyargs
+                + [args.vararg, args.kwarg]) if a is not None]
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for annotation in filter(None, annotations):
+        for const in ast.walk(annotation):
+            if isinstance(const, ast.Constant) \
+                    and isinstance(const.value, str):
+                names |= {n.id for n in ast.walk(
+                    ast.parse(const.value, mode="eval"))
+                    if isinstance(n, ast.Name)}
+    return names
+
+
+def test_no_unused_imports():
+    """Every name a module in ``repro`` imports is used in it.  A name
+    listed in ``__all__`` or used in a quoted annotation counts as used;
+    a package's ``__init__`` re-exports, so it is not checked."""
+    unused = []
+    for name in ALL_MODULES:
+        module = importlib.import_module(name)
+        if Path(module.__file__).name == "__init__.py":
+            continue
+        tree = ast.parse(inspect.getsource(module))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname
+                             or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= set(getattr(module, "__all__", ()))
+        used |= _names_in_string_annotations(tree)
+        unused += [f"{name}:{line} {imp}" for imp, line in imported.items()
+                   if imp not in used]
+    assert sorted(unused) == []

@@ -31,15 +31,6 @@ def test_immutable():
         attrs.new_field = 3
 
 
-def test_with_values_builds_copy():
-    base = Attributes(a=1, b=2)
-    derived = base.with_values(b=3, c=4)
-    assert base["b"] == 2
-    assert derived["b"] == 3
-    assert derived["c"] == 4
-    assert derived["a"] == 1
-
-
 def test_mapping_constructor_and_kwargs_merge():
     attrs = Attributes({"a": 1, "b": 2}, b=3)
     assert attrs["b"] == 3  # kwargs win

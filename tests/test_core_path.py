@@ -23,8 +23,9 @@ def test_stage_of_unknown_module_raises(sim):
     path = create_path(sim, server)
     with pytest.raises(KeyError):
         path.stage_of("nfs")
-    assert path.has_module("tcp")
-    assert not path.has_module("nfs")
+    modules = [s.module.name for s in path.stages]
+    assert "tcp" in modules
+    assert "nfs" not in modules
 
 
 def test_domains_crossed_single_vs_pd(sim):
@@ -112,7 +113,7 @@ def test_enqueue_overflow_reports_false(sim):
     server = make_server(sim)
     path = create_path(sim, server)
     stage = path.stages[0]
-    queue = path.input_queue()
+    queue = path.queues[Q_NET_IN]
     # Kill the pool threads so nothing drains the queue.
     for t in list(path.pool.threads):
         t.kill()

@@ -19,12 +19,6 @@ def test_module_default_handle_call_rejects(kernel):
         next(gen)
 
 
-def test_module_neighbor_requires_graph(kernel):
-    m = Module(kernel, "orphan", kernel.privileged_domain)
-    with pytest.raises(InvalidOperationError):
-        m.neighbor("anything")
-
-
 def test_module_default_demux_rejects(kernel):
     m = Module(kernel, "plain", kernel.privileged_domain)
     result = m.demux(object())

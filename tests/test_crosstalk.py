@@ -20,9 +20,8 @@ def test_two_streams_hold_their_rates_independently():
     bed.add_clients(32, document="/doc-1")
 
     first = bed.add_qos_receiver()
-    second = QosReceiver(bed.sim, "10.0.0.91", SERVER_IP,
-                         costs=bed.costs, stats=bed.stats,
-                         stats_class="qos2")
+    # Its own stats object keeps its bytes apart from the first's.
+    second = QosReceiver(bed.sim, "10.0.0.91", SERVER_IP, costs=bed.costs)
     bed._wire(second, bed.hub)
 
     bed.server.boot()
@@ -32,8 +31,7 @@ def test_two_streams_hold_their_rates_independently():
     result = bed.run(warmup_s=2.0, measure_s=3.0)
 
     bw1 = result.qos_bandwidth_bps
-    bw2 = bed.stats.bandwidth_bps("qos2", result.window_start,
-                                  result.window_end)
+    bw2 = second.achieved_bandwidth(result.window_start, result.window_end)
     assert bw1 == pytest.approx(1_000_000, rel=0.02)
     assert bw2 == pytest.approx(1_000_000, rel=0.02)
     # Best effort still runs in what's left.
@@ -48,16 +46,14 @@ def test_streams_do_not_steal_from_each_other_under_attack():
     bed.add_clients(16, document="/doc-1")
     bed.add_cgi_attackers(5)
     first = bed.add_qos_receiver()
-    second = QosReceiver(bed.sim, "10.0.0.92", SERVER_IP,
-                         costs=bed.costs, stats=bed.stats,
-                         stats_class="qos2")
+    # Its own stats object keeps its bytes apart from the first's.
+    second = QosReceiver(bed.sim, "10.0.0.92", SERVER_IP, costs=bed.costs)
     bed._wire(second, bed.hub)
     bed.sim.schedule(1, second.start)
     result = bed.run(warmup_s=2.0, measure_s=3.0)
 
     bw1 = result.qos_bandwidth_bps
-    bw2 = bed.stats.bandwidth_bps("qos2", result.window_start,
-                                  result.window_end)
+    bw2 = second.achieved_bandwidth(result.window_start, result.window_end)
     assert bw1 == pytest.approx(1_000_000, rel=0.02)
     assert bw2 == pytest.approx(1_000_000, rel=0.02)
     assert result.runaway_kills > 0  # the attack really happened

@@ -104,7 +104,8 @@ def test_ladder_deescalates_when_attack_ends():
 def test_degraded_outcomes_reach_client_stats():
     run, result = _run("runaway-cgi", adaptive=True, measure_s=1.5)
     stats = run.bed.stats
-    summary = stats.outcome_summary("client")
+    summary = {kind: stats.outcome_total("client", kind)
+               for kind in stats.OUTCOMES}
     assert set(summary) == {"aborted", "refused", "degraded", "retried"}
     # These clients carry no retry policy, so that bin stays empty.
     assert summary["retried"] == 0

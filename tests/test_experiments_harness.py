@@ -59,31 +59,27 @@ def test_ledger_conserves_cycles():
 
 def test_ledger_category_names():
     from repro.kernel.owner import Owner, OwnerType
-    ledger = CycleLedger()
-    assert ledger.category(Owner(OwnerType.IDLE, "idle")) == "idle"
-    assert ledger.category(Owner(OwnerType.KERNEL, "kernel")) == "kernel"
+    assert Owner(OwnerType.IDLE, "idle").category == "idle"
+    assert Owner(OwnerType.KERNEL, "kernel").category == "kernel"
     path = Owner(OwnerType.PATH, "conn-9")
-    assert ledger.category(path) == "active-path"
+    assert path.category == "active-path"
     passive = Owner(OwnerType.PATH, "passive-trusted")
-    assert ledger.category(passive) == "passive-path"
+    assert passive.category == "passive-path"
     pd = Owner(OwnerType.PROTECTION_DOMAIN, "pd-tcp")
-    assert ledger.category(pd) == "pd:pd-tcp"
+    assert pd.category == "pd:pd-tcp"
 
 
 def test_ledger_only_records_between_start_stop():
+    from repro.kernel.owner import Owner, OwnerType
     ledger = CycleLedger()
-
-    class FakeOwner:
-        name = "x"
-
-    owner = FakeOwner()
+    owner = Owner(OwnerType.PATH, "x")
     ledger._on_charge(owner, 100)      # not recording yet
-    assert ledger.total() == 0
+    assert ledger.by_category() == {}
     ledger.start()
     ledger._on_charge(owner, 50)
     ledger.stop()
     ledger._on_charge(owner, 25)
-    assert ledger.total() == 50
+    assert ledger.by_category() == {"path:x": 50}
 
 
 def test_multiple_runs_accumulate_windows():
@@ -95,7 +91,7 @@ def test_multiple_runs_accumulate_windows():
 
 
 # ----------------------------------------------------------------------
-# Fold-on-destroy: the ledger keeps no destroyed owner alive
+# The ledger tallies categories and keeps no owner alive
 # ----------------------------------------------------------------------
 def _destroy(owner):
     """What ``Kernel.kill_owner`` does to an owner's bookkeeping."""
@@ -113,26 +109,8 @@ def test_ledger_keeps_a_destroyed_owners_cycles():
     ledger._on_charge(conn, 20)
     _destroy(conn)
     ledger._on_charge(idle, 5)
-    assert conn not in ledger.by_owner
     assert ledger.by_category() == {"idle": 10, "active-path": 120}
-    assert ledger.total() == 130
-
-
-def test_ledger_releases_a_destroyed_owner():
-    import gc
-    import weakref
-
-    from repro.kernel.owner import Owner, OwnerType
-    ledger = CycleLedger()
-    ledger.start()
-    conn = Owner(OwnerType.PATH, "conn-1")
-    ledger._on_charge(conn, 100)
-    _destroy(conn)
-    ref = weakref.ref(conn)
-    del conn
-    gc.collect()
-    assert ref() is None
-    assert ledger.by_category() == {"active-path": 100}
+    assert sum(ledger.by_category().values()) == 130
 
 
 def test_ledger_counts_a_charge_after_destruction():
@@ -147,9 +125,8 @@ def test_ledger_counts_a_charge_after_destruction():
     _destroy(late)
     ledger._on_charge(early, 7)
     ledger._on_charge(late, 3)
-    assert not ledger.by_owner
     assert ledger.by_category() == {"active-path": 107, "passive-path": 3}
-    assert ledger.total() == 110
+    assert sum(ledger.by_category().values()) == 110
 
 
 def test_ledger_second_window_counts_only_itself():
@@ -166,17 +143,15 @@ def test_ledger_second_window_counts_only_itself():
     ledger.start()
     ledger._on_charge(both, 30)
     ledger._on_charge(kernel, 1)
-    # ``both`` carries a callback from each window; the first to run
-    # folds its second-window tally, the other finds nothing.
     _destroy(both)
     ledger.stop()
     assert ledger.by_category() == {"active-path": 30, "kernel": 1}
-    assert ledger.total() == 31
+    assert list(ledger.by_category()) == ["active-path", "kernel"]
 
 
 def test_ledger_category_order_is_first_charge_order():
-    """``cycles_by_category`` keeps the key order the ledger had when it
-    held every owner it charged."""
+    """``cycles_by_category`` lists categories in the order they were
+    first charged in the window, a destroyed owner's included."""
     from repro.kernel.owner import Owner, OwnerType
     ledger = CycleLedger()
     ledger.start()
@@ -186,4 +161,26 @@ def test_ledger_category_order_is_first_charge_order():
     for owner in (conn, pd, idle):
         ledger._on_charge(owner, 1)
     _destroy(conn)
+    ledger._on_charge(idle, 1)
     assert list(ledger.by_category()) == ["active-path", "pd:pd-tcp", "idle"]
+
+
+def test_ledger_references_no_owner():
+    """An owner the ledger charged, alive or destroyed, is freed as soon
+    as nothing else holds it."""
+    import gc
+    import weakref
+
+    from repro.kernel.owner import Owner, OwnerType
+    ledger = CycleLedger()
+    ledger.start()
+    live, dead = (Owner(OwnerType.PATH, "conn-1"),
+                  Owner(OwnerType.PATH, "conn-2"))
+    ledger._on_charge(live, 100)
+    ledger._on_charge(dead, 20)
+    _destroy(dead)
+    refs = [weakref.ref(live), weakref.ref(dead)]
+    del live, dead
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert ledger.by_category() == {"active-path": 120}

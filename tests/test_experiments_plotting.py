@@ -6,7 +6,7 @@ from repro.experiments.plotting import AsciiChart, figure8_chart
 
 
 def test_basic_render_contains_markers_and_legend():
-    chart = AsciiChart(width=40, height=10, title="T")
+    chart = AsciiChart(title="T")
     chart.add_series("a", [0, 1, 2], [0, 5, 10])
     chart.add_series("b", [0, 1, 2], [10, 5, 0])
     text = chart.render()
@@ -17,7 +17,7 @@ def test_basic_render_contains_markers_and_legend():
 
 
 def test_y_axis_labels_show_extremes():
-    chart = AsciiChart(width=40, height=10)
+    chart = AsciiChart()
     chart.add_series("s", [0, 10], [0, 800])
     text = chart.render()
     assert "800" in text
@@ -26,20 +26,18 @@ def test_y_axis_labels_show_extremes():
 
 
 def test_flat_series_renders():
-    chart = AsciiChart(width=30, height=6)
+    chart = AsciiChart()
     chart.add_series("flat", [1, 2, 3], [5, 5, 5])
     assert "*" in chart.render()
 
 
 def test_single_point_series():
-    chart = AsciiChart(width=30, height=6)
+    chart = AsciiChart()
     chart.add_series("dot", [1], [1])
     assert "*" in chart.render()
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        AsciiChart(width=5, height=5)
     chart = AsciiChart()
     with pytest.raises(ValueError):
         chart.render()

@@ -5,13 +5,16 @@ runner plumbing: result structures, formatting, and the directional claims
 that survive even short windows.
 """
 
+from unittest import mock
+
 import pytest
 
+from repro.experiments import table1, table2
 from repro.experiments.figure8 import run_figure8
 from repro.experiments.figure9 import run_figure9
 from repro.experiments.figure10 import run_figure10
 from repro.experiments.figure11 import run_figure11
-from repro.experiments.report import format_table, ratio_note, within_band
+from repro.experiments.report import format_table
 from repro.experiments.table1 import format_table1, run_table1
 from repro.experiments.table2 import PAPER, format_table2, run_table2
 
@@ -19,12 +22,6 @@ from repro.experiments.table2 import PAPER, format_table2, run_table2
 def test_report_format_table():
     text = format_table("T", ["a", "b"], [[1, 2.5], ["x", "y"]], note="n")
     assert "T" in text and "2.5" in text and "n" in text
-
-
-def test_report_helpers():
-    assert "x2.00" in ratio_note("r", 20, 10)
-    assert within_band(5, 1, 10)
-    assert not within_band(11, 1, 10)
 
 
 def test_figure8_runner_smoke():
@@ -60,7 +57,8 @@ def test_figure11_runner_smoke():
 
 
 def test_table1_runner_accounts_everything():
-    result = run_table1("accounting", measure_s=1.0)
+    with mock.patch.object(table1, "MEASURE_S", 1.0):
+        result = run_table1("accounting")
     assert result.requests > 10
     assert 0.90 <= result.accounted_fraction <= 1.10
     assert result.active > result.passive
@@ -69,8 +67,9 @@ def test_table1_runner_accounts_everything():
 
 
 def test_table2_runner_matches_paper_order():
-    acct = run_table2("accounting", measure_s=2.0)
-    pd = run_table2("accounting_pd", measure_s=2.0)
+    with mock.patch.object(table2, "MEASURE_S", 2.0):
+        acct = run_table2("accounting")
+        pd = run_table2("accounting_pd")
     linux = run_table2("linux")
     assert linux.kill_cycles < acct.kill_cycles < pd.kill_cycles
     assert pd.kill_cycles / acct.kill_cycles == pytest.approx(

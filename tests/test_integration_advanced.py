@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.clock import seconds_to_ticks
+from repro.core.path import Q_NET_IN
 from repro.experiments.harness import Testbed
 from repro.net.packet import (
     ETHERTYPE_IP,
@@ -76,7 +77,7 @@ def test_eth_queue_overflow_counted():
     # Stall the passive path's worker so its queue fills.
     for t in list(passive.pool.threads):
         t.kill()
-    capacity = passive.input_queue().capacity
+    capacity = passive.queues[Q_NET_IN].capacity
     for i in range(capacity + 10):
         seg = TCPSegment(6000 + i, 80, 0, 0, FLAG_SYN)
         frame = EthFrame(None, server.nic.mac, ETHERTYPE_IP,

@@ -53,11 +53,6 @@ def test_linux_pays_full_cost_for_every_syn(sim):
     assert server.busy_cycles >= server.syns_seen * server.costs.linux_syn_cost
 
 
-def test_linux_kill_cost_is_the_table2_constant(sim):
-    bed = Testbed.linux()
-    assert bed.server.kill_process_cost() == bed.costs.linux_kill_process
-
-
 def test_linux_work_serializes(sim):
     """The single CPU processes work items FIFO, one at a time."""
     bed = Testbed.linux()

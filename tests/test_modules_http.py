@@ -14,8 +14,6 @@ def test_http_request_repr_and_size():
     assert req.method == "GET"
     assert req.size > len("/index.html")
     assert "GET" in repr(req)
-    sized = HTTPRequest("GET", "/x", size=500)
-    assert sized.size == 500
 
 
 def test_listen_spec_defaults():
@@ -31,7 +29,7 @@ def test_listen_spec_defaults():
 def test_custom_listen_specs_create_matching_paths():
     specs = [ListenSpec(subnet=Subnet("10.1.0.0/16"), name="p-a"),
              ListenSpec(subnet=Subnet("0.0.0.0/0"), name="p-b",
-                        syn_cap=9, tickets=3)]
+                        syn_cap=9)]
     bed = Testbed.escort()
     bed.server.http.listen_specs = specs
     bed.server.boot()
@@ -39,7 +37,6 @@ def test_custom_listen_specs_create_matching_paths():
     paths = bed.server.http.passive_paths
     assert [p.name for p in paths] == ["p-a", "p-b"]
     assert paths[1].policy_state["syn_cap"] == 9
-    assert paths[1].sched.tickets == 3
 
 
 def test_stream_request_starts_pacer():
@@ -79,7 +76,8 @@ def test_cgi_registry_dispatch():
 def _answered_open_stage(server):
     """The HTTP stage of a live connection that has sent its response."""
     for path in server.tcp.conn_table.values():
-        if not path.destroyed and path.has_module("http"):
+        if not path.destroyed and any(
+                s.module.name == "http" for s in path.stages):
             stage = path.stage_of("http")
             if stage.state.get("responded"):
                 return stage

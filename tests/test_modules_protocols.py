@@ -152,14 +152,6 @@ def test_disk_read_takes_simulated_time(sim):
     assert server.scsi.reads == 1
 
 
-def test_fs_add_document_validation(sim):
-    server = make_server(sim)
-    with pytest.raises(ValueError):
-        server.fs.add_document("/bad", 0)
-    server.fs.add_document("/good", 10)
-    assert server.fs.documents["/good"] == 10
-
-
 def test_scsi_read_validation():
     from repro.modules.scsi import ScsiRead
     with pytest.raises(ValueError):

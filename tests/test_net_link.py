@@ -3,7 +3,8 @@
 import pytest
 
 from repro.net.addressing import BROADCAST
-from repro.net.link import Hub, Link, NIC, Switch, serialization_ticks
+from repro.net.link import (DEFAULT_LATENCY, Hub, Link, NIC, Switch,
+                            serialization_ticks)
 from repro.net.packet import ETH_HEADER, EthFrame, ETHERTYPE_IP
 
 
@@ -32,7 +33,7 @@ def test_minimum_frame_size(sim):
 
 def test_link_delivers_to_peer(sim):
     a, b = NIC(sim, "a"), NIC(sim, "b")
-    link = Link(sim, latency=100)
+    link = Link(sim)
     link.attach(a)
     link.attach(b)
     got = []
@@ -41,14 +42,14 @@ def test_link_delivers_to_peer(sim):
     a.send(frame)
     sim.run()
     assert got == [frame]
-    assert sim.now == serialization_ticks(frame) + 100
+    assert sim.now == serialization_ticks(frame) + DEFAULT_LATENCY
     assert a.tx_frames == 1
     assert b.rx_frames == 1
 
 
 def test_link_serializes_back_to_back_frames(sim):
     a, b = NIC(sim, "a"), NIC(sim, "b")
-    link = Link(sim, latency=0)
+    link = Link(sim)
     link.attach(a)
     link.attach(b)
     arrivals = []

@@ -1,5 +1,7 @@
 """Unit tests for the three DoS policies."""
 
+from unittest import mock
+
 import pytest
 
 from repro.sim.clock import SERVER_CYCLE_HZ, seconds_to_ticks
@@ -55,7 +57,7 @@ def test_synflood_cap_enforced_end_to_end():
     bed.run(warmup_s=1.0, measure_s=1.0)
     _, untrusted = bed.server.http.passive_paths
     assert untrusted.policy_state["syn_recvd"] <= 4
-    assert policy.dropped_syns(bed.server) > 100
+    assert bed.server.tcp.demux_drops.get("syn-cap", 0) > 100
 
 
 # ----------------------------------------------------------------------
@@ -85,8 +87,8 @@ def test_runaway_kills_and_reports():
     bed = Testbed.escort(policies=[policy])
     bed.add_cgi_attackers(1)
     bed.run(warmup_s=0.2, measure_s=2.5)
-    assert policy.kills() >= 1
-    reports = policy.kill_reports()
+    assert bed.server.kernel.runaway_traps >= 1
+    reports = bed.server.kernel.kill_reports
     assert reports
     assert all(r.cycles > 0 for r in reports)
 
@@ -97,18 +99,19 @@ def test_runaway_does_not_kill_legitimate_work():
     bed.add_clients(4, document="/doc-10k")
     result = bed.run(warmup_s=0.3, measure_s=1.0)
     assert result.client_completions > 0
-    assert policy.kills() == 0
+    assert bed.server.kernel.runaway_traps == 0
 
 
 # ----------------------------------------------------------------------
 # QosPolicy
 # ----------------------------------------------------------------------
 def test_qos_share_and_tickets_math():
-    policy = QosPolicy(bandwidth_bps=1_000_000, cycles_per_byte=30.0,
-                       max_competing_owners=70)
-    share = policy.required_share(False)
+    policy = QosPolicy(bandwidth_bps=1_000_000)
+    with mock.patch.object(QosPolicy, "CYCLES_PER_BYTE", 30.0), \
+            mock.patch.object(QosPolicy, "MAX_COMPETING_OWNERS", 70):
+        share = policy.required_share(False)
+        tickets = policy.tickets(False)
     assert share == pytest.approx(30e6 / SERVER_CYCLE_HZ)
-    tickets = policy.tickets(False)
     assert tickets / (tickets + 70) >= share
 
 
@@ -164,15 +167,6 @@ def test_misbehaver_recorded_after_runaway_kill():
     assert listener.select(attackers[0].ip) is listener.penalty_path
     # Innocent clients are unaffected.
     assert listener.select("10.1.0.250") is not listener.penalty_path
-
-
-def test_misbehaver_pardon():
-    from repro.policy import MisbehaverPolicy
-    policy = MisbehaverPolicy()
-    policy.record_offender("10.1.2.3")
-    assert policy.is_offender("10.1.2.3")
-    policy.pardon("10.1.2.3")
-    assert not policy.is_offender("10.1.2.3")
 
 
 def test_misbehaver_validation():

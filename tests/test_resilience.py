@@ -24,6 +24,7 @@ from repro.resilience.campaign import campaign_cases, explore
 from repro.resilience.corpus import (CORPUS_FORMAT, CorpusFormatError,
                                      ReplayOutcome, load_entries,
                                      replay_entry, save_entry)
+from repro.resilience import minimize
 from repro.resilience.minimize import Minimizer
 from repro.resilience.space import (TARGETS, FaultSpace, case_to_spec,
                                     case_with_entries, sample_case)
@@ -162,6 +163,12 @@ def _stub_oracle(predicate):
     return oracle
 
 
+def _minimize(case, oracle, **kwargs):
+    """Run the minimizer with ``oracle`` in place of the campaign's."""
+    with mock.patch.object(minimize, "evaluate_case", oracle):
+        return Minimizer(case, **kwargs).run()
+
+
 def test_minimizer_finds_minimal_pair_in_noise():
     # Known-bad: the failure needs A and B together; C/D/E are noise.
     case = {"target": "chaos", "seed": 1, "params": {},
@@ -169,7 +176,7 @@ def test_minimizer_finds_minimal_pair_in_noise():
     oracle = _stub_oracle(
         lambda es: ["boom"] if {"A", "B"} <= {e["kind"] for e in es}
         else [])
-    result = Minimizer(case, oracle=oracle).run()
+    result = _minimize(case, oracle)
     assert [e["kind"] for e in result.case["entries"]] == ["A", "B"]
     assert result.one_minimal
     assert result.minimized_entries == 2
@@ -189,7 +196,7 @@ def test_minimizer_preserves_failure_fingerprint():
         return []
     case = {"target": "chaos", "seed": 1, "params": {},
             "entries": _entries("A", "C", "B")}
-    result = Minimizer(case, oracle=_stub_oracle(predicate)).run()
+    result = _minimize(case, _stub_oracle(predicate))
     assert sorted(e["kind"] for e in result.case["entries"]) == ["A", "B"]
     assert result.fingerprint == ["x", "y"]
     assert result.one_minimal
@@ -204,7 +211,7 @@ def test_minimizer_shrinks_numeric_parameters():
                                    for e in es) else [])
     case = {"target": "chaos", "seed": 1, "params": {},
             "entries": _entries("A", "B")}
-    result = Minimizer(case, oracle=oracle).run()
+    result = _minimize(case, oracle)
     entry = result.case["entries"][0]
     assert entry["kind"] == "A"
     assert 0.2 <= entry["magnitude"] < 0.8
@@ -222,7 +229,7 @@ def test_minimizer_memoizes_repeat_verdicts():
                 "events": 0, "detail": ""}
     case = {"target": "chaos", "seed": 1, "params": {},
             "entries": _entries("A", "B", "C")}
-    result = Minimizer(case, oracle=oracle).run()
+    result = _minimize(case, oracle)
     assert result.tests_run == len(calls)
     assert result.cache_hits > 0
     assert result.tests_run + result.cache_hits > len(calls)
@@ -232,7 +239,7 @@ def test_minimizer_rejects_passing_case():
     case = {"target": "chaos", "seed": 1, "params": {},
             "entries": _entries("A")}
     with pytest.raises(ValueError, match="nothing to minimize"):
-        Minimizer(case, oracle=_stub_oracle(lambda es: [])).run()
+        _minimize(case, _stub_oracle(lambda es: []))
 
 
 def test_minimizer_budget_yields_uncertified_result():
@@ -240,7 +247,7 @@ def test_minimizer_budget_yields_uncertified_result():
             "entries": _entries("A", "B", "C", "D", "E", "F")}
     oracle = _stub_oracle(
         lambda es: ["boom"] if any(e["kind"] == "A" for e in es) else [])
-    result = Minimizer(case, oracle=oracle, max_tests=3).run()
+    result = _minimize(case, oracle, max_tests=3)
     assert not result.one_minimal  # budget ran out before certification
     assert result.fingerprint == ["boom"]
 

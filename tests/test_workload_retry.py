@@ -27,7 +27,8 @@ def test_outcome_kinds_are_partitioned():
     for i, kind in enumerate(WorkloadStats.OUTCOMES):
         for _ in range(i + 1):
             stats.outcome("client", kind, tick=100 * i)
-    summary = stats.outcome_summary("client")
+    summary = {kind: stats.outcome_total("client", kind)
+               for kind in WorkloadStats.OUTCOMES}
     assert summary == {"aborted": 1, "refused": 2, "degraded": 3,
                        "retried": 4}
     # Each kind counts independently; nothing leaks across kinds.
